@@ -2,7 +2,7 @@
 # CI gate: format check, full build, the test suite with a pinned
 # QCheck seed, a daemon smoke test, a 200-schedule fault-injection
 # sweep (fcv sim), the parallel-validation scaling benchmark, the
-# planner-vs-legacy benchmark with its verdict-exactness and never-
+# planner vs Forced Auto benchmark with its verdict-exactness and never-
 # slower gate, the memory-lifecycle churn benchmark with its peak-node
 # bound, the
 # sharded serving-tier benchmark (pipelined clients + group commit)
@@ -121,30 +121,34 @@ SERVE_PID=""
 SMOKE_DONE=1
 echo "daemon smoke test passed"
 
+# gate FAIL WARN CMD...: run CMD; when it fails, print FAIL and exit 1
+# under FCV_CI=1, print WARN and carry on otherwise.  Exiting through
+# the cleanup trap keeps the BENCH_*.json written so far for artifact
+# upload.
+gate() {
+  fail=$1
+  warn=$2
+  shift 2
+  if "$@"; then
+    :
+  elif [ "$FCV_CI" = "1" ]; then
+    printf '%s\n' "$fail" >&2
+    exit 1
+  else
+    printf '%s\n' "$warn" >&2
+  fi
+}
+
 echo "== fault-injection sim (200 schedules, fixed seed; fatal under FCV_CI=1)"
-if "$FCV" sim --seed 1 --schedules 200; then
-  :
-elif [ "$FCV_CI" = "1" ]; then
-  echo "FAIL: fcv sim found a durability violation (repro line above)" >&2
-  exit 1
-else
-  echo "WARNING: fcv sim found a durability violation (fatal under FCV_CI=1)" >&2
-fi
+gate "FAIL: fcv sim found a durability violation (repro line above)" \
+  "WARNING: fcv sim found a durability violation (fatal under FCV_CI=1)" \
+  "$FCV" sim --seed 1 --schedules 200
 
 echo "== parallel-validation scaling benchmark"
-# Wrapped like the other gates so the exit code propagates through the
-# cleanup trap deliberately: a bench failure is fatal under FCV_CI=1
-# and a loud warning locally, and either way the BENCH_*.json written
-# so far survives for artifact upload.
-if dune exec bench/parallel.exe; then
-  :
-elif [ "$FCV_CI" = "1" ]; then
-  echo "FAIL: parallel scaling benchmark failed (verdict drift across j, or a crash" >&2
-  echo "      in the pooled checker — see output above)" >&2
-  exit 1
-else
-  echo "WARNING: parallel scaling benchmark failed (fatal under FCV_CI=1)" >&2
-fi
+gate "FAIL: parallel scaling benchmark failed (verdict drift across j, or a crash
+      in the pooled checker — see output above)" \
+  "WARNING: parallel scaling benchmark failed (fatal under FCV_CI=1)" \
+  dune exec bench/parallel.exe
 
 # Surface the j-scaling curve on the Actions run page when GitHub
 # gives us a step summary to append to.
@@ -152,73 +156,43 @@ if [ -n "${GITHUB_STEP_SUMMARY:-}" ] && [ -f BENCH_parallel.json ]; then
   dune exec bench/scaling_table.exe >>"$GITHUB_STEP_SUMMARY" || true
 fi
 
-echo "== planner-vs-legacy benchmark (verdict exactness + <=10% slack gate, fatal under FCV_CI=1)"
-if dune exec bench/plan.exe; then
-  :
-elif [ "$FCV_CI" = "1" ]; then
-  echo "FAIL: planner gate (verdict drift between planned and legacy validation, the" >&2
-  echo "      planner >10% slower than legacy on a workload, or the pathological" >&2
-  echo "      budget-trip plant never tripped — see BENCH_plan.json)" >&2
-  exit 1
-else
-  echo "WARNING: planner gate failed (fatal under FCV_CI=1; see BENCH_plan.json)" >&2
-fi
+echo "== planner vs Forced Auto benchmark (verdict exactness + <=10% slack gate, fatal under FCV_CI=1)"
+gate "FAIL: planner gate (verdict drift between planned and legacy validation, the
+      planner >10% slower than legacy on a workload, or the pathological
+      budget-trip plant never tripped — see BENCH_plan.json)" \
+  "WARNING: planner gate failed (fatal under FCV_CI=1; see BENCH_plan.json)" \
+  dune exec bench/plan.exe
 
 echo "== memory-lifecycle churn benchmark (peak-node bound fatal under FCV_CI=1)"
-if dune exec bench/churn.exe; then
-  :
-elif [ "$FCV_CI" = "1" ]; then
-  echo "FAIL: churn gate violated its memory bounds (see BENCH_churn.json)" >&2
-  exit 1
-else
-  echo "WARNING: churn gate violated its memory bounds (fatal under FCV_CI=1)" >&2
-fi
+gate "FAIL: churn gate violated its memory bounds (see BENCH_churn.json)" \
+  "WARNING: churn gate violated its memory bounds (fatal under FCV_CI=1)" \
+  dune exec bench/churn.exe
 
 echo "== sharded serving-tier benchmark (pipelined clients up to N=8, shards up to 4;"
 echo "   verdict exactness + throughput floor vs bench/baseline_serve.json, fatal under FCV_CI=1)"
-if dune exec bench/serve.exe; then
-  :
-elif [ "$FCV_CI" = "1" ]; then
-  echo "FAIL: serving-tier gate (non-exact verdict, reply reordering, or a throughput" >&2
-  echo "      regression vs bench/baseline_serve.json — see BENCH_serve.json)" >&2
-  exit 1
-else
-  echo "WARNING: serving-tier gate failed (fatal under FCV_CI=1; see BENCH_serve.json)" >&2
-fi
+gate "FAIL: serving-tier gate (non-exact verdict, reply reordering, or a throughput
+      regression vs bench/baseline_serve.json — see BENCH_serve.json)" \
+  "WARNING: serving-tier gate failed (fatal under FCV_CI=1; see BENCH_serve.json)" \
+  dune exec bench/serve.exe
 
 echo "== repair-planner benchmark (quality gate: complete plans, exact minimality,"
 echo "   greedy/exact ratio vs bench/baseline_repair.json, fatal under FCV_CI=1)"
-if dune exec bench/repair.exe; then
-  :
-elif [ "$FCV_CI" = "1" ]; then
-  echo "FAIL: repair gate (incomplete plan, non-minimum exact repair, or greedy" >&2
-  echo "      quality over the baseline ratio — see BENCH_repair.json)" >&2
-  exit 1
-else
-  echo "WARNING: repair gate failed (fatal under FCV_CI=1; see BENCH_repair.json)" >&2
-fi
+gate "FAIL: repair gate (incomplete plan, non-minimum exact repair, or greedy
+      quality over the baseline ratio — see BENCH_repair.json)" \
+  "WARNING: repair gate failed (fatal under FCV_CI=1; see BENCH_repair.json)" \
+  dune exec bench/repair.exe
 
 echo "== approximate-constraint benchmark (exact-rate gate vs row-scan recount,"
 echo "   soft/hard latency ratio vs bench/baseline_approx.json, fatal under FCV_CI=1)"
-if dune exec bench/approx.exe; then
-  :
-elif [ "$FCV_CI" = "1" ]; then
-  echo "FAIL: approx gate (a soft rate diverged from the independent recount, a" >&2
-  echo "      threshold verdict flipped, or soft checks exceeded the baseline" >&2
-  echo "      soft/hard latency ratio — see BENCH_approx.json)" >&2
-  exit 1
-else
-  echo "WARNING: approx gate failed (fatal under FCV_CI=1; see BENCH_approx.json)" >&2
-fi
+gate "FAIL: approx gate (a soft rate diverged from the independent recount, a
+      threshold verdict flipped, or soft checks exceeded the baseline
+      soft/hard latency ratio — see BENCH_approx.json)" \
+  "WARNING: approx gate failed (fatal under FCV_CI=1; see BENCH_approx.json)" \
+  dune exec bench/approx.exe
 
 echo "== perf-regression gate (tolerance 25%, fatal under FCV_CI=1)"
-if dune exec bench/check_regression.exe; then
-  :
-elif [ "$FCV_CI" = "1" ]; then
-  echo "FAIL: perf regression against bench/baseline.json" >&2
-  exit 1
-else
-  echo "WARNING: perf regression against bench/baseline.json (fatal under FCV_CI=1)" >&2
-fi
+gate "FAIL: perf regression against bench/baseline.json" \
+  "WARNING: perf regression against bench/baseline.json (fatal under FCV_CI=1)" \
+  dune exec bench/check_regression.exe
 
 echo "CI gate passed"

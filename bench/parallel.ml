@@ -128,6 +128,7 @@ let run_workload name make =
   Printf.printf "\n== %s ==\n%!" name;
   let db, sources = make () in
   let formulas = List.map Core.Fol_parser.of_string sources in
+  let specs = List.map Core.Formula.hard formulas in
   let index = Core.Index.create ~max_nodes:1_000_000 db in
   Core.Checker.ensure_indices index formulas;
   (* sequential warm pass: prices every constraint for the scheduler
@@ -153,12 +154,12 @@ let run_workload name make =
         (fun () ->
           (* warm-up: spawn-cost-free steady state — every worker
              hydrated before the first timed pass *)
-          ignore (Core.Checker.check_all_pooled ~costs ~pool replica formulas);
+          ignore (Core.Checker.check_all_pooled ~costs ~pool replica specs);
           let runs =
             List.init repeats (fun _ ->
                 mutation_pair index (Some replica);
                 let t0 = Fcv_util.Timer.now () in
-                let results = Core.Checker.check_all_pooled ~costs ~pool replica formulas in
+                let results = Core.Checker.check_all_pooled ~costs ~pool replica specs in
                 ((Fcv_util.Timer.now () -. t0) *. 1000., count_violated results))
           in
           (List.map fst runs, List.map snd runs, Some (Core.Replica.stats replica)))

@@ -4,8 +4,8 @@
 
    Runs the monitor's steady-state validation shape — net-zero
    mutation epoch, then a validate pass — over three workloads, twice
-   each: once under [Legacy] planning (the paper's blind
-   try-BDD-first thresholding) and once under [Planned] (the
+   each: once under [Forced Auto] planning (the paper's blind
+   try-BDD-first thresholding, "legacy" below) and once under [Planned] (the
    cost-based planner choosing per-constraint strategies and learning
    from every result).  Writes BENCH_plan.json.
 
@@ -135,7 +135,6 @@ let mutation_pair monitor =
 
 let mode_name = function
   | Core.Monitor.Planned -> "planner"
-  | Core.Monitor.Legacy -> "legacy"
   | Core.Monitor.Forced s -> "forced-" ^ Core.Checker.strategy_name s
 
 let run_mode make planning =
@@ -196,7 +195,7 @@ type workload_result = {
 
 let run_workload name make ~expect_trips =
   Printf.printf "\n== %s ==\n%!" name;
-  let legacy = run_mode make Core.Monitor.Legacy in
+  let legacy = run_mode make (Core.Monitor.Forced Core.Checker.Auto) in
   let planner = run_mode make Core.Monitor.Planned in
   let ratio = if legacy.mean_ms > 0. then planner.mean_ms /. legacy.mean_ms else 1. in
   let failures =

@@ -155,8 +155,7 @@ let read_constraints path =
              l <> "" && not (String.length l >= 1 && l.[0] = '#'))
       |> List.map (fun l -> (l, Core.Fol_parser.spec_of_string l)))
 
-(* the bare formulas of a parsed constraints file (index building,
-   batch APIs that are hard-only by construction) *)
+(* the bare formulas of a parsed constraints file (index building) *)
 let formulas_of constraints =
   List.map (fun (_, sp) -> sp.Core.Formula.formula) constraints
 
@@ -994,12 +993,12 @@ let bench_cmd =
   let run data constraints_file strategy max_nodes jobs repeat =
     let db, _ = load_dir data in
     let constraints = read_constraints constraints_file in
-    let formulas = formulas_of constraints in
     let index = Core.Index.create ~max_nodes db in
-    Core.Checker.ensure_indices ~strategy:(strategy_of_string strategy) index formulas;
+    Core.Checker.ensure_indices ~strategy:(strategy_of_string strategy) index
+      (formulas_of constraints);
     let time () =
       let t0 = Fcv_util.Timer.now () in
-      let results = Core.Checker.check_all ~jobs index formulas in
+      let results = Core.Checker.check_all ~jobs index (List.map snd constraints) in
       let ms = (Fcv_util.Timer.now () -. t0) *. 1000. in
       let violated =
         List.length
@@ -1014,7 +1013,7 @@ let bench_cmd =
     let mean = List.fold_left ( +. ) 0. times /. float_of_int (List.length times) in
     Printf.printf
       "jobs=%d constraints=%d violated=%d runs=%d best_ms=%.2f mean_ms=%.2f\n" jobs
-      (List.length formulas) violated (List.length runs) best mean
+      (List.length constraints) violated (List.length runs) best mean
   in
   let doc =
     "time one parallel validation batch (all constraints, -j worker domains); \

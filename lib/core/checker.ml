@@ -12,7 +12,10 @@
     + if the budget is exceeded ({!Fcv_bdd.Manager.Node_limit}),
       abandon BDD processing and run the SQL violation query
       ({!To_sql}) — or, outside the safe-SQL fragment, the naive
-      evaluator ({!Naive_eval}). *)
+      evaluator ({!Naive_eval}).
+
+    A soft spec ([holds >= p]) takes the same route and measures
+    exact violation counts instead of a verdict ({!check_spec}). *)
 
 module M = Fcv_bdd.Manager
 module O = Fcv_bdd.Ops
@@ -22,13 +25,12 @@ type method_used = Bdd | Sql | Naive
 
 let method_name = function Bdd -> "BDD" | Sql -> "SQL" | Naive -> "naive"
 
-(** How to check: [Auto] is the paper's thresholding (BDD first, SQL
-    on budget trip); [Force_bdd] is the same guarded pipeline kept
-    distinct for planner probes and ablations; [Force_sql] goes
-    straight to the violation query, paying no abandoned attempt. *)
-type strategy = Auto | Force_bdd | Force_sql
+(** How to check: [Auto] is the paper's thresholding (BDD first, the
+    BDD-free engine on budget trip); [Force_sql] goes straight to the
+    BDD-free engine, paying no abandoned attempt. *)
+type strategy = Auto | Force_sql
 
-let strategy_name = function Auto -> "auto" | Force_bdd -> "bdd" | Force_sql -> "sql"
+let strategy_name = function Auto -> "auto" | Force_sql -> "sql"
 
 type outcome = Satisfied | Violated
 
@@ -54,11 +56,10 @@ type result = {
           when no trip occurred (in particular on the up-front
           [Force_sql] path) *)
   rewritten : Formula.t;  (** the formula whose BDD was (to be) built *)
-  check : Rewrite.check;
   rate : rate option;
       (** measured violation rate; [Some] exactly on soft checks
           ({!check_spec} with threshold < 1), [None] on every hard
-          check — the classical path is byte-for-byte unchanged *)
+          check *)
 }
 
 (** How the final test is phrased.  [Violation] compiles the {e
@@ -131,12 +132,61 @@ let decide ctx pipeline check_mode rewritten free =
     let root = T.with_span "compile" (fun () -> Compile.compile ctx rewritten) in
     T.with_span "verdict" (fun () -> read_answer ctx check_mode root free)
 
-(* SQL fallback; on Not_safe fall further back to the naive evaluator. *)
-let fallback db typing constraint_ =
-  match To_sql.violated db typing constraint_ with
-  | violated -> ((if violated then Violated else Satisfied), Sql)
-  | exception To_sql.Not_safe _ ->
-    ((if Naive_eval.holds ~typing db constraint_ then Satisfied else Violated), Naive)
+(* What an engine measured: a hard spec's verdict, or a soft spec's
+   exact (violations, total) binding counts. *)
+type measure = Verdict of outcome | Counts of (Fcv_bdd.Nat.t * Fcv_bdd.Nat.t)
+
+(* 0/1 semantics for a soft spec with no leading ∀-block to count
+   over: rate 1 when violated, 0 when satisfied — the outcome is the
+   plain verdict for any threshold in (0, 1]. *)
+let counts_of_verdict o =
+  Counts ((if o = Violated then Fcv_bdd.Nat.one else Fcv_bdd.Nat.zero), Fcv_bdd.Nat.one)
+
+(* The rewrite → compile → verdict pipeline; records the rewritten
+   formula in [rewritten] before compiling. *)
+let compile_verdict ~pipeline ~rewritten index c =
+  let check_mode, rw = T.with_span "rewrite" (fun () -> pipeline.rewrite c) in
+  rewritten := rw;
+  (* the rewrite renames bound variables apart, so the compile context
+     needs a typing of the rewritten formula *)
+  let typing_rw = Typing.infer index.Index.db rw in
+  let ctx = Compile.make_ctx ~use_appquant:pipeline.use_appquant index typing_rw in
+  let free = Formula.Sset.elements (Formula.free_vars rw) in
+  Fun.protect
+    ~finally:(fun () -> Compile.release ctx)
+    (fun () -> decide ctx pipeline check_mode rw free)
+
+(* The BDD engine, under the node budget: the FD projection-count
+   method when the constraint is an indexed FD, else exact violation
+   counts (soft) or the compiled verdict (hard). *)
+let bdd_measure ~pipeline ~hard ~rewritten index c =
+  let fd = if pipeline.use_fd_fast_path then Fd_check.covered_fd index c else None in
+  match fd with
+  | Some (table_name, lhs, rhs) ->
+    T.with_span "fd_fast_path" (fun () ->
+        if hard then
+          Verdict
+            (if Fd_check.fd_holds index ~table_name ~lhs ~rhs:[ rhs ] then Satisfied
+             else Violated)
+        else Counts (Fd_check.fd_soft_counts index ~table_name ~lhs ~rhs:[ rhs ]))
+  | None when hard -> Verdict (compile_verdict ~pipeline ~rewritten index c)
+  | None -> (
+    match Violations.soft_counts index c with
+    | Some counts -> Counts counts
+    | None -> counts_of_verdict (compile_verdict ~pipeline ~rewritten index c))
+
+(* The BDD-free engine: the SQL violation query for a hard spec (the
+   naive evaluator outside the safe-SQL fragment), the naive recount
+   for a soft one — there is no SQL form of the rate query. *)
+let bdd_free_measure ~hard db typing c =
+  if hard then
+    match To_sql.violated db typing c with
+    | violated -> (Verdict (if violated then Violated else Satisfied), Sql)
+    | exception To_sql.Not_safe _ ->
+      (Verdict (if Naive_eval.holds ~typing db c then Satisfied else Violated), Naive)
+  else
+    let v, t = Naive_eval.soft_counts ~typing db c in
+    (Counts (Fcv_bdd.Nat.of_int v, Fcv_bdd.Nat.of_int t), Naive)
 
 (* Post-check telemetry: per-check outcome event with the kernel-stat
    deltas (apply-cache hit rate, nodes allocated, peak) plus the
@@ -163,129 +213,6 @@ let tel_check_done ~before ~mgr ~method_used ~outcome ~elapsed_ms ~overhead_ms =
       ]
   end
 
-(** Check one constraint.  [index] supplies the BDD manager, node
-    budget and logical indices; every relation mentioned by the
-    constraint must have a covering index (see {!ensure_indices}). *)
-let check ?(pipeline = default_pipeline) ?(strategy = Auto) index constraint_ =
-  if not (Formula.is_closed constraint_) then
-    invalid_arg "Checker.check: constraint must be a closed formula";
-  T.with_span "check" @@ fun () ->
-  let kstats0 = M.stats (Index.mgr index) in
-  let db = index.Index.db in
-  let typing = T.with_span "typing" (fun () -> Typing.infer db constraint_) in
-  match strategy with
-  | Force_sql ->
-    (* planned straight to the violation query: no BDD attempt, so
-       neither abandoned-attempt overhead nor a "fallback" is paid *)
-    let t0 = Fcv_util.Timer.now () in
-    let outcome, method_used =
-      T.with_span "fallback" (fun () -> fallback db typing constraint_)
-    in
-    let elapsed_ms = (Fcv_util.Timer.now () -. t0) *. 1000. in
-    tel_check_done ~before:kstats0 ~mgr:(Index.mgr index) ~method_used ~outcome
-      ~elapsed_ms ~overhead_ms:0.;
-    {
-      outcome;
-      method_used;
-      elapsed_ms;
-      bdd_overhead_ms = 0.;
-      fallback_ms = 0.;
-      rewritten = constraint_;
-      check = Rewrite.Check_valid;
-      rate = None;
-    }
-  | Auto | Force_bdd ->
-  let fd_fast_path () =
-    if not pipeline.use_fd_fast_path then None
-    else
-      match Fd_check.recognize_fd db constraint_ with
-      | Some (table_name, lhs, rhs) -> (
-        let schema = Fcv_relation.Table.schema (Fcv_relation.Database.table db table_name) in
-        let needed = List.map (Fcv_relation.Schema.position schema) (rhs :: lhs) in
-        match Index.find_covering index ~table_name ~needed with
-        | Some _ -> (
-          let t0 = Fcv_util.Timer.now () in
-          match T.with_span "fd_fast_path" (fun () -> Fd_check.fd_holds index ~table_name ~lhs ~rhs:[ rhs ]) with
-          | holds ->
-            let outcome = if holds then Satisfied else Violated in
-            let elapsed_ms = (Fcv_util.Timer.now () -. t0) *. 1000. in
-            tel_check_done ~before:kstats0 ~mgr:(Index.mgr index) ~method_used:Bdd
-              ~outcome ~elapsed_ms ~overhead_ms:0.;
-            Some
-              {
-                outcome;
-                method_used = Bdd;
-                elapsed_ms;
-                bdd_overhead_ms = 0.;
-                fallback_ms = 0.;
-                rewritten = constraint_;
-                check = Rewrite.Check_valid;
-                rate = None;
-              }
-          (* past the node budget (or out of level space), fall through
-             to the generic path, which carries the SQL fallback *)
-          | exception (M.Node_limit _ | M.Level_limit _) -> None)
-        | None -> None)
-      | None -> None
-  in
-  match fd_fast_path () with
-  | Some result -> result
-  | None ->
-  let t0 = Fcv_util.Timer.now () in
-  let check_mode, rewritten = T.with_span "rewrite" (fun () -> pipeline.rewrite constraint_) in
-  (* the rewrite renames bound variables apart, so the compile context
-     needs a typing of the rewritten formula *)
-  let typing_rw = Typing.infer db rewritten in
-  let ctx = Compile.make_ctx ~use_appquant:pipeline.use_appquant index typing_rw in
-  let free = Formula.Sset.elements (Formula.free_vars rewritten) in
-  match
-    Fun.protect
-      ~finally:(fun () -> Compile.release ctx)
-      (fun () -> decide ctx pipeline check_mode rewritten free)
-  with
-  | outcome ->
-    let elapsed_ms = (Fcv_util.Timer.now () -. t0) *. 1000. in
-    tel_check_done ~before:kstats0 ~mgr:(Index.mgr index) ~method_used:Bdd
-      ~outcome ~elapsed_ms ~overhead_ms:0.;
-    {
-      outcome;
-      method_used = Bdd;
-      elapsed_ms;
-      bdd_overhead_ms = 0.;
-      fallback_ms = 0.;
-      rewritten;
-      check = check_mode;
-      rate = None;
-    }
-  | exception (M.Node_limit _ | M.Level_limit _) ->
-    let overhead = (Fcv_util.Timer.now () -. t0) *. 1000. in
-    let t1 = Fcv_util.Timer.now () in
-    let outcome, method_used =
-      T.with_span "fallback" (fun () -> fallback db typing constraint_)
-    in
-    let elapsed_ms = (Fcv_util.Timer.now () -. t1) *. 1000. in
-    if T.enabled () then
-      T.event "check.fallback"
-        [
-          ("method", T.String (method_name method_used));
-          ("bdd_overhead_ms", T.Float overhead);
-          ("fallback_ms", T.Float elapsed_ms);
-        ];
-    tel_check_done ~before:kstats0 ~mgr:(Index.mgr index) ~method_used
-      ~outcome ~elapsed_ms ~overhead_ms:overhead;
-    {
-      outcome;
-      method_used;
-      elapsed_ms;
-      bdd_overhead_ms = overhead;
-      fallback_ms = elapsed_ms;
-      rewritten;
-      check = check_mode;
-      rate = None;
-    }
-
-(* -- approximate (thresholded) checks --------------------------------------- *)
-
 let ratio_of ~violations ~total =
   if Fcv_bdd.Nat.is_zero total then 0.
   else Fcv_bdd.Nat.to_float violations /. Fcv_bdd.Nat.to_float total
@@ -310,108 +237,67 @@ let clears ~threshold ~violations ~total =
     N.compare (N.shift_left satisfied k) (N.mul p total) >= 0
   end
 
-(* The soft-check pipeline: exact violation/support counts (FD
-   fast path when the shape matches and an index covers it, the
-   general violation-BDD analyzer otherwise), the exact threshold
-   comparison, and a naive full-recount fallback when the BDD attempt
-   trips the node budget. *)
-let check_soft ~pipeline ~strategy index (spec : Formula.spec) =
-  let threshold = spec.Formula.threshold in
+(** Check one constraint spec — the only check route.  [index]
+    supplies the BDD manager, node budget and logical indices; every
+    relation mentioned by the constraint must have a covering index
+    (see {!ensure_indices}).  Hard and soft specs differ only in what
+    each engine measures: a verdict, or exact counts compared against
+    the threshold in arbitrary precision ({!clears}).  A budget trip
+    anywhere in the BDD attempt goes once to the BDD-free engine. *)
+let check_spec ?(pipeline = default_pipeline) ?(strategy = Auto) index
+    (spec : Formula.spec) =
   let c = spec.Formula.formula in
   if not (Formula.is_closed c) then
     invalid_arg "Checker.check_spec: constraint must be a closed formula";
-  T.with_span "check_soft" @@ fun () ->
-  let kstats0 = M.stats (Index.mgr index) in
+  let hard = Formula.is_hard spec in
+  T.with_span (if hard then "check" else "check_soft") @@ fun () ->
+  let mgr = Index.mgr index in
+  let kstats0 = M.stats mgr in
   let db = index.Index.db in
   let typing = T.with_span "typing" (fun () -> Typing.infer_spec db spec) in
+  let rewritten = ref c in
+  let ms_since t = (Fcv_util.Timer.now () -. t) *. 1000. in
+  let bdd_free () = T.with_span "fallback" (fun () -> bdd_free_measure ~hard db typing c) in
   let t0 = Fcv_util.Timer.now () in
-  let build ?elapsed_ms ~counts:(violations, total) ~method_used ~overhead ~fallback_ms ()
-      =
-    let outcome = if clears ~threshold ~violations ~total then Satisfied else Violated in
-    let elapsed_ms =
-      match elapsed_ms with
-      | Some e -> e
-      | None -> (Fcv_util.Timer.now () -. t0) *. 1000.
-    in
-    tel_check_done ~before:kstats0 ~mgr:(Index.mgr index) ~method_used ~outcome
-      ~elapsed_ms ~overhead_ms:overhead;
-    {
-      outcome;
-      method_used;
-      elapsed_ms;
-      bdd_overhead_ms = overhead;
-      fallback_ms;
-      rewritten = c;
-      check = Rewrite.Check_valid;
-      rate = Some { violations; total; ratio = ratio_of ~violations ~total; threshold };
-    }
+  let measure, method_used, bdd_overhead_ms, fallback_ms, elapsed_ms =
+    match strategy with
+    | Force_sql ->
+      (* planned straight to the BDD-free engine: neither an abandoned
+         attempt nor a "fallback" is paid *)
+      let m, method_used = bdd_free () in
+      (m, method_used, 0., 0., ms_since t0)
+    | Auto -> (
+      match bdd_measure ~pipeline ~hard ~rewritten index c with
+      | m -> (m, Bdd, 0., 0., ms_since t0)
+      | exception (M.Node_limit _ | M.Level_limit _) ->
+        let overhead = ms_since t0 in
+        let t1 = Fcv_util.Timer.now () in
+        let m, method_used = bdd_free () in
+        let fallback_ms = ms_since t1 in
+        if T.enabled () then
+          T.event "check.fallback"
+            [
+              ("method", T.String (method_name method_used));
+              ("bdd_overhead_ms", T.Float overhead);
+              ("fallback_ms", T.Float fallback_ms);
+            ];
+        (m, method_used, overhead, fallback_ms, fallback_ms))
   in
-  let naive_counts () =
-    let v, t = T.with_span "fallback" (fun () -> Naive_eval.soft_counts ~typing db c) in
-    (Fcv_bdd.Nat.of_int v, Fcv_bdd.Nat.of_int t)
+  let outcome, rate =
+    match measure with
+    | Verdict o -> (o, None)
+    | Counts (violations, total) ->
+      let threshold = spec.Formula.threshold in
+      ( (if clears ~threshold ~violations ~total then Satisfied else Violated),
+        Some { violations; total; ratio = ratio_of ~violations ~total; threshold } )
   in
-  match strategy with
-  | Force_sql ->
-    (* there is no SQL form of the rate query: a soft constraint
-       planned to SQL recounts naively, up front *)
-    build ~counts:(naive_counts ()) ~method_used:Naive ~overhead:0. ~fallback_ms:0. ()
-  | Auto | Force_bdd -> (
-    let bdd_counts () =
-      let fd =
-        if not pipeline.use_fd_fast_path then None
-        else
-          match Fd_check.recognize_fd db c with
-          | Some (table_name, lhs, rhs) ->
-            T.with_span "fd_fast_path" (fun () ->
-                Fd_check.fd_soft_counts index ~table_name ~lhs ~rhs:[ rhs ])
-          | None -> None
-      in
-      match fd with Some counts -> Some counts | None -> Violations.soft_counts index c
-    in
-    match bdd_counts () with
-    | Some counts -> build ~counts ~method_used:Bdd ~overhead:0. ~fallback_ms:0. ()
-    | None ->
-      (* no leading ∀-block to witness: 0/1 semantics off the plain
-         verdict (rate 1 when violated, 0 when satisfied — the
-         outcome is unchanged for any threshold in (0, 1]) *)
-      let r = check ~pipeline ~strategy index c in
-      let module N = Fcv_bdd.Nat in
-      let violations = if r.outcome = Violated then N.one else N.zero in
-      {
-        r with
-        rate =
-          Some
-            {
-              violations;
-              total = N.one;
-              ratio = (if r.outcome = Violated then 1. else 0.);
-              threshold;
-            };
-      }
-    | exception (M.Node_limit _ | M.Level_limit _) ->
-      let overhead = (Fcv_util.Timer.now () -. t0) *. 1000. in
-      let t1 = Fcv_util.Timer.now () in
-      let counts = naive_counts () in
-      let fallback_ms = (Fcv_util.Timer.now () -. t1) *. 1000. in
-      if T.enabled () then
-        T.event "check.fallback"
-          [
-            ("method", T.String (method_name Naive));
-            ("bdd_overhead_ms", T.Float overhead);
-            ("fallback_ms", T.Float fallback_ms);
-          ];
-      build ~elapsed_ms:fallback_ms ~counts ~method_used:Naive ~overhead ~fallback_ms ())
+  tel_check_done ~before:kstats0 ~mgr ~method_used ~outcome ~elapsed_ms
+    ~overhead_ms:bdd_overhead_ms;
+  { outcome; method_used; elapsed_ms; bdd_overhead_ms; fallback_ms; rewritten = !rewritten; rate }
 
-(** Check one constraint spec.  Hard specs ([threshold = 1.0]) take
-    exactly the {!check} path — verdict, method choice and planner
-    behavior are unchanged — and report no rate.  Soft specs compute
-    exact violation/support counts over the violation BDD (or the FD
-    projection counts) and compare the rate against the threshold in
-    arbitrary precision; [result.rate] carries the measurement. *)
-let check_spec ?(pipeline = default_pipeline) ?(strategy = Auto) index
-    (spec : Formula.spec) =
-  if Formula.is_hard spec then check ~pipeline ~strategy index spec.Formula.formula
-  else check_soft ~pipeline ~strategy index spec
+(** Check one closed constraint: {!check_spec} on its hard spec. *)
+let check ?pipeline ?strategy index constraint_ =
+  check_spec ?pipeline ?strategy index (Formula.hard constraint_)
 
 (* -- parallel scheduling: cost estimates and task granularity --------------- *)
 
@@ -465,7 +351,7 @@ let rec split_conjuncts f =
   | _ -> [ f ]
 
 (* Merge the part results of a split constraint back into one result:
-   satisfied iff every conjunct is.  [rewritten]/[check] come from the
+   satisfied iff every conjunct is.  [rewritten] comes from the
    first part (there is no single compiled formula for a merged
    verdict); times are summed — the work actually done. *)
 let merge_parts = function
@@ -482,8 +368,7 @@ let merge_parts = function
       bdd_overhead_ms = List.fold_left (fun acc r -> acc +. r.bdd_overhead_ms) 0. rs;
       fallback_ms = List.fold_left (fun acc r -> acc +. r.fallback_ms) 0. rs;
       rewritten = first.rewritten;
-      check = first.check;
-      (* only hard constraints go through the conjunct splitter *)
+      (* only hard specs go through the conjunct splitter *)
       rate = None;
     }
 
@@ -500,16 +385,17 @@ let merge_parts = function
     ({!Fcv_util.Pool.run_ordered}).  [granularity] adapts task size:
     constraints cheaper than [batch_under_ms] are chunked ([max_batch]
     at a time) so task bookkeeping stops dominating tiny checks, and a
-    constraint over [split_over_ms] whose formula splits into
+    hard spec over [split_over_ms] whose formula splits into
     independent conjuncts ({!split_conjuncts}, up to [max_parts])
     is checked as parallel subformula tasks and merged — same
-    outcome by [∀x.(A∧B) ≡ (∀x.A)∧(∀x.B)]. *)
+    outcome by [∀x.(A∧B) ≡ (∀x.A)∧(∀x.B)].  A soft spec is never
+    split: its rate is not the merge of its conjuncts' rates. *)
 let check_all_pooled ?pipeline ?(granularity = default_granularity) ?costs ?strategies
-    ~pool replica constraints =
+    ~pool replica specs =
   Replica.prepare replica;
-  if constraints = [] then []
+  if specs = [] then []
   else begin
-    let fs = Array.of_list constraints in
+    let fs = Array.of_list specs in
     let n = Array.length fs in
     let master = Replica.master replica in
     let db = master.Index.db in
@@ -527,32 +413,34 @@ let check_all_pooled ?pipeline ?(granularity = default_granularity) ?costs ?stra
         | None -> Array.make n None
       in
       Array.mapi
-        (fun i f ->
-          match given.(i) with Some c -> c | None -> cost_estimate master f)
+        (fun i (sp : Formula.spec) ->
+          match given.(i) with Some c -> c | None -> cost_estimate master sp.formula)
         fs
     in
     (* split plan: parts.(i) has length > 1 only for huge conjunctive
-       constraints whose every part still typechecks *)
+       hard specs whose every part still typechecks *)
     let parts =
       Array.mapi
-        (fun i f ->
-          if costs.(i) < granularity.split_over_ms then [| f |]
+        (fun i (sp : Formula.spec) ->
+          if costs.(i) < granularity.split_over_ms || not (Formula.is_hard sp) then [| sp |]
           else
-            let ps = split_conjuncts f in
+            let ps = split_conjuncts sp.formula in
             let k = List.length ps in
             let part_ok p =
               Formula.is_closed p
               && match Typing.infer db p with _ -> true | exception Typing.Type_error _ -> false
             in
             if k > 1 && k <= granularity.max_parts && List.for_all part_ok ps then
-              Array.of_list ps
-            else [| f |])
+              Array.of_list (List.map Formula.hard ps)
+            else [| sp |])
         fs
     in
     (* task list: (cost, thunk) where a thunk returns per-(constraint,
        part) results; tiny unsplit constraints are chunked greedily in
        input order *)
-    let do_check i f () = check ?pipeline ~strategy:strats.(i) (Replica.get replica) f in
+    let do_check i sp () =
+      check_spec ?pipeline ~strategy:strats.(i) (Replica.get replica) sp
+    in
     let tasks = ref [] in
     let chunk = ref [] and chunk_cost = ref 0. in
     let flush_chunk () =
@@ -609,7 +497,7 @@ let check_all_pooled ?pipeline ?(granularity = default_granularity) ?costs ?stra
             (List.map snd (List.sort (fun (a, _) (b, _) -> compare a b) prs)))
   end
 
-(** Check a batch of constraints (the paper's setting: many
+(** Check a batch of specs (the paper's setting: many
     user-defined constraints validated together); returns results in
     order.  [jobs > 1] fans the batch out over that many worker
     domains, each checking against a private replica of [index]
@@ -618,8 +506,8 @@ let check_all_pooled ?pipeline ?(granularity = default_granularity) ?costs ?stra
     empty batches always run sequentially.  Verdicts are identical to
     the sequential run (same pipeline, same node budget, same
     fallbacks), only wall-clock differs. *)
-let check_all ?pipeline ?(jobs = 1) ?strategies index constraints =
-  let n = List.length constraints in
+let check_all ?pipeline ?(jobs = 1) ?strategies index specs =
+  let n = List.length specs in
   (match strategies with
   | Some l when List.length l <> n ->
     invalid_arg "Checker.check_all: strategies length mismatch"
@@ -628,14 +516,13 @@ let check_all ?pipeline ?(jobs = 1) ?strategies index constraints =
     let strats =
       match strategies with Some l -> Array.of_list l | None -> Array.make n Auto
     in
-    List.mapi (fun i f -> check ?pipeline ~strategy:strats.(i) index f) constraints
+    List.mapi (fun i sp -> check_spec ?pipeline ~strategy:strats.(i) index sp) specs
   end
   else begin
     let pool = Fcv_util.Pool.create ~name:"check" ~jobs:(min jobs n) () in
     Fun.protect
       ~finally:(fun () -> Fcv_util.Pool.shutdown pool)
-      (fun () ->
-        check_all_pooled ?pipeline ?strategies ~pool (Replica.create index) constraints)
+      (fun () -> check_all_pooled ?pipeline ?strategies ~pool (Replica.create index) specs)
   end
 
 (** Make sure every relation mentioned in [constraints] has a

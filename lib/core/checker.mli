@@ -11,15 +11,12 @@ val method_name : method_used -> string
 type strategy =
   | Auto
       (** the paper's thresholding: try the BDD pipeline, fall back to
-          SQL when the node budget trips *)
-  | Force_bdd
-      (** insist on the BDD pipeline; still budget-guarded — a trip
-          falls back rather than losing the verdict, so this is the
-          thresholding behaviour under another name, kept distinct for
-          planner probes and ablations *)
+          the BDD-free engine when the node budget trips *)
   | Force_sql
-      (** straight to the SQL violation query (naive evaluator outside
-          the safe fragment), paying no abandoned BDD attempt *)
+      (** straight to the BDD-free engine, paying no abandoned BDD
+          attempt: the SQL violation query for a hard spec (naive
+          evaluator outside the safe fragment), the naive recount for
+          a soft one *)
 
 val strategy_name : strategy -> string
 
@@ -49,11 +46,10 @@ type result = {
           was chosen up-front ([Force_sql]), which pays neither the
           abandoned attempt nor a "fallback" *)
   rewritten : Formula.t;
-  check : Rewrite.check;
   rate : rate option;
       (** measured violation rate; [Some] exactly on soft checks
           ({!check_spec} with threshold < 1), [None] on every hard
-          check — the classical path is byte-for-byte unchanged *)
+          check *)
 }
 
 type polarity = Direct | Violation
@@ -81,15 +77,6 @@ val direct_pipeline : pipeline
 val naive_pipeline : pipeline
 (** No rewrites, unfused quantifiers (rewrite ablation). *)
 
-val check : ?pipeline:pipeline -> ?strategy:strategy -> Index.t -> Formula.t -> result
-(** Check one closed constraint.  Every mentioned relation needs a
-    covering index ({!ensure_indices}).  [strategy] (default [Auto])
-    picks the engine: the planner ({!Planner}) passes [Force_sql] for
-    constraints it expects to trip the budget, skipping the abandoned
-    BDD attempt entirely.  Verdicts are strategy-independent.
-    @raise Invalid_argument on open formulas.
-    @raise Typing.Type_error on ill-typed constraints. *)
-
 val clears :
   threshold:float -> violations:Fcv_bdd.Nat.t -> total:Fcv_bdd.Nat.t -> bool
 (** Exact threshold test: does the satisfied fraction
@@ -101,22 +88,40 @@ val clears :
 
 val check_spec :
   ?pipeline:pipeline -> ?strategy:strategy -> Index.t -> Formula.spec -> result
-(** Check one constraint spec.  Hard specs ([threshold = 1.0]) take
-    exactly the {!check} path — verdict, method choice and planner
-    behavior are unchanged — and report [rate = None].  Soft specs
-    compute exact violation/support counts over the violation BDD (FD
-    projection counts on FD-shaped constraints) and compare the
+(** Check one constraint spec — the only check route.  Every mentioned
+    relation needs a covering index ({!ensure_indices}).  Hard and
+    soft specs take the same route and differ only in what each engine
+    measures:
+
+    - the BDD engine, under the node budget: on an indexed FD the
+      projection-count method ({!Fd_check.fd_holds} /
+      {!Fd_check.fd_soft_counts}); otherwise the compiled verdict
+      (hard) or exact counts over the violation BDD
+      ({!Violations.soft_counts}, soft);
+    - the BDD-free engine: the SQL violation query (hard; the naive
+      evaluator outside the safe fragment) or the naive recount
+      ({!Naive_eval.soft_counts}, soft).
+
+    [strategy] (default [Auto]) picks the engine: the planner
+    ({!Planner}) passes [Force_sql] for constraints it expects to trip
+    the budget, skipping the abandoned BDD attempt.  Under [Auto] a
+    budget trip anywhere in the BDD attempt, FD fast path included,
+    goes once to the BDD-free engine.  Soft specs compare the
     satisfied fraction against the threshold in arbitrary precision
-    ({!clears}); [result.rate] carries the measurement.  A soft spec
-    planned to [Force_sql], or whose BDD attempt trips the node
-    budget, recounts with {!Naive_eval.soft_counts}. *)
+    ({!clears}) and report it in [result.rate]; hard specs report
+    [rate = None].  Verdicts are strategy-independent.
+    @raise Invalid_argument on open formulas.
+    @raise Typing.Type_error on ill-typed constraints. *)
+
+val check : ?pipeline:pipeline -> ?strategy:strategy -> Index.t -> Formula.t -> result
+(** {!check_spec} on the constraint's hard spec ({!Formula.hard}). *)
 
 val check_all :
   ?pipeline:pipeline ->
   ?jobs:int ->
   ?strategies:strategy list ->
   Index.t ->
-  Formula.t list ->
+  Formula.spec list ->
   result list
 (** Check a batch, in order.  [jobs > 1] (default 1) fans out over a
     transient pool of worker domains, each with a private replica of
@@ -161,7 +166,7 @@ val check_all_pooled :
   ?strategies:strategy list ->
   pool:Fcv_util.Pool.t ->
   Replica.t ->
-  Formula.t list ->
+  Formula.spec list ->
   result list
 (** [check_all] against a caller-owned pool and replica set — the
     long-running form (server, monitor) that amortises worker spawn
@@ -172,7 +177,8 @@ val check_all_pooled :
     scheduler; per-constraint costs come from [costs] (measured
     milliseconds, [None] entries estimated) or {!cost_estimate}, and
     [granularity] (default {!default_granularity}) controls chunking
-    of tiny constraints and conjunct-splitting of huge ones.  A split
+    of tiny constraints and conjunct-splitting of huge hard ones (a
+    soft spec is never split).  A split
     constraint's merged result is [Satisfied] iff every part is, with
     summed times; verdicts are identical to the sequential run either
     way.  [strategies] gives one {!strategy} per constraint (default

@@ -11,19 +11,25 @@ val fd_soft_counts :
   table_name:string ->
   lhs:string list ->
   rhs:string list ->
-  (Fcv_bdd.Nat.t * Fcv_bdd.Nat.t) option
+  Fcv_bdd.Nat.t * Fcv_bdd.Nat.t
 (** Exact [(violating, total)] ordered-pair counts for a threshold
     verdict on an FD-shaped constraint: pairs of π(lhs∪rhs) tuples
     sharing the lhs, split by whether their rhs agree — Σ n(n−1) and
     Σ n² over the per-lhs rhs co-domain sizes n, in arbitrary
     precision.  Matches the general BDD path and the naive recount
-    binding-for-binding.  [None] when no index covers lhs ∪ rhs. *)
+    binding-for-binding.
+    @raise Invalid_argument when no index covers lhs ∪ rhs. *)
 
 val recognize_fd :
   Fcv_relation.Database.t -> Formula.t -> (string * string list * string) option
 (** Recognise ∀x̄,r1,r2. R(…r1…) ∧ R(…r2…) → r1 = r2 as
     [(relation, lhs attributes, rhs attribute)] so the checker can
     route it to {!fd_holds} instead of compiling the self-join. *)
+
+val covered_fd : Index.t -> Formula.t -> (string * string list * string) option
+(** {!recognize_fd}, when some entry of the index covers lhs ∪ rhs —
+    the FDs the checker routes to the projection-count methods, and
+    the planner prices as such. *)
 
 val ind_holds :
   Index.t -> r:string -> attrs_r:string list -> s:string -> attrs_s:string list -> bool

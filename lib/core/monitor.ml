@@ -34,10 +34,10 @@ type registered = {
 
 (** How validation picks the check engine.  [Planned] (the default)
     asks the {!Planner} per constraint and feeds results back;
-    [Legacy] is the paper's blind try-BDD-first thresholding (also the
-    bench baseline); [Forced s] pins one {!Checker.strategy} for every
-    constraint (ablations). *)
-type planning = Planned | Legacy | Forced of Checker.strategy
+    [Forced s] pins one {!Checker.strategy} for every constraint —
+    [Forced Auto] is the paper's blind try-BDD-first thresholding (the
+    bench baseline). *)
+type planning = Planned | Forced of Checker.strategy
 
 type t = {
   index : Index.t;
@@ -99,7 +99,7 @@ let stop t = set_jobs t 1
 let invalidate_replicas t =
   match t.par with Some (_, r) -> Replica.invalidate r | None -> ()
 
-let is_hard r = r.threshold >= 1.0
+let spec_of r = { Formula.threshold = r.threshold; formula = r.formula }
 
 (* Re-derive every [entailed_by] flag from the current FD set — run
    after each register/unregister, never per pass: entailment is a
@@ -113,7 +113,7 @@ let recompute_entailment t =
   let fds =
     List.filter_map
       (fun r ->
-        if not (is_hard r) then None
+        if not (Formula.is_hard (spec_of r)) then None
         else
           match Planner.fd_of db r.formula with Some fd -> Some (r, fd) | None -> None)
       regs
@@ -279,10 +279,12 @@ type report = {
 (** Validate the registered constraints: a constraint is re-checked
     only when it has never been checked or one of its tables changed
     since its last check; otherwise the cached verdict is returned.
-    Under [Planned] (the default) the {!Planner} chooses each stale
-    constraint's strategy, planned costs order the parallel pool, every
-    fresh result is fed back, and FDs entailed by currently-holding
-    FDs are settled without a check.  Clears the dirty set. *)
+    Stale hard and soft constraints are checked as one batch, pooled
+    when [jobs > 1].  Under [Planned] (the default) the {!Planner}
+    chooses each stale constraint's strategy, planned costs order the
+    parallel pool, every fresh result is fed back, and FDs entailed by
+    currently-holding FDs are settled without a check.  Clears the
+    dirty set. *)
 let validate t =
   (* reclamation happens here, strictly before any check compiles
      against the manager — never mid-check *)
@@ -297,7 +299,7 @@ let validate t =
      in the parallel path workers return bare Checker.results and the
      mutations below run once the whole batch is in *)
   let fresh_report reg r =
-    if planned then Planner.observe t.planner reg.formula r;
+    if planned then Planner.observe t.planner (spec_of reg) r;
     reg.last_outcome <- Some r.Checker.outcome;
     (match r.Checker.rate with Some _ as rt -> reg.last_rate <- rt | None -> ());
     reg.checks_run <- reg.checks_run + 1;
@@ -337,66 +339,38 @@ let validate t =
     }
   in
   let stale = List.filter needs_check regs in
-  (* soft constraints run sequentially through {!Checker.check_spec}:
-     they need the exact-count machinery (and their rates), not the
-     pooled batch checker, and they never participate in entailment *)
-  let stale_soft, stale_hard = List.partition (fun r -> not (is_hard r)) stale in
   (* entailed FDs settle from their entailers' verdicts when possible
-     (Planned mode only); everything else is the main batch *)
+     (Planned mode only); everything else, hard and soft, is one batch *)
   let stale_main, stale_ent =
-    if planned then List.partition (fun r -> r.entailed_by = None) stale_hard
-    else (stale_hard, [])
+    if planned then List.partition (fun r -> r.entailed_by = None) stale else (stale, [])
   in
-  let plans =
-    if planned then
-      List.map (fun reg -> Some (Planner.plan t.planner t.index reg.formula)) stale_main
-    else List.map (fun _ -> None) stale_main
+  let plan reg = Planner.plan t.planner t.index (spec_of reg) in
+  let strategies, costs =
+    List.split
+      (List.map
+         (fun reg ->
+           match t.planning with
+           | Planned ->
+             (* the planner's costed estimate orders the pool *)
+             let p = plan reg in
+             (p.Planner.strategy, Some p.Planner.cost_ms)
+           | Forced s ->
+             (* measured per-constraint history orders the pool *)
+             ( s,
+               if reg.checks_run > 0 then
+                 Some (reg.total_check_ms /. float_of_int reg.checks_run)
+               else None ))
+         stale_main)
   in
-  let forced = match t.planning with Forced s -> s | _ -> Checker.Auto in
-  let strategies =
-    List.map (function Some p -> p.Planner.strategy | None -> forced) plans
-  in
-  let costs =
-    (* Planned: the planner's costed estimate orders the pool;
-       otherwise measured per-constraint history as before *)
-    List.map2
-      (fun reg p ->
-        match p with
-        | Some p -> Some p.Planner.cost_ms
-        | None ->
-          if reg.checks_run > 0 then
-            Some (reg.total_check_ms /. float_of_int reg.checks_run)
-          else None)
-      stale_main plans
+  let specs = List.map spec_of stale_main in
+  let results =
+    match t.par with
+    | Some (pool, replica) when List.length stale_main > 1 ->
+      Checker.check_all_pooled ~pipeline:t.pipeline ~costs ~strategies ~pool replica specs
+    | _ -> Checker.check_all ~pipeline:t.pipeline ~strategies t.index specs
   in
   let fresh = Hashtbl.create (List.length stale + 1) in
-  (match t.par with
-  | Some (pool, replica) when List.length stale_main > 1 ->
-    let results =
-      Checker.check_all_pooled ~pipeline:t.pipeline ~costs ~strategies ~pool replica
-        (List.map (fun reg -> reg.formula) stale_main)
-    in
-    List.iter2 (fun reg r -> Hashtbl.replace fresh reg.id r) stale_main results
-  | _ ->
-    List.iter2
-      (fun reg strategy ->
-        Hashtbl.replace fresh reg.id
-          (Checker.check ~pipeline:t.pipeline ~strategy t.index reg.formula))
-      stale_main strategies);
-  (* soft constraints: planner-advised strategy, exact rate verdict;
-     results feed the planner like any other fresh check *)
-  List.iter
-    (fun reg ->
-      let strategy =
-        match t.planning with
-        | Planned -> (Planner.plan t.planner t.index reg.formula).Planner.strategy
-        | Legacy -> Checker.Auto
-        | Forced s -> s
-      in
-      let spec = { Formula.threshold = reg.threshold; formula = reg.formula } in
-      Hashtbl.replace fresh reg.id
-        (Checker.check_spec ~pipeline:t.pipeline ~strategy t.index spec))
-    stale_soft;
+  List.iter2 (fun reg r -> Hashtbl.replace fresh reg.id r) stale_main results;
   (* outcomes valid for THIS pass: clean cached verdicts + fresh results *)
   let settled = Hashtbl.create (List.length regs + 1) in
   List.iter
@@ -415,8 +389,8 @@ let validate t =
      by checking the lowest id *)
   let skipped_ent = Hashtbl.create 8 in
   let check_now reg =
-    let strategy = (Planner.plan t.planner t.index reg.formula).Planner.strategy in
-    let r = Checker.check ~pipeline:t.pipeline ~strategy t.index reg.formula in
+    let strategy = (plan reg).Planner.strategy in
+    let r = Checker.check_spec ~pipeline:t.pipeline ~strategy t.index (spec_of reg) in
     Hashtbl.replace fresh reg.id r;
     Hashtbl.replace settled reg.id r.Checker.outcome
   in
@@ -482,4 +456,4 @@ let verdicts t =
     reflect what the next check will do. *)
 let explain t id =
   List.find_opt (fun r -> r.id = id) t.constraints
-  |> Option.map (fun reg -> (reg, Planner.plan t.planner t.index reg.formula))
+  |> Option.map (fun reg -> (reg, Planner.plan t.planner t.index (spec_of reg)))

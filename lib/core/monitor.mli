@@ -27,10 +27,10 @@ type registered = {
 }
 
 (** Validation strategy selection: [Planned] (default) consults the
-    {!Planner} per constraint and learns from every result; [Legacy]
-    is the paper's blind try-BDD-first thresholding; [Forced s] pins
-    one strategy for every constraint (ablations, benchmarks). *)
-type planning = Planned | Legacy | Forced of Checker.strategy
+    {!Planner} per constraint and learns from every result; [Forced s]
+    pins one strategy for every constraint (ablations, benchmarks) —
+    [Forced Auto] is the paper's blind try-BDD-first thresholding. *)
+type planning = Planned | Forced of Checker.strategy
 
 type t
 
@@ -116,13 +116,13 @@ type report = {
 
 val validate : t -> report list
 (** Check dirty constraints, reuse cached verdicts for clean ones,
-    clear the dirty set.  Under [Planned] the planner chooses each
-    strategy, planned costs order the parallel pool, results feed the
-    planner back, and a dirty hard FD entailed by currently-holding
-    hard FDs is settled as satisfied without a check ([fresh =
-    false]).  Soft constraints are checked sequentially through
-    {!Checker.check_spec} — the exact-rate machinery — outside the
-    pooled batch, and never participate in entailment. *)
+    clear the dirty set.  Dirty hard and soft constraints run as one
+    batch through {!Checker.check_spec}, pooled when [jobs > 1].
+    Under [Planned] the planner chooses each strategy, planned costs
+    order the parallel pool, results feed the planner back, and a
+    dirty hard FD entailed by currently-holding hard FDs is settled as
+    satisfied without a check ([fresh = false]).  Soft constraints
+    never participate in entailment. *)
 
 val violated : t -> registered list
 

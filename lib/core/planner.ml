@@ -41,8 +41,8 @@ let default_config =
   { ewma_alpha = 0.3; trip_demote = 2; probe_every = 16; drift_band = 2.0 }
 
 (* Per-constraint state: method EWMAs, trip evidence, probe clock and
-   the cached plan.  Keyed by the printed formula, so syntactically
-   equal constraints share history. *)
+   the cached plan.  Keyed by the printed spec, so syntactically
+   equal constraints share history and a soft spec keeps its own. *)
 type hist = {
   mutable bdd_ms : float;
   mutable bdd_n : int;
@@ -186,25 +186,10 @@ let c_atom = 0.04
 let c_bit = 0.004
 let c_sat = 0.00002
 
-let fd_fast_path_available index f =
-  let db = index.Index.db in
-  match Fd_check.recognize_fd db f with
-  | Some (table_name, lhs, rhs) -> (
-    let schema = R.Table.schema (R.Database.table db table_name) in
-    match
-      List.map (R.Schema.position schema) (rhs :: lhs)
-    with
-    | needed -> (
-      match Index.find_covering index ~table_name ~needed with
-      | Some _ -> Some (table_name, lhs, rhs)
-      | None -> None)
-    | exception _ -> None)
-  | None -> None
-
 let estimate_bdd_ms ?memo index f =
   let nodes, bits, sat = index_terms ?memo index f in
   let atoms = Formula.atom_count f in
-  match fd_fast_path_available index f with
+  match Fd_check.covered_fd index f with
   | Some _ ->
     (* Fig. 5(b): two projections + counts over the existing index BDD
        — far cheaper than compiling the self-join, but still monotone
@@ -267,7 +252,10 @@ let blend ~model ~measured ~n =
     let w = Float.min 0.85 (float_of_int n /. float_of_int (n + 1)) in
     ((1. -. w) *. model) +. (w *. measured)
 
-let decide cfg h ~model_bdd ~model_sql =
+(* A soft spec's BDD-free engine is the naive recount, exponential in
+   its ∀-block — there is no SQL rate query — so only trip demotion
+   plans it there, never an estimate priced against SQL. *)
+let decide cfg h spec ~model_bdd ~model_sql =
   let est_bdd = blend ~model:model_bdd ~measured:h.bdd_ms ~n:h.bdd_n in
   let est_sql = blend ~model:model_sql ~measured:h.sql_ms ~n:h.sql_n in
   if h.consec_trips >= cfg.trip_demote then
@@ -275,6 +263,9 @@ let decide cfg h ~model_bdd ~model_sql =
       Printf.sprintf "%d consecutive budget trips — planned straight to SQL"
         h.consec_trips,
       est_bdd, est_sql )
+  else if not (Formula.is_hard spec) then
+    (Use_bdd, "soft spec: no SQL rate query, only the naive recount — BDD until it trips",
+     est_bdd, est_sql)
   else if est_bdd <= est_sql then
     (Use_bdd, Printf.sprintf "est BDD %.3f ms <= est SQL %.3f ms" est_bdd est_sql,
      est_bdd, est_sql)
@@ -307,7 +298,7 @@ let make_tree ?memo index f h ~choice ~est_bdd ~est_sql =
       (Formula.relations f)
   in
   let head =
-    match fd_fast_path_available index f with
+    match Fd_check.covered_fd index f with
     | Some (table, lhs, rhs) ->
       leaf ~chosen:bdd_chosen "fd-fast-path"
         ~detail:(Printf.sprintf "%s: %s -> %s" table (String.concat "," lhs) rhs)
@@ -412,8 +403,9 @@ let c_miss = T.counter "planner.miss"
 let c_probe = T.counter "planner.probe"
 let c_replans = T.counter "planner.replans"
 
-let plan t index f =
-  let h = hist t (Formula.to_string f) in
+let plan t index (spec : Formula.spec) =
+  let f = spec.formula in
+  let h = hist t (Formula.spec_to_string spec) in
   let version = index.Index.structure_version in
   let fp = fingerprint ~memo:t.memo index f in
   let recompute () =
@@ -427,7 +419,7 @@ let plan t index f =
     | _ -> ());
     let model_bdd = estimate_bdd_ms ~memo:t.memo index f in
     let model_sql = estimate_sql_ms index f in
-    let choice, reason, est_bdd, est_sql = decide t.cfg h ~model_bdd ~model_sql in
+    let choice, reason, est_bdd, est_sql = decide t.cfg h spec ~model_bdd ~model_sql in
     let p = make_plan ~memo:t.memo index f h ~choice ~reason ~est_bdd ~est_sql ~probe:false in
     if h.planned then begin
       t.replans <- t.replans + 1;
@@ -469,8 +461,8 @@ let plan t index f =
 
 let ewma alpha old n x = if n <= 0 then x else (alpha *. x) +. ((1. -. alpha) *. old)
 
-let observe t f (r : Checker.result) =
-  let h = hist t (Formula.to_string f) in
+let observe t spec (r : Checker.result) =
+  let h = hist t (Formula.spec_to_string spec) in
   let cfg = t.cfg in
   let note_bdd x =
     h.bdd_ms <- ewma cfg.ewma_alpha h.bdd_ms h.bdd_n x;
@@ -498,15 +490,9 @@ let observe t f (r : Checker.result) =
      cached choice, drop the plan so the next [plan] re-decides *)
   match h.cached with
   | Some c ->
-    let choice, _, _, _ = decide cfg h ~model_bdd:c.model_bdd ~model_sql:c.model_sql in
+    let choice, _, _, _ = decide cfg h spec ~model_bdd:c.model_bdd ~model_sql:c.model_sql in
     if choice <> c.cplan.choice then h.cached <- None
   | None -> ()
-
-let check_all ?pipeline ?jobs t index fs =
-  let strategies = List.map (fun f -> (plan t index f).strategy) fs in
-  let results = Checker.check_all ?pipeline ?jobs ~strategies index fs in
-  List.iter2 (fun f r -> observe t f r) fs results;
-  results
 
 (* -- rendering -------------------------------------------------------------- *)
 

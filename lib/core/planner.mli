@@ -50,8 +50,8 @@ type node = {
 type plan = {
   choice : choice;
   strategy : Checker.strategy;
-      (** what to hand {!Checker.check}: [Auto] (budget-guarded BDD)
-          for [Use_bdd] and probes, [Force_sql] for [Use_sql] *)
+      (** what to hand {!Checker.check_spec}: [Auto] (budget-guarded
+          BDD) for [Use_bdd] and probes, [Force_sql] for [Use_sql] *)
   est_bdd_ms : float;  (** blended estimate of the BDD side *)
   est_sql_ms : float;  (** blended estimate of the SQL side *)
   cost_ms : float;
@@ -85,13 +85,16 @@ val create : ?config:config -> unit -> t
 
 val config : t -> config
 
-val plan : t -> Index.t -> Formula.t -> plan
-(** The plan for one constraint: cached when the index structure and
-    data size are unchanged, recomputed (and re-cached) otherwise.
-    Constraints are keyed by their printed formula, so equal
-    constraints share history. *)
+val plan : t -> Index.t -> Formula.spec -> plan
+(** The plan for one constraint spec: cached when the index structure
+    and data size are unchanged, recomputed (and re-cached) otherwise.
+    Specs are keyed by their printed form ({!Formula.spec_to_string}),
+    so equal specs share history.  A soft spec's [Force_sql] engine
+    is the naive recount (there is no SQL rate query), so a soft spec
+    is planned to [Use_sql] only by trip demotion, never on estimated
+    cost. *)
 
-val observe : t -> Formula.t -> Checker.result -> unit
+val observe : t -> Formula.spec -> Checker.result -> unit
 (** Feed a measured result back: updates the per-method EWMAs and trip
     counts, and drops the cached plan when the evidence now favours
     the other strategy.  A budget-tripping fallback charges the BDD
@@ -104,13 +107,6 @@ val invalidate : t -> unit
 type stats = { hits : int; misses : int; probes : int; replans : int }
 
 val stats : t -> stats
-
-val check_all :
-  ?pipeline:Checker.pipeline -> ?jobs:int -> t -> Index.t -> Formula.t list ->
-  Checker.result list
-(** Plan each constraint, run the batch through {!Checker.check_all}
-    with the planned strategies, and feed every result back — the
-    planned replacement for blind try-BDD-first batch checking. *)
 
 (** {1 Cost model}
 

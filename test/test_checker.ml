@@ -152,6 +152,23 @@ let test_fd_check_projection_method () =
         (Printf.sprintf "fd_check at rate %.2f" rate)
         expected
         (Core.Fd_check.fd_holds index ~table_name:"cust" ~lhs:[ "areacode" ] ~rhs:[ "state" ]);
+      (* both projection-count methods need an entry covering lhs ∪ rhs;
+         zipcode is not indexed *)
+      List.iter
+        (fun (name, run) ->
+          check name true (match run () with exception Invalid_argument _ -> true | () -> false))
+        [
+          ( "fd_holds refuses an uncovered FD",
+            fun () ->
+              ignore
+                (Core.Fd_check.fd_holds index ~table_name:"cust" ~lhs:[ "zipcode" ]
+                   ~rhs:[ "state" ]) );
+          ( "fd_soft_counts refuses an uncovered FD",
+            fun () ->
+              ignore
+                (Core.Fd_check.fd_soft_counts index ~table_name:"cust" ~lhs:[ "zipcode" ]
+                   ~rhs:[ "state" ]) );
+        ];
       if not expected then begin
         let bad =
           Core.Fd_check.violating_lhs index ~table_name:"cust" ~lhs:[ "areacode" ]

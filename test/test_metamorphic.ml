@@ -48,13 +48,12 @@ let prop_ablations_preserve_verdicts =
           (fun (_, pipeline) -> holds_under pipeline index f = expected)
           (("default", C.default_pipeline) :: ablations))
 
-(* Strategy metamorphism: however the checker is steered — forced onto
-   the BDD pipeline, forced onto the SQL violation query, or left to
+(* Strategy metamorphism: however the checker is steered — the
+   budget-guarded BDD pipeline, forced onto the SQL violation query, or
    the legacy thresholding with a budget so tight every compile trips
    and falls back — the verdict never changes.  This is the invariant
    that makes the planner free to choose on cost alone. *)
-let strategies =
-  [ ("auto", C.Auto); ("force-bdd", C.Force_bdd); ("force-sql", C.Force_sql) ]
+let strategies = [ ("auto", C.Auto); ("force-sql", C.Force_sql) ]
 
 let prop_strategies_preserve_verdicts =
   QCheck.Test.make ~count:120

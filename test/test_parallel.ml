@@ -12,6 +12,8 @@ module Pool = Fcv_util.Pool
 module C = Core.Checker
 module F = Core.Formula
 
+let hard = List.map F.hard
+
 let with_pool ~jobs f =
   let pool = Pool.create ~name:"test" ~jobs () in
   Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () -> f pool)
@@ -145,6 +147,14 @@ let test_replica_checks_agree () =
 let verdicts results =
   List.map (fun r -> (r.C.outcome, r.C.method_used)) results
 
+(* A soft result's exact counts, as decimal strings ([None] when hard). *)
+let counts r =
+  Option.map
+    (fun rt -> (Fcv_bdd.Nat.to_string rt.C.violations, Fcv_bdd.Nat.to_string rt.C.total))
+    r.C.rate
+
+let answers results = List.map (fun r -> (r.C.outcome, r.C.method_used, counts r)) results
+
 (* jobs=1 must not even touch the pool machinery: same code path as
    the plain sequential map. *)
 let test_jobs1_equivalence () =
@@ -154,7 +164,8 @@ let test_jobs1_equivalence () =
       [ F.Exists ([ "x1_1" ], F.Atom ("t", [ F.Var "x1_1" ])); F.True; F.Not F.True ]
   in
   Alcotest.(check bool) "jobs=1 = sequential" true
-    (verdicts (C.check_all index fs) = verdicts (C.check_all ~jobs:1 index fs))
+    (verdicts (C.check_all index (hard fs))
+    = verdicts (C.check_all ~jobs:1 index (hard fs)))
 
 let test_check_all_parallel_matches_sequential () =
   let rng = Fcv_util.Rng.create 11 in
@@ -170,21 +181,32 @@ let test_check_all_parallel_matches_sequential () =
       "forall s, d1, k1, d2, k2 . student(s, d1, k1) and student(s, d2, k2) -> d1 = d2";
       "forall c, a1, a2 . course(c, a1) and course(c, a2) -> a1 = a2";
       "forall s, k . student(s, 1, k) -> (exists c . takes(s, c) and course(c, 1))";
+      (* soft specs: chunked like any other, never conjunct-split *)
+      "holds >= 0.9 . forall s, k . student(s, 0, k) -> \
+       (exists c . takes(s, c) and course(c, 0))";
+      "holds >= 0.5 . forall s, d1, k1, d2, k2 . \
+       student(s, d1, k1) and student(s, d2, k2) -> d1 = d2";
     ]
   in
-  let fs = List.map Core.Fol_parser.of_string sources in
+  let specs = List.map Core.Fol_parser.spec_of_string sources in
   let index = Core.Index.create db in
-  C.ensure_indices index fs;
-  let sequential = verdicts (C.check_all index fs) in
+  C.ensure_indices index (List.map (fun sp -> sp.F.formula) specs);
+  let sequential = answers (List.map (C.check_spec index) specs) in
+  Alcotest.(check bool) "jobs=1 matches" true
+    (sequential = answers (C.check_all index specs));
   Alcotest.(check bool) "jobs=4 matches" true
-    (sequential = verdicts (C.check_all ~jobs:4 index fs));
+    (sequential = answers (C.check_all ~jobs:4 index specs));
   (* more workers than constraints: the pool is clamped, not starved *)
   Alcotest.(check bool) "jobs=16 matches" true
-    (sequential = verdicts (C.check_all ~jobs:16 index fs))
+    (sequential = answers (C.check_all ~jobs:16 index specs));
+  with_pool ~jobs:2 @@ fun pool ->
+  Alcotest.(check bool) "check_all_pooled matches" true
+    (sequential = answers (C.check_all_pooled ~pool (Core.Replica.create index) specs))
 
 (* The monitor end of the wiring: parallel validation returns the same
-   reports, replicas survive update + invalidate cycles, and stop()
-   releases the workers. *)
+   reports — soft rates included, as decimal-string counts — replicas
+   survive update + invalidate cycles, and stop() releases the
+   workers. *)
 let test_monitor_parallel_validate () =
   let run jobs =
     let db = Gen.random_db 23 in
@@ -192,12 +214,21 @@ let test_monitor_parallel_validate () =
     Core.Monitor.set_jobs monitor jobs;
     let outcomes () =
       List.map
-        (fun rep -> (rep.Core.Monitor.outcome, rep.Core.Monitor.fresh))
+        (fun rep ->
+          ( rep.Core.Monitor.outcome,
+            rep.Core.Monitor.fresh,
+            Option.map
+              (fun rt ->
+                (Fcv_bdd.Nat.to_string rt.C.violations, Fcv_bdd.Nat.to_string rt.C.total))
+              rep.Core.Monitor.rate ))
         (Core.Monitor.validate monitor)
     in
     ignore (Core.Monitor.add monitor "forall b . t(0) -> (exists c . s(b, c))");
     ignore (Core.Monitor.add monitor "forall a, b . r(a, b) -> (exists c . s(b, c))");
     ignore (Core.Monitor.add monitor "forall a . t(a) -> (exists b . r(a, b))");
+    ignore
+      (Core.Monitor.add monitor "holds >= 0.5 . forall a, b . r(a, b) -> (exists c . s(b, c))");
+    ignore (Core.Monitor.add monitor "holds >= 0.9 . forall a . t(a) -> (exists b . r(a, b))");
     let first = outcomes () in
     (* cached pass, then dirty one table and revalidate *)
     let cached = outcomes () in
@@ -205,10 +236,14 @@ let test_monitor_parallel_validate () =
     let after_insert = outcomes () in
     ignore (Core.Monitor.delete monitor ~table_name:"t" [| 0 |]);
     let after_delete = outcomes () in
+    Core.Monitor.insert monitor ~table_name:"r" [| 0; 0 |];
+    let after_r_insert = outcomes () in
     Core.Monitor.stop monitor;
-    (first, cached, after_insert, after_delete)
+    (first, cached, after_insert, after_delete, after_r_insert)
   in
-  Alcotest.(check bool) "sequential = parallel monitor" true (run 1 = run 3)
+  let sequential = run 1 in
+  Alcotest.(check bool) "sequential = parallel monitor (j=2)" true (sequential = run 2);
+  Alcotest.(check bool) "sequential = parallel monitor (j=3)" true (sequential = run 3)
 
 let prop_parallel_differential =
   QCheck.Test.make ~count:100
@@ -229,7 +264,8 @@ let prop_parallel_differential =
       let fs = List.filter_map well_typed [ f1; f2; f3; f1 ] in
       let index = Core.Index.create db in
       C.ensure_indices index fs;
-      verdicts (C.check_all index fs) = verdicts (C.check_all ~jobs:3 index fs))
+      verdicts (C.check_all index (hard fs))
+      = verdicts (C.check_all ~jobs:3 index (hard fs)))
 
 (* -- run_ordered: the claimed-batch scheduler ------------------------------- *)
 
@@ -530,11 +566,12 @@ let prop_batching_differential =
       let fs = well_typed_batch db [ f1; f2; f3; f1; f2 ] in
       let index = Core.Index.create db in
       C.ensure_indices index fs;
-      let sequential = verdicts (C.check_all index fs) in
+      let sequential = verdicts (C.check_all index (hard fs)) in
       with_pool ~jobs:3 @@ fun pool ->
       let replica = Core.Replica.create index in
       sequential
-      = verdicts (C.check_all_pooled ~granularity:batches_granularity ~pool replica fs))
+      = verdicts
+          (C.check_all_pooled ~granularity:batches_granularity ~pool replica (hard fs)))
 
 (* Splitting a conjunction into part tasks preserves the OUTCOME (the
    method may legitimately differ per part — merged as the weakest,
@@ -555,11 +592,12 @@ let prop_splitting_differential =
       let index = Core.Index.create db in
       C.ensure_indices index fs;
       let outcomes rs = List.map (fun r -> r.C.outcome) rs in
-      let sequential = outcomes (C.check_all index fs) in
+      let sequential = outcomes (C.check_all index (hard fs)) in
       with_pool ~jobs:3 @@ fun pool ->
       let replica = Core.Replica.create index in
       sequential
-      = outcomes (C.check_all_pooled ~granularity:splits_granularity ~pool replica fs))
+      = outcomes
+          (C.check_all_pooled ~granularity:splits_granularity ~pool replica (hard fs)))
 
 (* Measured costs are a scheduling hint only: wildly wrong ones must
    not change anything. *)
@@ -571,8 +609,8 @@ let test_costs_are_only_a_hint () =
   let replica = Core.Replica.create index in
   let costs = [ Some 1e6; None; Some 0.0001 ] in
   Alcotest.(check bool) "verdicts independent of cost estimates" true
-    (sequential = verdicts (C.check_all_pooled ~costs ~pool replica fs));
-  match C.check_all_pooled ~costs:[ Some 1. ] ~pool replica fs with
+    (sequential = verdicts (C.check_all_pooled ~costs ~pool replica (hard fs)));
+  match C.check_all_pooled ~costs:[ Some 1. ] ~pool replica (hard fs) with
   | _ -> Alcotest.fail "mismatched costs length should be refused"
   | exception Invalid_argument _ -> ()
 

@@ -7,6 +7,7 @@
     reality on random constraints. *)
 
 module C = Core.Checker
+module F = Core.Formula
 module P = Core.Planner
 module M = Core.Monitor
 module R = Fcv_relation
@@ -36,7 +37,6 @@ let result ?(outcome = C.Satisfied) ~method_used ~elapsed_ms ?(bdd_overhead_ms =
     bdd_overhead_ms;
     fallback_ms;
     rewritten = f;
-    check = Core.Rewrite.Check_valid;
     rate = None;
   }
 
@@ -85,9 +85,9 @@ let test_estimates_monotone () =
    first plan onto the BDD branch. *)
 let plan_bdd_first p index f =
   for _ = 1 to 3 do
-    P.observe p f (result ~method_used:C.Sql ~elapsed_ms:5.0 f)
+    P.observe p (F.hard f) (result ~method_used:C.Sql ~elapsed_ms:5.0 f)
   done;
-  let p1 = P.plan p index f in
+  let p1 = P.plan p index (F.hard f) in
   Alcotest.(check bool) "expensive SQL history plans BDD" true (p1.P.choice = P.Use_bdd);
   p1
 
@@ -99,9 +99,9 @@ let test_trip_demotion () =
   ignore (plan_bdd_first p index f);
   (* trip_demote = 2 consecutive budget trips flip the plan to SQL
      regardless of the estimates *)
-  P.observe p f (trip f);
-  P.observe p f (trip f);
-  let p2 = P.plan p index f in
+  P.observe p (F.hard f) (trip f);
+  P.observe p (F.hard f) (trip f);
+  let p2 = P.plan p index (F.hard f) in
   check "demoted straight to SQL" true (p2.P.choice = P.Use_sql);
   check "demotion hands the checker Force_sql" true (p2.P.strategy = C.Force_sql);
   check "the reason names the trip rule" true
@@ -115,10 +115,10 @@ let test_bdd_success_resets_trips () =
   ignore (plan_bdd_first p index f);
   (* trip, clean BDD run, trip: never 2 consecutive, so whatever the
      estimates say, the demotion rule must not be the reason *)
-  P.observe p f (trip f);
-  P.observe p f (result ~method_used:C.Bdd ~elapsed_ms:0.01 f);
-  P.observe p f (trip f);
-  let p2 = P.plan p index f in
+  P.observe p (F.hard f) (trip f);
+  P.observe p (F.hard f) (result ~method_used:C.Bdd ~elapsed_ms:0.01 f);
+  P.observe p (F.hard f) (trip f);
+  let p2 = P.plan p index (F.hard f) in
   check "no demotion without consecutive trips" false
     (contains p2.P.reason "consecutive budget trips")
 
@@ -128,15 +128,15 @@ let test_shrink_repromotes () =
   let index = index_of db [ f ] in
   let p = P.create () in
   ignore (plan_bdd_first p index f);
-  P.observe p f (trip f);
-  P.observe p f (trip f);
-  let p2 = P.plan p index f in
+  P.observe p (F.hard f) (trip f);
+  P.observe p (F.hard f) (trip f);
+  let p2 = P.plan p index (F.hard f) in
   check "demoted after the trips" true (p2.P.choice = P.Use_sql);
   (* the watched data shrinks far below what tripped the budget *)
   for i = 0 to 23 do
     ignore (Core.Index.delete index ~table_name:"u" [| i mod 32; (i + 1) mod 32 |])
   done;
-  let p3 = P.plan p index f in
+  let p3 = P.plan p index (F.hard f) in
   check "trip evidence forgotten on shrink" false
     (contains p3.P.reason "consecutive budget trips");
   check "re-promoted to the BDD pipeline" true (p3.P.choice = P.Use_bdd)
@@ -150,35 +150,60 @@ let test_cache_probe_and_stats () =
   let s = P.stats p in
   check_int "first plan is a miss" 1 s.P.misses;
   check_int "no hit yet" 0 s.P.hits;
-  ignore (P.plan p index f);
+  ignore (P.plan p index (F.hard f));
   check_int "unchanged index is a cache hit" 1 (P.stats p).P.hits;
   (* a structure-version bump retires the cached plan; the recompute
      counts as a replan, not a miss *)
   index.Core.Index.structure_version <- index.Core.Index.structure_version + 1;
-  ignore (P.plan p index f);
+  ignore (P.plan p index (F.hard f));
   let s = P.stats p in
   check_int "version bump forces a replan" 1 s.P.replans;
   check_int "still a single miss" 1 s.P.misses;
   (* demote to a cached SQL plan, then count to the ε-probe *)
-  P.observe p f (trip f);
-  P.observe p f (trip f);
-  let p2 = P.plan p index f in
+  P.observe p (F.hard f) (trip f);
+  P.observe p (F.hard f) (trip f);
+  let p2 = P.plan p index (F.hard f) in
   check "cached plan is SQL" true (p2.P.choice = P.Use_sql);
-  ignore (P.plan p index f) (* hit: since_probe 0 -> 1 *);
-  ignore (P.plan p index f) (* hit: since_probe 1 -> 2 *);
-  let probe = P.plan p index f in
+  ignore (P.plan p index (F.hard f)) (* hit: since_probe 0 -> 1 *);
+  ignore (P.plan p index (F.hard f)) (* hit: since_probe 1 -> 2 *);
+  let probe = P.plan p index (F.hard f) in
   check "every probe_every-th SQL execution probes" true probe.P.probe;
   check "the probe runs the BDD side" true (probe.P.choice = P.Use_bdd);
   check "under the budget-guarded Auto strategy" true (probe.P.strategy = C.Auto);
   check_int "probe counted" 1 (P.stats p).P.probes;
-  let after = P.plan p index f in
+  let after = P.plan p index (F.hard f) in
   check "the cached SQL plan survives the probe" true
     ((not after.P.probe) && after.P.choice = P.Use_sql);
   (* invalidate drops every cached plan but keeps history *)
   P.invalidate p;
   let replans = (P.stats p).P.replans in
-  ignore (P.plan p index f);
+  ignore (P.plan p index (F.hard f));
   check_int "invalidate forces a replan" (replans + 1) (P.stats p).P.replans
+
+(* A soft spec's Force_sql engine is the naive recount, exponential in
+   its ∀-block (there is no SQL rate query): where the model plans a
+   hard policy to SQL, its soft twin plans BDD, and only trip demotion
+   sends it to the recount. *)
+let test_soft_twin_plans_bdd () =
+  let rng = Fcv_util.Rng.create 11 in
+  let db, _, _, _ =
+    Fcv_datagen.University.generate rng
+      { Fcv_datagen.University.default with students = 60; courses = 15; violators = 5 }
+  in
+  let f = parse "forall s . student(s, 0, _) -> (exists c . course(c, 0) and takes(s, c))" in
+  let index = index_of db [ f ] in
+  let p = P.create () in
+  check "the model plans the hard policy to SQL" true
+    ((P.plan p index (F.hard f)).P.choice = P.Use_sql);
+  let soft = { F.threshold = 0.9; formula = f } in
+  let p1 = P.plan p index soft in
+  check "its soft twin plans BDD" true (p1.P.choice = P.Use_bdd && p1.P.strategy = C.Auto);
+  P.observe p soft (trip f);
+  P.observe p soft (trip f);
+  let p2 = P.plan p index soft in
+  check "two trips demote the soft twin" true
+    (p2.P.choice = P.Use_sql && p2.P.strategy = C.Force_sql);
+  check "by the trip rule" true (contains p2.P.reason "consecutive budget trips")
 
 (* -- FD implication (Armstrong closure) -------------------------------------- *)
 
@@ -244,7 +269,7 @@ let test_monitor_entailment_skip () =
     (monitor, regs, M.validate monitor)
   in
   let planned, regs, reports = run M.Planned in
-  let legacy, _, legacy_reports = run M.Legacy in
+  let legacy, _, legacy_reports = run (M.Forced C.Auto) in
   (match regs with
   | [ ab; bc; ac ] ->
     check "a->c is entailed by {a->b, b->c} at register time" true
@@ -300,7 +325,7 @@ let test_planned_monitor_matches_legacy () =
     m
   in
   let planned = monitor M.Planned in
-  let legacy = monitor M.Legacy in
+  let legacy = monitor (M.Forced C.Auto) in
   (* several passes with a dirtying mutation in between, so the planner
      actually learns and re-plans *)
   for i = 0 to 3 do
@@ -333,7 +358,7 @@ let prop_pick_within_2x =
         let p = P.create () in
         let measure strategy =
           let r = C.check ~strategy index f in
-          P.observe p f r;
+          P.observe p (F.hard f) r;
           (r.C.outcome, r.C.elapsed_ms +. r.C.bdd_overhead_ms)
         in
         let bdd_outcome, bdd_ms = measure C.Auto in
@@ -341,7 +366,7 @@ let prop_pick_within_2x =
         if bdd_outcome <> sql_outcome then false
         else
           let picked =
-            match (P.plan p index f).P.choice with
+            match (P.plan p index (F.hard f)).P.choice with
             | P.Use_bdd -> bdd_ms
             | P.Use_sql -> sql_ms
           in
@@ -357,6 +382,8 @@ let suite =
     Alcotest.test_case "shrinking data re-promotes to BDD" `Quick test_shrink_repromotes;
     Alcotest.test_case "cache, version bump, ε-probe, stats" `Quick
       test_cache_probe_and_stats;
+    Alcotest.test_case "a soft spec plans SQL only by trip demotion" `Quick
+      test_soft_twin_plans_bdd;
     Alcotest.test_case "Armstrong-closure entailment" `Quick test_entails;
     Alcotest.test_case "FD shape recognition" `Quick test_fd_of;
     Alcotest.test_case "monitor skips entailed FDs soundly" `Quick

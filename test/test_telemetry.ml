@@ -2,7 +2,8 @@
     semantics, span nesting, JSON-lines export round-trip, the
     disabled fast path, and the end-to-end budget-fallback regression
     (a tiny node budget must produce exactly one budget-trip event and
-    a correct SQL-fallback verdict). *)
+    a correct fallback verdict, on the generic compile path and on
+    FD-shaped hard and soft specs alike). *)
 
 module T = Fcv_util.Telemetry
 
@@ -150,55 +151,95 @@ let test_disabled_is_noop () =
 (* -- budget-fallback regression ------------------------------------------------ *)
 
 (* A non-FD-shaped constraint, so the checker takes the generic
-   compile path (the FD fast path would otherwise trip the budget a
-   second time on its own). *)
+   compile path. *)
 let fallback_constraint = "forall x, y . r(x, y) -> (exists c . s(y, c))"
 
+(* FD-shaped specs over a four-column table, so the FD fast path's
+   projection allocates nodes and is what trips the budget. *)
+let sensor_fd =
+  "forall s, l1, l2 . readings(s, l1, _, _) and readings(s, l2, _, _) -> l1 = l2"
+
+let noise_db () =
+  fst
+    (Fcv_datagen.Noise.generate (Fcv_util.Rng.create 7)
+       {
+         Fcv_datagen.Noise.default with
+         rows = 200;
+         sensors = 20;
+         locations = 6;
+         units = 3;
+         readings = 10;
+         loc_noise = 0.05;
+       })
+
+(* Each input trips the budget once and falls back once: a trip
+   anywhere in the BDD attempt, FD fast path included, goes straight
+   to the BDD-free engine. *)
+let budget_fallback_inputs =
+  [
+    ("generic compile", (fun () -> Gen.random_db 42), fallback_constraint);
+    ("hard FD", noise_db, sensor_fd);
+    ("soft FD", noise_db, "holds >= 0.9 . " ^ sensor_fd);
+  ]
+
 let test_budget_fallback () =
-  let db = Gen.random_db 42 in
-  let f = Core.Fol_parser.of_string fallback_constraint in
-  let index = Core.Index.create db in
-  Core.Checker.ensure_indices index [ f ];
-  let expected = Core.Naive_eval.holds db f in
-  (* leave just enough headroom that compilation, not index building,
-     trips the budget *)
-  let mgr = Core.Index.mgr index in
-  Fcv_bdd.Manager.set_max_nodes mgr (Fcv_bdd.Manager.size mgr + 8);
-  let r = Core.Checker.check index f in
-  check "fell back off the BDD path" true (r.Core.Checker.method_used <> Core.Checker.Bdd);
-  check "fallback verdict matches the naive evaluator" expected
-    (r.Core.Checker.outcome = Core.Checker.Satisfied);
-  check "abandoned BDD attempt was accounted" true (r.Core.Checker.bdd_overhead_ms >= 0.);
-  (* a budget trip charges the whole fallback run to fallback_ms *)
-  check "fallback_ms is the fallback's elapsed time" true
-    (r.Core.Checker.fallback_ms = r.Core.Checker.elapsed_ms);
-  let trips =
-    List.filter
-      (fun ev -> T.Json.member "kind" ev = Some (T.String "bdd.budget_trip"))
-      (T.events ())
-  in
-  check_int "exactly one budget-trip event" 1 (List.length trips);
-  (match trips with
-  | [ ev ] ->
-    check "trip records the budget" true
-      (T.Json.member "budget" ev = Some (T.Int (Fcv_bdd.Manager.max_nodes mgr)))
-  | _ -> ());
-  let fallbacks =
-    List.filter
-      (fun ev -> T.Json.member "kind" ev = Some (T.String "check.fallback"))
-      (T.events ())
-  in
-  check_int "exactly one fallback event" 1 (List.length fallbacks);
-  match fallbacks with
-  | [ ev ] ->
-    (match T.Json.member "method" ev with
-    | Some (T.String m) ->
-      check_string "fallback method matches the result" (Core.Checker.method_name r.Core.Checker.method_used) m
-    | _ -> Alcotest.fail "fallback event lacks a method field");
-    (match T.Json.member "bdd_overhead_ms" ev with
-    | Some (T.Float ms) -> check "overhead is non-negative" true (ms >= 0.)
-    | _ -> Alcotest.fail "fallback event lacks bdd_overhead_ms")
-  | _ -> ()
+  List.iter
+    (fun (label, make_db, source) ->
+      T.reset ();
+      let check name = check (label ^ ": " ^ name) in
+      let check_int name = check_int (label ^ ": " ^ name) in
+      let db = make_db () in
+      let spec = Core.Fol_parser.spec_of_string source in
+      let f = spec.Core.Formula.formula in
+      let index = Core.Index.create db in
+      Core.Checker.ensure_indices index [ f ];
+      let expected =
+        if Core.Formula.is_hard spec then Core.Naive_eval.holds db f
+        else
+          let v, t = Core.Naive_eval.soft_counts db f in
+          Core.Checker.clears ~threshold:spec.Core.Formula.threshold
+            ~violations:(Fcv_bdd.Nat.of_int v) ~total:(Fcv_bdd.Nat.of_int t)
+      in
+      (* leave just enough headroom that compilation, not index building,
+         trips the budget *)
+      let mgr = Core.Index.mgr index in
+      Fcv_bdd.Manager.set_max_nodes mgr (Fcv_bdd.Manager.size mgr + 8);
+      let r = Core.Checker.check_spec index spec in
+      check "fell back off the BDD path" true (r.Core.Checker.method_used <> Core.Checker.Bdd);
+      check "fallback verdict matches the naive evaluator" expected
+        (r.Core.Checker.outcome = Core.Checker.Satisfied);
+      check "abandoned BDD attempt was accounted" true (r.Core.Checker.bdd_overhead_ms >= 0.);
+      (* a budget trip charges the whole fallback run to fallback_ms *)
+      check "fallback_ms is the fallback's elapsed time" true
+        (r.Core.Checker.fallback_ms = r.Core.Checker.elapsed_ms);
+      let trips =
+        List.filter
+          (fun ev -> T.Json.member "kind" ev = Some (T.String "bdd.budget_trip"))
+          (T.events ())
+      in
+      check_int "exactly one budget-trip event" 1 (List.length trips);
+      (match trips with
+      | [ ev ] ->
+        check "trip records the budget" true
+          (T.Json.member "budget" ev = Some (T.Int (Fcv_bdd.Manager.max_nodes mgr)))
+      | _ -> ());
+      let fallbacks =
+        List.filter
+          (fun ev -> T.Json.member "kind" ev = Some (T.String "check.fallback"))
+          (T.events ())
+      in
+      check_int "exactly one fallback event" 1 (List.length fallbacks);
+      match fallbacks with
+      | [ ev ] ->
+        (match T.Json.member "method" ev with
+        | Some (T.String m) ->
+          check_string "fallback method matches the result" (Core.Checker.method_name r.Core.Checker.method_used) m
+        | _ -> Alcotest.fail "fallback event lacks a method field");
+        (match T.Json.member "bdd_overhead_ms" ev with
+        | Some (T.Float ms) -> check "overhead is non-negative" true (ms >= 0.)
+        | _ -> Alcotest.fail "fallback event lacks bdd_overhead_ms")
+      | _ -> ())
+    budget_fallback_inputs
 
 (* Regression: choosing SQL up-front (the planner's [Force_sql]) pays
    neither the abandoned BDD attempt nor a "fallback" — both cost
@@ -241,18 +282,18 @@ let test_planner_counters () =
       bdd_overhead_ms = 0.;
       fallback_ms = 0.;
       rewritten = f;
-      check = Core.Rewrite.Check_valid;
       rate = None;
     }
   in
   let trip = { slow_sql with Core.Checker.elapsed_ms = 1.0; bdd_overhead_ms = 3.0 } in
-  List.iter (P.observe p f) [ slow_sql; slow_sql; slow_sql ];
-  ignore (P.plan p index f) (* miss *);
-  ignore (P.plan p index f) (* hit *);
-  List.iter (P.observe p f) [ trip; trip ] (* decision flip drops the cache *);
-  ignore (P.plan p index f) (* replan, cached SQL *);
-  ignore (P.plan p index f) (* hit (probe clock 0 -> 1) *);
-  ignore (P.plan p index f) (* ε-probe *);
+  List.iter (P.observe p (Core.Formula.hard f)) [ slow_sql; slow_sql; slow_sql ];
+  ignore (P.plan p index (Core.Formula.hard f)) (* miss *);
+  ignore (P.plan p index (Core.Formula.hard f)) (* hit *);
+  List.iter (P.observe p (Core.Formula.hard f)) [ trip; trip ]
+  (* decision flip drops the cache *);
+  ignore (P.plan p index (Core.Formula.hard f)) (* replan, cached SQL *);
+  ignore (P.plan p index (Core.Formula.hard f)) (* hit (probe clock 0 -> 1) *);
+  ignore (P.plan p index (Core.Formula.hard f)) (* ε-probe *);
   let counters = [ ("planner.hit", 2); ("planner.miss", 1); ("planner.probe", 1); ("planner.replans", 1) ] in
   List.iter
     (fun (name, expect) -> check_int name expect (T.counter_value (T.counter name)))
