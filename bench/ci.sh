@@ -10,8 +10,9 @@
 # planner benchmark with its quality gate (complete plans, exact
 # minimality, greedy/exact ratio vs bench/baseline_repair.json), the
 # approximate-constraint benchmark with its exact-rate gate
-# (bench/baseline_approx.json), and the perf-regression gate against
-# bench/baseline.json.
+# (bench/baseline_approx.json), the repository benchmark's output
+# checks (perfbench/run.py, both workloads, untraced and traced, 5 s
+# each), and the perf-regression gate against bench/baseline.json.
 #
 # FCV_CI=1 hardens the gate for CI runners: a missing ocamlformat, a
 # perf regression, a churn memory-bound violation and a serving-tier
@@ -189,6 +190,28 @@ gate "FAIL: approx gate (a soft rate diverged from the independent recount, a
       soft/hard latency ratio — see BENCH_approx.json)" \
   "WARNING: approx gate failed (fatal under FCV_CI=1; see BENCH_approx.json)" \
   dune exec bench/approx.exe
+
+# The repository benchmark checks its own outputs on every run (audit:
+# each verdict and soft count against the SQL and naive engines;
+# watch: in-order replies and final verdicts against an in-process
+# replay) and fails a run that misses or adds a metric BENCHMARK.json
+# lists, so a short run of each workload catches a change that breaks
+# it before the post-merge benchmark does.
+perfbench_checks() {
+  for workload in audit watch; do
+    for trace in 0 1; do
+      python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 5 \
+        --trace "$trace" || return 1
+    done
+  done
+}
+
+echo "== repository benchmark output checks (audit and watch, untraced and traced,"
+echo "   5 s each; fatal under FCV_CI=1)"
+gate "FAIL: perfbench run failed (a wrong output, a missing or unlisted metric, or a
+      crash — see the perfbench output above)" \
+  "WARNING: perfbench run failed (fatal under FCV_CI=1)" \
+  perfbench_checks
 
 echo "== perf-regression gate (tolerance 25%, fatal under FCV_CI=1)"
 gate "FAIL: perf regression against bench/baseline.json" \

@@ -108,7 +108,8 @@ let print_manager_stats oc mgr =
   Printf.fprintf oc "  variables             %12d\n" s.M.variables;
   Printf.fprintf oc "  unique-table probes   %12d\n" (s.M.unique_hits + s.M.unique_misses);
   Printf.fprintf oc "    hits / misses       %12d / %d\n" s.M.unique_hits s.M.unique_misses;
-  Printf.fprintf oc "    buckets (longest)   %12d (%d)\n" s.M.unique_buckets s.M.unique_max_bucket;
+  let buckets, longest = M.unique_shape mgr in
+  Printf.fprintf oc "    buckets (longest)   %12d (%d)\n" buckets longest;
   Printf.fprintf oc "  apply-cache lookups   %12d\n" s.M.op_cache_lookups;
   Printf.fprintf oc "    hit rate            %12.1f%%\n" (100. *. M.cache_hit_rate s);
   Printf.fprintf oc "  op-cache entries      %12d\n" s.M.op_cache_entries;

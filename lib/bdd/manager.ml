@@ -297,8 +297,6 @@ type stats = {
   variables : int;
   unique_hits : int;
   unique_misses : int;
-  unique_buckets : int;
-  unique_max_bucket : int;
   op_cache_hits : int;
   op_cache_lookups : int;
   op_cache_entries : int;  (* current occupancy across the memo tables *)
@@ -308,16 +306,15 @@ type stats = {
   op_calls : (string * int) list;
 }
 
+(* Counter reads only: safe on any hot path, whatever the store's
+   size.  The unique table's shape needs a walk; see [unique_shape]. *)
 let stats t =
-  let hstats = Hashtbl.stats t.unique in
   {
     nodes = t.size;
     peak_nodes = t.peak_size;
     variables = t.nvars;
     unique_hits = t.mk_hits;
     unique_misses = t.mk_misses;
-    unique_buckets = hstats.Hashtbl.num_buckets;
-    unique_max_bucket = hstats.Hashtbl.max_bucket_length;
     op_cache_hits = t.cache_hits;
     op_cache_lookups = t.cache_lookups;
     op_cache_entries = cache_entries t;
@@ -326,6 +323,13 @@ let stats t =
     compact_reclaimed = t.compact_reclaimed;
     op_calls = Array.to_list (Array.mapi (fun i n -> (op_slot_names.(i), n)) t.op_calls);
   }
+
+(** Unique-table bucket count and longest collision chain.  Walks
+    every bucket — O(table size, dead nodes included) — so it is for
+    one-off inspection ([fcv stats]), never a per-check path. *)
+let unique_shape t =
+  let h = Hashtbl.stats t.unique in
+  (h.Hashtbl.num_buckets, h.Hashtbl.max_bucket_length)
 
 (** Apply-cache hit rate over a window: [cache_hit_rate after ~before]
     is hits/lookups between two {!stats} snapshots (0 when no

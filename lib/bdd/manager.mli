@@ -128,8 +128,6 @@ type stats = {
   variables : int;
   unique_hits : int;  (** unique-table probes answered by an existing node *)
   unique_misses : int;  (** probes that allocated a fresh node *)
-  unique_buckets : int;  (** unique-table bucket count *)
-  unique_max_bucket : int;  (** longest unique-table collision chain *)
   op_cache_hits : int;
   op_cache_lookups : int;
   op_cache_entries : int;  (** current occupancy across the memo tables *)
@@ -140,6 +138,15 @@ type stats = {
 }
 
 val stats : t -> stats
+(** The counters above, read in constant time: safe on any hot path
+    (the checker snapshots them around every check), whatever the
+    store's size. *)
+
+val unique_shape : t -> int * int
+(** Unique-table bucket count and longest collision chain.  Walks every
+    bucket and chain, dead nodes included, so its cost grows with the
+    store; it exists for [fcv stats] and has no place on a check
+    path. *)
 
 val cache_hit_rate : ?before:stats -> stats -> float
 (** Apply-cache hit rate between two snapshots (whole history when

@@ -64,15 +64,18 @@ and cached = {
 }
 
 (* Both statistics walk the entry BDD — O(nodes) each — so they are
-   memoized per (structure_version, root).  A mutation that really
-   changes an entry changes its root (hash-consing), a manager swap
-   bumps the version; either retires the stale key naturally. *)
+   memoized per root.  A mutation that really changes an entry changes
+   its root (hash-consing), which retires the stale line naturally; a
+   root id names one BDD only while no GC renumbers the store, so the
+   memo forgets everything once the index's (structure_version,
+   gc_runs) epoch moves off the one it was filled under. *)
 type stats_memo = {
-  m_size : (int * int, int) Hashtbl.t;
-  m_sat : (int * int, float) Hashtbl.t;
+  mutable epoch : int * int;
+  m_size : (int, int) Hashtbl.t;
+  m_sat : (int, float) Hashtbl.t;
 }
 
-let stats_memo () = { m_size = Hashtbl.create 64; m_sat = Hashtbl.create 64 }
+let stats_memo () = { epoch = (0, 0); m_size = Hashtbl.create 64; m_sat = Hashtbl.create 64 }
 
 type t = {
   cfg : config;
@@ -130,20 +133,24 @@ let hist t key =
    node count, total block width (bits, which grows with domain size),
    and total sat-count (distinct indexed rows, via Sat.count_over on
    each entry's own levels). *)
-let memoized tbl key compute =
-  match Hashtbl.find_opt tbl key with
+let memoized m tbl index (e : Index.entry) compute =
+  let epoch = (index.Index.structure_version, index.Index.gc_runs) in
+  if m.epoch <> epoch then begin
+    Hashtbl.reset m.m_size;
+    Hashtbl.reset m.m_sat;
+    m.epoch <- epoch
+  end;
+  match Hashtbl.find_opt tbl e.Index.root with
   | Some v -> v
   | None ->
     let v = compute () in
-    Hashtbl.replace tbl key v;
+    Hashtbl.replace tbl e.Index.root v;
     v
-
-let entry_key index (e : Index.entry) = (index.Index.structure_version, e.Index.root)
 
 let entry_size ?memo index (e : Index.entry) =
   match memo with
   | None -> Index.entry_size index e
-  | Some m -> memoized m.m_size (entry_key index e) (fun () -> Index.entry_size index e)
+  | Some m -> memoized m m.m_size index e (fun () -> Index.entry_size index e)
 
 let entry_sat ?memo index (e : Index.entry) =
   let count () =
@@ -157,7 +164,7 @@ let entry_sat ?memo index (e : Index.entry) =
   in
   match memo with
   | None -> count ()
-  | Some m -> memoized m.m_sat (entry_key index e) count
+  | Some m -> memoized m m.m_sat index e count
 
 let index_terms ?memo index f =
   List.fold_left

@@ -116,9 +116,11 @@ val stats : t -> stats
 
 type stats_memo
 (** Cache of per-entry BDD statistics (node counts, sat-counts) keyed
-    by [(structure_version, root)] — both walk the entry BDD, so the
-    planner memoizes them; a real entry change changes the root
-    (hash-consing) and retires the stale key. *)
+    by root — both walk the entry BDD, so the planner memoizes them; a
+    real entry change changes the root (hash-consing) and retires the
+    stale key.  A GC renumbers node ids, so the cache empties whenever
+    the index's [(structure_version, gc_runs)] differs from the pair
+    it was filled under. *)
 
 val stats_memo : unit -> stats_memo
 (** A fresh, empty cache (the planner carries its own internally). *)

@@ -314,6 +314,53 @@ let test_many_repeated_checks_reuse_scratch_levels () =
     true
     (after - before <= 16)
 
+(* A check pays for its own BDD work only, never for the garbage the
+   store has accumulated: the kernel counters it snapshots around the
+   call are constant-time reads.  The padding is over a million
+   unreachable nodes on fresh bottom levels — each level quadruples
+   the one below through parents (0,x), (x,0), (1,x), (x,1). *)
+let test_check_cost_independent_of_store_size () =
+  let module M = Fcv_bdd.Manager in
+  let db = university () in
+  let index = Core.Index.create db in
+  let c = parse curriculum_constraint in
+  C.ensure_indices index [ c ];
+  let mgr = Core.Index.mgr index in
+  let fastest () =
+    let best = ref infinity in
+    for _ = 1 to 20 do
+      let t0 = Fcv_util.Timer.now () in
+      ignore (C.check index c);
+      best := Float.min !best (Fcv_util.Timer.now () -. t0)
+    done;
+    !best
+  in
+  let small = fastest () in
+  let target = M.size mgr + (1 lsl 20) in
+  let levels = M.new_vars mgr 11 in
+  let frontier = ref [| M.mk mgr levels.(10) M.zero M.one |] in
+  let level = ref 9 in
+  while M.size mgr < target do
+    let v = levels.(!level) and below = !frontier in
+    frontier :=
+      Array.init
+        (4 * Array.length below)
+        (fun i ->
+          let x = below.(i / 4) in
+          match i mod 4 with
+          | 0 -> M.mk mgr v M.zero x
+          | 1 -> M.mk mgr v x M.zero
+          | 2 -> M.mk mgr v M.one x
+          | _ -> M.mk mgr v x M.one);
+    decr level
+  done;
+  let padded = fastest () in
+  check
+    (Printf.sprintf "fastest check %.3f ms on %d nodes vs %.3f ms unpadded" (padded *. 1000.)
+       (M.size mgr) (small *. 1000.))
+    true
+    (padded <= 20. *. small)
+
 (* -- ablation pipeline -------------------------------------------------------- *)
 
 let test_naive_pipeline_agrees () =
@@ -422,6 +469,8 @@ let suite =
     Alcotest.test_case "FD fast path = compiled" `Quick test_fd_fast_path_agrees_with_compiler;
     Alcotest.test_case "fallback on tiny budget" `Quick test_fallback_on_tiny_budget;
     Alcotest.test_case "scratch levels recycled over repeated checks" `Quick test_many_repeated_checks_reuse_scratch_levels;
+    Alcotest.test_case "check cost independent of store size" `Quick
+      test_check_cost_independent_of_store_size;
     Alcotest.test_case "open formulas rejected" `Quick test_open_formula_rejected;
     Alcotest.test_case "ablation pipeline agrees" `Quick test_naive_pipeline_agrees;
     QCheck_alcotest.to_alcotest prop_polarities_agree;

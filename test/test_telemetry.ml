@@ -3,7 +3,9 @@
     disabled fast path, and the end-to-end budget-fallback regression
     (a tiny node budget must produce exactly one budget-trip event and
     a correct fallback verdict, on the generic compile path and on
-    FD-shaped hard and soft specs alike). *)
+    FD-shaped hard and soft specs alike), with the [check.done]
+    event's kernel deltas checked against [Manager.stats] on the BDD
+    route, on the trip and on a re-check after it. *)
 
 module T = Fcv_util.Telemetry
 
@@ -172,27 +174,72 @@ let noise_db () =
          loc_noise = 0.05;
        })
 
-(* Each input trips the budget once and falls back once: a trip
-   anywhere in the BDD attempt, FD fast path included, goes straight
-   to the BDD-free engine. *)
+(* Each input, with no budget, takes its BDD route (the span named
+   last) without a trip; under a tight budget it trips once and falls
+   back once: a trip anywhere in the BDD attempt, FD fast path
+   included, goes straight to the BDD-free engine. *)
 let budget_fallback_inputs =
   [
-    ("generic compile", (fun () -> Gen.random_db 42), fallback_constraint);
-    ("hard FD", noise_db, sensor_fd);
-    ("soft FD", noise_db, "holds >= 0.9 . " ^ sensor_fd);
+    ("generic compile", (fun () -> Gen.random_db 42), fallback_constraint, "check/compile");
+    ("hard FD", noise_db, sensor_fd, "check/fd_fast_path");
+    ("soft FD", noise_db, "holds >= 0.9 . " ^ sensor_fd, "check_soft/fd_fast_path");
   ]
+
+let events_of kind =
+  List.filter (fun ev -> T.Json.member "kind" ev = Some (T.String kind)) (T.events ())
+
+(* The one check.done event's kernel deltas against [Manager.stats]
+   read around the call ([before] just ahead of it, the current
+   counters after it). *)
+let check_done_kernel ~label ~trips mgr (before : Fcv_bdd.Manager.stats) =
+  let module M = Fcv_bdd.Manager in
+  let after = M.stats mgr in
+  match events_of "check.done" with
+  | [ ev ] ->
+    let field name =
+      match T.Json.member name ev with
+      | Some (T.Int n) -> n
+      | _ -> Alcotest.failf "%s: check.done lacks %s" label name
+    in
+    let check_int name = check_int (label ^ ": check.done " ^ name) in
+    check_int "nodes_allocated = unique_misses delta"
+      (after.M.unique_misses - before.M.unique_misses)
+      (field "nodes_allocated");
+    check_int "budget_trips" trips (field "budget_trips");
+    check_int "budget_trips = trip delta" (after.M.budget_trips - before.M.budget_trips)
+      (field "budget_trips");
+    check_int "peak_nodes = peak afterwards" after.M.peak_nodes (field "peak_nodes")
+  | evs -> Alcotest.failf "%s: %d check.done events" label (List.length evs)
 
 let test_budget_fallback () =
   List.iter
-    (fun (label, make_db, source) ->
-      T.reset ();
+    (fun (label, make_db, source, route_span) ->
       let check name = check (label ^ ": " ^ name) in
       let check_int name = check_int (label ^ ": " ^ name) in
-      let db = make_db () in
       let spec = Core.Fol_parser.spec_of_string source in
       let f = spec.Core.Formula.formula in
-      let index = Core.Index.create db in
-      Core.Checker.ensure_indices index [ f ];
+      let indexed () =
+        let db = make_db () in
+        let index = Core.Index.create db in
+        Core.Checker.ensure_indices index [ f ];
+        (db, index)
+      in
+      T.reset ();
+      let _, index = indexed () in
+      let mgr = Core.Index.mgr index in
+      let before = Fcv_bdd.Manager.stats mgr in
+      let r = Core.Checker.check_spec index spec in
+      check "unbudgeted check stays on BDD" true
+        (r.Core.Checker.method_used = Core.Checker.Bdd);
+      check ("took " ^ route_span) true
+        (List.exists
+           (fun ev -> T.Json.member "path" ev = Some (T.String route_span))
+           (events_of "span"));
+      check "the BDD route allocated nodes" true
+        (Fcv_bdd.Manager.size mgr > before.Fcv_bdd.Manager.nodes);
+      check_done_kernel ~label ~trips:0 mgr before;
+      T.reset ();
+      let db, index = indexed () in
       let expected =
         if Core.Formula.is_hard spec then Core.Naive_eval.holds db f
         else
@@ -204,7 +251,9 @@ let test_budget_fallback () =
          trips the budget *)
       let mgr = Core.Index.mgr index in
       Fcv_bdd.Manager.set_max_nodes mgr (Fcv_bdd.Manager.size mgr + 8);
+      let before = Fcv_bdd.Manager.stats mgr in
       let r = Core.Checker.check_spec index spec in
+      check_done_kernel ~label ~trips:1 mgr before;
       check "fell back off the BDD path" true (r.Core.Checker.method_used <> Core.Checker.Bdd);
       check "fallback verdict matches the naive evaluator" expected
         (r.Core.Checker.outcome = Core.Checker.Satisfied);
@@ -212,24 +261,16 @@ let test_budget_fallback () =
       (* a budget trip charges the whole fallback run to fallback_ms *)
       check "fallback_ms is the fallback's elapsed time" true
         (r.Core.Checker.fallback_ms = r.Core.Checker.elapsed_ms);
-      let trips =
-        List.filter
-          (fun ev -> T.Json.member "kind" ev = Some (T.String "bdd.budget_trip"))
-          (T.events ())
-      in
+      let trips = events_of "bdd.budget_trip" in
       check_int "exactly one budget-trip event" 1 (List.length trips);
       (match trips with
       | [ ev ] ->
         check "trip records the budget" true
           (T.Json.member "budget" ev = Some (T.Int (Fcv_bdd.Manager.max_nodes mgr)))
       | _ -> ());
-      let fallbacks =
-        List.filter
-          (fun ev -> T.Json.member "kind" ev = Some (T.String "check.fallback"))
-          (T.events ())
-      in
+      let fallbacks = events_of "check.fallback" in
       check_int "exactly one fallback event" 1 (List.length fallbacks);
-      match fallbacks with
+      (match fallbacks with
       | [ ev ] ->
         (match T.Json.member "method" ev with
         | Some (T.String m) ->
@@ -238,7 +279,16 @@ let test_budget_fallback () =
         (match T.Json.member "bdd_overhead_ms" ev with
         | Some (T.Float ms) -> check "overhead is non-negative" true (ms >= 0.)
         | _ -> Alcotest.fail "fallback event lacks bdd_overhead_ms")
-      | _ -> ())
+      | _ -> ());
+      (* the same store with the budget lifted: the manager has
+         tripped once, so only a per-check delta reads 0 *)
+      T.reset ();
+      Fcv_bdd.Manager.set_max_nodes mgr 0;
+      let before = Fcv_bdd.Manager.stats mgr in
+      let r = Core.Checker.check_spec index spec in
+      check "re-check after the trip stays on BDD" true
+        (r.Core.Checker.method_used = Core.Checker.Bdd);
+      check_done_kernel ~label:(label ^ " re-check") ~trips:0 mgr before)
     budget_fallback_inputs
 
 (* Regression: choosing SQL up-front (the planner's [Force_sql]) pays
