@@ -1,6 +1,8 @@
 #!/bin/sh
 # CI gate: format check, full build, the test suite with a pinned
-# QCheck seed, a daemon smoke test, a 200-schedule fault-injection
+# QCheck seed, a daemon smoke test, a node-budget smoke test (a
+# negative --max-nodes is a usage error; a budget the indices exceed
+# is one message and exit 2), a 200-schedule fault-injection
 # sweep (fcv sim), the parallel-validation scaling benchmark, the
 # planner vs Forced Auto benchmark with its verdict-exactness and never-
 # slower gate, the memory-lifecycle churn benchmark with its peak-node
@@ -119,8 +121,28 @@ done
 "$FCV" client --sock "$SOCK" shutdown >/dev/null
 wait "$SERVE_PID"
 SERVE_PID=""
-SMOKE_DONE=1
 echo "daemon smoke test passed"
+
+echo "== node-budget smoke test (fcv check --max-nodes)"
+echo 'forall s, c . takes(s, c) -> (exists a . course(c, a))' >"$SMOKE/policy.txt"
+rc=0
+"$FCV" check -d "$SMOKE/data" -c "$SMOKE/policy.txt" --max-nodes=-1 \
+  >/dev/null 2>"$SMOKE/budget.err" || rc=$?
+if [ "$rc" != 124 ]; then
+  echo "FAIL: --max-nodes=-1 exited $rc, expected the usage-error code 124" >&2
+  exit 1
+fi
+rc=0
+"$FCV" check -d "$SMOKE/data" -c "$SMOKE/policy.txt" --max-nodes 10 \
+  >/dev/null 2>"$SMOKE/budget.err" || rc=$?
+if [ "$rc" != 2 ] || [ "$(wc -l <"$SMOKE/budget.err")" != 1 ] ||
+  ! grep -q "node budget of 10 BDD nodes.*0 = unlimited" "$SMOKE/budget.err"; then
+  echo "FAIL: --max-nodes 10 exited $rc, expected 2 and one budget line:" >&2
+  cat "$SMOKE/budget.err" >&2
+  exit 1
+fi
+SMOKE_DONE=1
+echo "node-budget smoke test passed"
 
 # gate FAIL WARN CMD...: run CMD; when it fails, print FAIL and exit 1
 # under FCV_CI=1, print WARN and carry on otherwise.  Exiting through

@@ -55,7 +55,15 @@ let strategy_arg =
 
 let max_nodes_arg =
   let doc = "BDD node budget; past it the checker falls back to SQL (0 = unlimited)." in
-  Arg.(value & opt int 1_000_000 & info [ "max-nodes" ] ~docv:"N" ~doc)
+  let non_negative =
+    let parse s =
+      match int_of_string_opt s with
+      | Some n when n >= 0 -> Ok n
+      | _ -> Error (`Msg (Printf.sprintf "invalid value '%s', expected a non-negative integer" s))
+    in
+    Arg.conv (parse, Format.pp_print_int)
+  in
+  Arg.(value & opt non_negative 1_000_000 & info [ "max-nodes" ] ~docv:"N" ~doc)
 
 let jobs_arg =
   let doc =
@@ -113,7 +121,6 @@ let print_manager_stats oc mgr =
   Printf.fprintf oc "  apply-cache lookups   %12d\n" s.M.op_cache_lookups;
   Printf.fprintf oc "    hit rate            %12.1f%%\n" (100. *. M.cache_hit_rate s);
   Printf.fprintf oc "  op-cache entries      %12d\n" s.M.op_cache_entries;
-  Printf.fprintf oc "    cap flushes         %12d\n" s.M.op_cache_flushes;
   Printf.fprintf oc "  budget trips          %12d\n" s.M.budget_trips;
   Printf.fprintf oc "  compact reclaimed     %12d\n" s.M.compact_reclaimed;
   let calls = List.filter (fun (_, n) -> n > 0) s.M.op_calls in
@@ -1195,6 +1202,14 @@ let () =
      with
      | Failure msg | Sys_error msg | Invalid_argument msg ->
        Printf.eprintf "fcv: %s\n" msg;
+       2
+     | Fcv_bdd.Manager.Node_limit n ->
+       (* checks fall back past the budget; only building or maintaining
+          the logical indices themselves lets the trip escape *)
+       Printf.eprintf
+         "fcv: the logical indices need more than the node budget of %d BDD nodes; raise \
+          --max-nodes (0 = unlimited)\n"
+         n;
        2
      | Unix.Unix_error (err, fn, arg) ->
        Printf.eprintf "fcv: %s %s: %s\n" fn arg (Unix.error_message err);

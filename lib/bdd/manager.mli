@@ -11,7 +11,20 @@
     different sequence.  The optional {b node budget} makes {!mk}
     raise {!Node_limit} once exceeded — the §4 size-threshold that
     lets the constraint checker abandon BDD processing and fall back
-    to SQL. *)
+    to SQL.
+
+    {b Layout} (BuDDy's).  Nodes live in flat int arrays indexed by id
+    (level, low child, high child, and a unique-table chain link).  The
+    unique table is a power-of-two array of chain heads, one per node
+    slot, whose chains run through the link array; it doubles with the
+    store and {!compact} rebuilds it.  It is exact, so canonicity holds.
+    The apply, if-then-else and quantification caches are direct-mapped
+    arrays of packed keys and results: a colliding insert overwrites the
+    old entry, and each cache doubles while more than half its slots
+    are filled, up to {!max_cache} slots.  The memo is lossy, the store
+    is not: a lost entry makes an operation recompute a sub-result,
+    whose {!mk} calls find the nodes they made the first time, so the
+    same operations allocate the same nodes whatever the caches hold. *)
 
 type t
 
@@ -36,8 +49,9 @@ val terminal_level : int
 val create : ?max_nodes:int -> ?max_cache:int -> nvars:int -> unit -> t
 (** Fresh manager with [nvars] pre-allocated variables (more can be
     added with {!new_var}).  [max_nodes = 0] (default) means no
-    budget; [max_cache] caps each operation cache's entry count
-    (default {!default_max_cache}, 0 = unbounded). *)
+    budget; [max_cache] caps each operation cache's slot count
+    (default {!default_max_cache}, 0 = uncapped).
+    @raise Invalid_argument on a negative [max_nodes] or [max_cache]. *)
 
 val max_level : int
 (** Hard level ceiling (511) imposed by node packing; {!new_var}
@@ -48,16 +62,22 @@ val size : t -> int
 (** Total allocated nodes, terminals included. *)
 
 val max_nodes : t -> int
+
 val set_max_nodes : t -> int -> unit
+(** [0] lifts the budget.
+    @raise Invalid_argument on a negative budget. *)
 
 val default_max_cache : int
-(** Default per-cache entry cap (2{^20}). *)
+(** Default per-cache slot cap (2{^20}). *)
 
 val max_cache : t -> int
+
 val set_max_cache : t -> int -> unit
-(** Per-cache entry cap; reaching it flushes that cache wholesale
-    (BuDDy-style) so memo tables cannot grow without bound on a
-    long-running serving path.  [0] disables the cap. *)
+(** Per-cache slot cap: a cache stops doubling at the largest power of
+    two within it (a cache already larger shrinks to it), so memo
+    tables cannot grow without bound on a long-running serving path.
+    [0] removes the cap.
+    @raise Invalid_argument on a negative cap. *)
 
 val new_var : t -> int
 (** Allocate a fresh variable at the bottom of the order.
@@ -82,11 +102,12 @@ val ithvar : t -> int -> int
 val nithvar : t -> int -> int
 (** BDD of the negative literal at a level. *)
 
-(** {2 Operation caches} — used by {!Ops}; exposed for completeness. *)
+(** {2 Operation caches} — used by {!Ops} only.  A lookup returns the
+    cached node, or [-1] when the slot holds another key or nothing. *)
 
-val cache_find : t -> int -> int -> int -> int option
+val cache_find : t -> int -> int -> int -> int
 val cache_add : t -> int -> int -> int -> int -> unit
-val ite_cache_find : t -> int -> int -> int -> int option
+val ite_cache_find : t -> int -> int -> int -> int
 val ite_cache_add : t -> int -> int -> int -> int -> unit
 
 val quant_signature : t -> descr:string -> int
@@ -94,15 +115,16 @@ val quant_signature : t -> descr:string -> int
     {!quant_cache_find}; recycling flushes the cache when signatures
     run out. *)
 
-val quant_cache_find : t -> int -> int -> int -> int option
+val quant_cache_find : t -> int -> int -> int -> int
 val quant_cache_add : t -> int -> int -> int -> int -> unit
 
 val clear_caches : t -> unit
-(** Drop all memoisation (nodes are kept).  Benchmarks call this
-    between repetitions so they measure cold operations. *)
+(** Drop all memoisation (nodes are kept); the caches keep their
+    current size.  Benchmarks call this between repetitions so they
+    measure cold operations. *)
 
 val cache_entries : t -> int
-(** Current total occupancy of the operation caches (entries). *)
+(** Current total occupancy of the operation caches (filled slots). *)
 
 (** {2 Operation-call accounting} — used by {!Ops}; each public entry
     point counts itself in a per-manager slot so telemetry can report
@@ -130,8 +152,10 @@ type stats = {
   unique_misses : int;  (** probes that allocated a fresh node *)
   op_cache_hits : int;
   op_cache_lookups : int;
-  op_cache_entries : int;  (** current occupancy across the memo tables *)
-  op_cache_flushes : int;  (** cap-triggered wholesale cache resets *)
+  op_cache_entries : int;  (** filled slots across the memo tables *)
+  op_cache_flushes : int;
+      (** always 0: the direct-mapped caches overwrite and never flush
+          wholesale; kept because the benchmark reads it *)
   budget_trips : int;  (** times {!Node_limit} was raised *)
   compact_reclaimed : int;  (** nodes reclaimed by all {!compact} runs *)
   op_calls : (string * int) list;  (** public {!Ops} entry-point call counts *)
@@ -143,10 +167,10 @@ val stats : t -> stats
     store's size. *)
 
 val unique_shape : t -> int * int
-(** Unique-table bucket count and longest collision chain.  Walks every
-    bucket and chain, dead nodes included, so its cost grows with the
-    store; it exists for [fcv stats] and has no place on a check
-    path. *)
+(** Unique-table bucket count (a power of two) and longest collision
+    chain.  Walks every chain, dead nodes included, so its cost grows
+    with the store; it exists for [fcv stats] and has no place on a
+    check path. *)
 
 val cache_hit_rate : ?before:stats -> stats -> float
 (** Apply-cache hit rate between two snapshots (whole history when

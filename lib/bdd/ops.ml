@@ -75,9 +75,9 @@ let rec apply_rec m op f g =
   | None -> (
     let f, g = normalise op f g in
     let code = op_code op in
-    match M.cache_find m code f g with
-    | Some r -> r
-    | None ->
+    let r = M.cache_find m code f g in
+    if r >= 0 then r
+    else begin
       let vf = M.var m f and vg = M.var m g in
       let v = min vf vg in
       let f0, f1 = if vf = v then (M.low m f, M.high m f) else (f, f) in
@@ -86,7 +86,8 @@ let rec apply_rec m op f g =
       let r1 = apply_rec m op f1 g1 in
       let r = M.mk m v r0 r1 in
       M.cache_add m code f g r;
-      r)
+      r
+    end)
 
 let apply m op f g =
   if !Fcv_util.Telemetry.on then M.count_op m M.op_apply;
@@ -96,14 +97,15 @@ let rec neg_rec m f =
   if f = M.zero then M.one
   else if f = M.one then M.zero
   else
-    match M.cache_find m not_code f f with
-    | Some r -> r
-    | None ->
+    let r = M.cache_find m not_code f f in
+    if r >= 0 then r
+    else begin
       let r0 = neg_rec m (M.low m f) in
       let r1 = neg_rec m (M.high m f) in
       let r = M.mk m (M.var m f) r0 r1 in
       M.cache_add m not_code f f r;
       r
+    end
 
 let neg m f =
   if !Fcv_util.Telemetry.on then M.count_op m M.op_neg;
@@ -126,9 +128,9 @@ let rec ite_rec m f g h =
   else if g = h then g
   else if g = M.one && h = M.zero then f
   else
-    match M.ite_cache_find m f g h with
-    | Some r -> r
-    | None ->
+    let r = M.ite_cache_find m f g h in
+    if r >= 0 then r
+    else begin
       let vf = M.var m f and vg = M.var m g and vh = M.var m h in
       let v = min vf (min vg vh) in
       let split x vx = if vx = v then (M.low m x, M.high m x) else (x, x) in
@@ -140,6 +142,7 @@ let rec ite_rec m f g h =
       let r = M.mk m v r0 r1 in
       M.ite_cache_add m f g h r;
       r
+    end
 
 let ite m f g h =
   if !Fcv_util.Telemetry.on then M.count_op m M.op_ite;
@@ -185,32 +188,37 @@ let quant_descr ~tag ~op ~quant levels =
     (List.sort compare levels);
   Buffer.contents buf
 
+(* The deepest quantified level, and membership of every level down to
+   it as a bool array — the per-node test of the recursions below. *)
+let level_set levels =
+  let deepest = List.fold_left max min_int levels in
+  let set = Array.make (deepest + 1) false in
+  List.iter (fun v -> set.(v) <- true) levels;
+  (deepest, set)
+
 (* Quantification over a set of levels.  [combine] is Or for ∃ and And
    for ∀.  We cut the recursion as soon as the node's level exceeds the
    deepest quantified level. *)
 let quantify m combine levels f =
   if levels = [] then f
   else begin
-    let set = Hashtbl.create 8 in
-    List.iter (fun v -> Hashtbl.replace set v ()) levels;
-    let deepest = List.fold_left max min_int levels in
+    let deepest, set = level_set levels in
     let sig_ =
       M.quant_signature m ~descr:(quant_descr ~tag:"q" ~op:combine ~quant:combine levels)
     in
     let rec go f =
       if M.is_terminal f || M.var m f > deepest then f
       else
-        match M.quant_cache_find m sig_ f f with
-        | Some r -> r
-        | None ->
+        let r = M.quant_cache_find m sig_ f f in
+        if r >= 0 then r
+        else begin
           let v = M.var m f in
           let r0 = go (M.low m f) in
           let r1 = go (M.high m f) in
-          let r =
-            if Hashtbl.mem set v then apply m combine r0 r1 else M.mk m v r0 r1
-          in
+          let r = if set.(v) then apply m combine r0 r1 else M.mk m v r0 r1 in
           M.quant_cache_add m sig_ f f r;
           r
+        end
     in
     go f
   end
@@ -230,9 +238,7 @@ let forall m levels f =
 let appquant m op quant levels f g =
   if levels = [] then apply m op f g
   else begin
-    let set = Hashtbl.create 8 in
-    List.iter (fun v -> Hashtbl.replace set v ()) levels;
-    let deepest = List.fold_left max min_int levels in
+    let deepest, set = level_set levels in
     let sig_ = M.quant_signature m ~descr:(quant_descr ~tag:"a" ~op ~quant levels) in
     let rec go f g =
       (* Once both operands live entirely below the quantified prefix,
@@ -242,20 +248,19 @@ let appquant m op quant levels f g =
       else
         match shortcut op f g with
         | Some r when M.is_terminal r -> r
-        | _ -> (
-          match M.quant_cache_find m sig_ f g with
-          | Some r -> r
-          | None ->
+        | _ ->
+          let r = M.quant_cache_find m sig_ f g in
+          if r >= 0 then r
+          else begin
             let v = min vf vg in
             let f0, f1 = if vf = v then (M.low m f, M.high m f) else (f, f) in
             let g0, g1 = if vg = v then (M.low m g, M.high m g) else (g, g) in
             let r0 = go f0 g0 in
             let r1 = go f1 g1 in
-            let r =
-              if Hashtbl.mem set v then apply m quant r0 r1 else M.mk m v r0 r1
-            in
+            let r = if set.(v) then apply m quant r0 r1 else M.mk m v r0 r1 in
             M.quant_cache_add m sig_ f g r;
-            r)
+            r
+          end
     in
     go f g
   end

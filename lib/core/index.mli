@@ -45,7 +45,7 @@ exception Needs_rebuild of string
 
 val create : ?max_nodes:int -> ?max_cache:int -> Fcv_relation.Database.t -> t
 (** [max_nodes] is the shared node budget (0 = unlimited);
-    [max_cache] the manager's per-op-cache entry cap (default
+    [max_cache] the manager's per-op-cache slot cap (default
     {!Fcv_bdd.Manager.default_max_cache}). *)
 
 val mgr : t -> Fcv_bdd.Manager.t

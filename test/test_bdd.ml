@@ -162,15 +162,215 @@ let test_level_limit_typed () =
 let test_bounded_op_caches () =
   let cap = 16 in
   let m = M.create ~nvars:64 ~max_cache:cap () in
-  for i = 0 to 31 do
+  let first () = O.band m (M.ithvar m 0) (M.ithvar m 63) in
+  let r = first () in
+  for i = 1 to 31 do
     ignore (O.band m (M.ithvar m i) (M.ithvar m (63 - i)))
   done;
+  (* each AND of two literals is one lookup and one insert, all in the
+     apply cache, so its 16 slots are the whole occupancy *)
   let s = M.stats m in
-  check "occupancy bounded by the cap" true (s.M.op_cache_entries <= 3 * cap);
-  check "cap triggered wholesale flushes" true (s.M.op_cache_flushes > 0);
-  (* flushes lose memoisation, never correctness *)
-  check "results stable across flushes" true
-    (O.band m (M.ithvar m 0) (M.ithvar m 63) = O.band m (M.ithvar m 0) (M.ithvar m 63))
+  check "occupancy bounded by the cap" true (s.M.op_cache_entries <= cap);
+  let misses (s : M.stats) = s.M.op_cache_lookups - s.M.op_cache_hits in
+  let again = first () in
+  let s' = M.stats m in
+  check_int "a later AND overwrote the first one's slot" (misses s + 1) (misses s');
+  check_int "the recomputation allocates nothing" s.M.unique_misses s'.M.unique_misses;
+  (* overwrites lose memoisation, never correctness *)
+  check "results stable across overwrites" true (again = r)
+
+let test_rejects_negative_limits () =
+  let rejects name f =
+    match f () with
+    | () -> Alcotest.fail (name ^ ": expected Invalid_argument")
+    | exception Invalid_argument _ -> ()
+  in
+  rejects "create ~max_nodes" (fun () -> ignore (M.create ~nvars:1 ~max_nodes:(-1) ()));
+  rejects "create ~max_cache" (fun () -> ignore (M.create ~nvars:1 ~max_cache:(-1) ()));
+  let m = M.create ~nvars:1 ~max_nodes:5 () in
+  rejects "set_max_nodes" (fun () -> M.set_max_nodes m (-1));
+  rejects "set_max_cache" (fun () -> M.set_max_cache m (-1));
+  check_int "budget kept" 5 (M.max_nodes m);
+  check_int "cap kept" M.default_max_cache (M.max_cache m)
+
+(* Every interior node re-[mk]s to its own id without allocating, and
+   the bucket array is a power of two with short chains. *)
+let check_unique_table m =
+  let misses = (M.stats m).M.unique_misses in
+  for id = 2 to M.size m - 1 do
+    if M.mk m (M.var m id) (M.low m id) (M.high m id) <> id then
+      Alcotest.failf "node %d did not re-mk to itself" id
+  done;
+  check_int "re-mk allocates nothing" misses (M.stats m).M.unique_misses;
+  let buckets, longest = M.unique_shape m in
+  check "bucket count is a power of two" true (buckets > 0 && buckets land (buckets - 1) = 0);
+  check "buckets cover the store" true (buckets >= M.size m);
+  if longest > 32 then Alcotest.failf "longest chain %d > 32" longest
+
+let test_unique_table_growth () =
+  let nv = 256 and per_level = 600 in
+  let m = M.create ~nvars:nv () in
+  let rng = Random.State.make [| 17 |] in
+  (* a random DAG built bottom-up: each level's nodes take their
+     children from the deeper levels' nodes and the terminals.  Each
+     level has both literals, and every node draws one child from the
+     four newest deeper nodes, so a hash that ignored the level or a
+     child would pile tens of nodes into one chain. *)
+  let ids = ref [| M.zero; M.one |] and n = ref 2 in
+  let add id =
+    if !n = Array.length !ids then ids := Array.append !ids (Array.make !n 0);
+    !ids.(!n) <- id;
+    incr n
+  in
+  for v = nv - 1 downto 0 do
+    let deeper = !n in
+    let any () = !ids.(Random.State.int rng deeper) in
+    let few () = !ids.(deeper - 1 - Random.State.int rng (min 4 deeper)) in
+    add (M.ithvar m v);
+    add (M.nithvar m v);
+    for i = 1 to per_level do
+      let lo, hi = if i land 1 = 0 then (few (), any ()) else (any (), few ()) in
+      let size = M.size m in
+      let id = M.mk m v lo hi in
+      if M.size m > size then add id
+    done
+  done;
+  check "store passed 2^17 nodes" true (M.size m > 1 lsl 17);
+  check_unique_table m;
+  (* keep every other root among the top levels' nodes *)
+  let roots = List.init 500 (fun i -> !ids.(!n - 1 - (2 * i))) in
+  let envs = List.init 16 (fun _ -> Array.init nv (fun _ -> Random.State.bool rng)) in
+  let truth roots = List.map (fun r -> List.map (M.eval m r) envs) roots in
+  let before = truth roots and size_before = M.size m in
+  let roots' = M.compact m roots in
+  check "compaction reclaimed nodes" true (M.size m < size_before);
+  check "kept roots evaluate as before" true (truth roots' = before);
+  check_unique_table m
+
+(* [f] under [env] with [assigns] overriding some levels. *)
+let eval_at m f env assigns =
+  let env = Array.copy env in
+  List.iter (fun (v, b) -> env.(v) <- b) assigns;
+  M.eval m f env
+
+(* Every assignment to [levels]. *)
+let rec assignments = function
+  | [] -> [ [] ]
+  | v :: rest ->
+    List.concat_map (fun a -> [ (v, false) :: a; (v, true) :: a ]) (assignments rest)
+
+let binops = [| O.And; O.Or; O.Xor; O.Imp; O.Iff; O.Diff |]
+
+(* One seeded op sequence on a manager whose caches hold one slot each
+   (every insert collides) and on a default one.  A lost memo entry
+   only costs recomputation, so both must return the same ids and
+   allocate the same nodes.  The pool's functions live on a window of
+   [w] consecutive levels, because recursion without a memo is
+   exponential in the support; every [epoch] steps a [replace] moves
+   the pool to the next window, alternately keeping and reversing the
+   level order (the reversal goes through [ite]). *)
+let test_lossy_cache_same_store () =
+  let w = 12 and windows = 4 and pool = 24 and steps = 10000 and epoch = 50 in
+  let nv = w * windows in
+  let small = M.create ~nvars:nv ~max_cache:1 () and big = M.create ~nvars:nv () in
+  let rng = Random.State.make [| 16 |] in
+  let step = ref 0 and base = ref 0 in
+  let both name op =
+    let r = op small and r' = op big in
+    if r <> r' || M.size small <> M.size big then
+      Alcotest.failf "step %d, %s: ids %d vs %d, sizes %d vs %d" !step name r r' (M.size small)
+        (M.size big);
+    r
+  in
+  (* the result must agree with [expect], computed from the operands,
+     on a few sampled assignments in both managers *)
+  let agrees name r expect =
+    for _ = 1 to 4 do
+      let env = Array.init nv (fun _ -> Random.State.bool rng) in
+      List.iter
+        (fun m ->
+          if M.eval m r env <> expect m env then
+            Alcotest.failf "step %d, %s: result disagrees with evaluation" !step name)
+        [ small; big ]
+    done
+  in
+  let level () = !base + Random.State.int rng w in
+  let levels () = List.sort_uniq compare (List.init (1 + Random.State.int rng 3) (fun _ -> level ())) in
+  let entries = Array.init pool (fun _ -> let v = level () in both "ithvar" (fun m -> M.ithvar m v)) in
+  let pick () = entries.(Random.State.int rng pool) in
+  let quantified name ~all op vs a b =
+    let r =
+      both name (fun m ->
+          match (all, op) with
+          | false, None -> O.exists m vs a
+          | true, None -> O.forall m vs a
+          | false, Some op -> O.appex m op vs a b
+          | true, Some op -> O.appall m op vs a b)
+    in
+    agrees name r (fun m env ->
+        let value asg =
+          match op with
+          | None -> eval_at m a env asg
+          | Some op -> O.op_eval op (eval_at m a env asg) (eval_at m b env asg)
+        in
+        let values = List.map value (assignments vs) in
+        if all then List.for_all Fun.id values else List.exists Fun.id values);
+    r
+  in
+  while !step < steps do
+    incr step;
+    if !step = steps / 2 then begin
+      let roots = Array.to_list entries in
+      let kept = M.compact small roots in
+      if M.compact big roots <> kept then Alcotest.fail "compaction remapped differently";
+      List.iteri (fun i r -> entries.(i) <- r) kept
+    end;
+    if !step mod epoch = 0 then begin
+      let base' = (!base + w) mod nv and reversed = !step / epoch mod 2 = 1 in
+      let target v = if reversed then base' + w - 1 - (v - !base) else base' + (v - !base) in
+      let pairs = List.init w (fun i -> (!base + i, target (!base + i))) in
+      Array.iteri
+        (fun i e ->
+          let r = both "replace" (fun m -> O.replace m e pairs) in
+          agrees "replace" r (fun m env ->
+              eval_at m e env (List.map (fun (v, v') -> (v, env.(v'))) pairs));
+          entries.(i) <- r)
+        entries;
+      base := base'
+    end;
+    let a = pick () and b = pick () in
+    let r =
+      match Random.State.int rng 12 with
+      | k when k < 6 ->
+        let op = binops.(k) in
+        let r = both "apply" (fun m -> O.apply m op a b) in
+        agrees "apply" r (fun m env -> O.op_eval op (M.eval m a env) (M.eval m b env));
+        r
+      | 6 ->
+        let r = both "neg" (fun m -> O.neg m a) in
+        agrees "neg" r (fun m env -> not (M.eval m a env));
+        r
+      | 7 -> quantified "exists" ~all:false None (levels ()) a b
+      | 8 -> quantified "forall" ~all:true None (levels ()) a b
+      | 9 -> quantified "appex" ~all:false (Some binops.(Random.State.int rng 6)) (levels ()) a b
+      | 10 -> quantified "appall" ~all:true (Some binops.(Random.State.int rng 6)) (levels ()) a b
+      | _ ->
+        let bindings = List.map (fun v -> (v, Random.State.bool rng)) (levels ()) in
+        let r = both "restrict" (fun m -> O.restrict m a bindings) in
+        agrees "restrict" r (fun m env -> eval_at m a env bindings);
+        r
+    in
+    (* a constant would shrink the pool's variety; put a literal there *)
+    let r = if M.is_terminal r then (let v = level () in both "ithvar" (fun m -> M.ithvar m v)) else r in
+    entries.(Random.State.int rng pool) <- r
+  done;
+  let s = M.stats small and s' = M.stats big in
+  check_int "same size" s.M.nodes s'.M.nodes;
+  check_int "same unique misses" s.M.unique_misses s'.M.unique_misses;
+  check_int "same peak" s.M.peak_nodes s'.M.peak_nodes;
+  check "the sequence crossed 2^16 nodes" true (s.M.peak_nodes >= 1 lsl 16);
+  check "the one-slot caches really lost entries" true
+    (s.M.op_cache_hits * 2 < s'.M.op_cache_hits)
 
 let test_restrict () =
   let m = M.create ~nvars:3 () in
@@ -391,12 +591,17 @@ let suite =
     Alcotest.test_case "terminals" `Quick test_terminals;
     Alcotest.test_case "mk collapses equal children" `Quick test_mk_collapses;
     Alcotest.test_case "hash consing" `Quick test_mk_hash_consing;
+    Alcotest.test_case "unique table stays canonical through growth and compaction" `Quick
+      test_unique_table_growth;
     Alcotest.test_case "ROBDD invariants" `Quick test_canonicity_no_redundant;
     Alcotest.test_case "negation is involutive" `Quick test_not_involution;
     Alcotest.test_case "node budget raises" `Quick test_node_limit;
     Alcotest.test_case "node budget ignores cache hits" `Quick test_node_limit_not_triggered_by_lookups;
     Alcotest.test_case "level ceiling raises typed Level_limit" `Quick test_level_limit_typed;
     Alcotest.test_case "op caches are size-capped" `Quick test_bounded_op_caches;
+    Alcotest.test_case "negative budgets and caps are rejected" `Quick
+      test_rejects_negative_limits;
+    Alcotest.test_case "a lossy cache never changes the store" `Quick test_lossy_cache_same_store;
     Alcotest.test_case "restrict" `Quick test_restrict;
     Alcotest.test_case "exists/forall units" `Quick test_exists_forall_units;
     Alcotest.test_case "replace (shift)" `Quick test_replace_simple;
