@@ -62,6 +62,8 @@ type t = {
   mutable next_ : int array;  (* unique-table chain link; -1 ends a chain *)
   mutable buckets : int array;  (* chain heads, one per node slot; -1 = empty *)
   mutable ushift : int;  (* 63 - log2 (Array.length buckets) *)
+  mutable mark_ : int array;  (* walk stamp of each node slot *)
+  mutable stamp : int;  (* the latest walk's stamp; no slot holds a later one *)
   mutable size : int;  (* allocated nodes, including the two terminals *)
   apply_cache : cache;  (* packed (op,f,g) -> id *)
   ite_cache : cache;  (* (f,g packed; h) -> id *)
@@ -143,6 +145,8 @@ let create ?(max_nodes = 0) ?(max_cache = default_max_cache) ~nvars () =
     next_ = Array.make cap (-1);
     buckets = Array.make cap (-1);
     ushift = 63 - store_bits;
+    mark_ = Array.make cap 0;
+    stamp = 0;
     size = 2;
     apply_cache = new_cache ~max_cache 2 apply_bits;
     ite_cache = new_cache ~max_cache 3 ite_bits;
@@ -215,6 +219,7 @@ let grow t =
   t.var_ <- extend t.var_ terminal_level;
   t.low_ <- extend t.low_ (-1);
   t.high_ <- extend t.high_ (-1);
+  t.mark_ <- extend t.mark_ 0;
   t.next_ <- Array.make cap' (-1);
   t.buckets <- Array.make cap' (-1);
   t.ushift <- t.ushift - 1;
@@ -448,42 +453,35 @@ let cache_hit_rate ?(before : stats option) (after : stats) =
   if lookups <= 0 then 0.
   else float_of_int (after.op_cache_hits - h0) /. float_of_int lookups
 
+(* -- node walks -------------------------------------------------------------- *)
+
+(* A walk marks each node it reaches with a stamp no slot holds yet,
+   so "visited" is one int compare and a walk allocates nothing.
+   Stamps only grow (a 63-bit counter does not wrap), and [mark_]
+   grows with the store. *)
+let fresh_stamp t =
+  t.stamp <- t.stamp + 1;
+  t.stamp
+
+(* Add to [n] the nodes reachable from [id] not yet marked with [s]. *)
+let rec count_unmarked t s id n =
+  if t.mark_.(id) = s then n
+  else begin
+    t.mark_.(id) <- s;
+    if is_terminal id then n + 1
+    else count_unmarked t s t.high_.(id) (count_unmarked t s t.low_.(id) (n + 1))
+  end
+
 (** Number of nodes reachable from [root], terminals included —
     the "BDD size" reported throughout the paper's experiments. *)
-let node_count t root =
-  let visited = Hashtbl.create 256 in
-  let count = ref 0 in
-  let rec go id =
-    if not (Hashtbl.mem visited id) then begin
-      Hashtbl.add visited id ();
-      incr count;
-      if not (is_terminal id) then begin
-        go t.low_.(id);
-        go t.high_.(id)
-      end
-    end
-  in
-  go root;
-  !count
+let node_count t root = count_unmarked t (fresh_stamp t) root 0
 
 (** Shared node count across several roots (the paper's shared-node
     implementation remark: conjunction of BDDs costs only additive
     space). *)
 let node_count_shared t roots =
-  let visited = Hashtbl.create 256 in
-  let count = ref 0 in
-  let rec go id =
-    if not (Hashtbl.mem visited id) then begin
-      Hashtbl.add visited id ();
-      incr count;
-      if not (is_terminal id) then begin
-        go t.low_.(id);
-        go t.high_.(id)
-      end
-    end
-  in
-  List.iter go roots;
-  !count
+  let s = fresh_stamp t in
+  List.fold_left (fun n root -> count_unmarked t s root n) 0 roots
 
 (** Garbage collection: rebuild the node store keeping only the nodes
     reachable from [roots], and return the remapping of the given
@@ -527,18 +525,22 @@ let compact t roots =
 
 (** Set of levels occurring in [root], sorted ascending. *)
 let support t root =
-  let visited = Hashtbl.create 256 in
-  let levels = Hashtbl.create 16 in
+  let s = fresh_stamp t in
+  let present = Array.make t.nvars false in
   let rec go id =
-    if (not (is_terminal id)) && not (Hashtbl.mem visited id) then begin
-      Hashtbl.add visited id ();
-      Hashtbl.replace levels t.var_.(id) ();
+    if (not (is_terminal id)) && t.mark_.(id) <> s then begin
+      t.mark_.(id) <- s;
+      present.(t.var_.(id)) <- true;
       go t.low_.(id);
       go t.high_.(id)
     end
   in
   go root;
-  Hashtbl.fold (fun l () acc -> l :: acc) levels [] |> List.sort compare
+  let levels = ref [] in
+  for v = t.nvars - 1 downto 0 do
+    if present.(v) then levels := v :: !levels
+  done;
+  !levels
 
 (** Evaluate [root] under a total assignment [env]: [env.(level)] gives
     the value of the variable at [level]. *)

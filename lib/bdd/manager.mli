@@ -24,7 +24,19 @@
     are filled, up to {!max_cache} slots.  The memo is lossy, the store
     is not: a lost entry makes an operation recompute a sub-result,
     whose {!mk} calls find the nodes they made the first time, so the
-    same operations allocate the same nodes whatever the caches hold. *)
+    same operations allocate the same nodes whatever the caches hold.
+
+    {b Walks.}  {!node_count}, {!node_count_shared} and {!support}
+    allocate no table: a per-manager stamp array (one int per node
+    slot, grown with the store) marks the nodes a walk has reached,
+    and each walk takes a fresh stamp, so "visited" is one compare.
+
+    {b Domains.}  A manager is not thread-safe, and the walks write its
+    stamp array even though they only read the BDD: one domain uses a
+    manager at a time.  The parallel checker keeps to this by giving
+    every worker domain its own replica of the index store, with its
+    own manager ([Core.Replica.get], domain-local); the master's
+    manager is walked only by the domain that owns it. *)
 
 type t
 
@@ -183,13 +195,15 @@ val compact : t -> int list -> int list
 
 val node_count : t -> int -> int
 (** Reachable nodes from a root, terminals included — the "BDD size"
-    of the paper's experiments. *)
+    of the paper's experiments.  A stamp walk, linear in the count;
+    callers that read one BDD's size repeatedly should keep it, as
+    [Core.Index.entry_size] does. *)
 
 val node_count_shared : t -> int list -> int
-(** Shared node count of several roots. *)
+(** Shared node count of several roots (one stamp walk). *)
 
 val support : t -> int -> int list
-(** Levels occurring in a BDD, ascending. *)
+(** Levels occurring in a BDD, ascending (one stamp walk). *)
 
 val eval : t -> int -> bool array -> bool
 (** Evaluate under a total assignment indexed by level. *)

@@ -24,6 +24,10 @@ type entry = {
       (** multiset of projected rows (packed codes) — needed to decide
           when a deletion removes the last witness of a projection *)
   mutable build_time : float;  (** seconds spent constructing [root] *)
+  mutable size_at : int;  (** the root [size] was counted at; -1 = not counted *)
+  mutable size : int;
+  mutable rows_at : int;  (** the root [rows] was counted at; -1 = not counted *)
+  mutable rows : float;
 }
 
 type t = {
@@ -149,7 +153,22 @@ let add t ~table_name ?attrs ~strategy () =
       | Some key ->
         Hashtbl.replace counts key (1 + Option.value ~default:0 (Hashtbl.find_opt counts key))
       | None -> ());
-  let entry = { table; attrs; order; strategy; blocks; root; counts; build_time } in
+  let entry =
+    {
+      table;
+      attrs;
+      order;
+      strategy;
+      blocks;
+      root;
+      counts;
+      build_time;
+      size_at = -1;
+      size = 0;
+      rows_at = -1;
+      rows = 0.;
+    }
+  in
   t.entries <- entry :: t.entries;
   t.structure_version <- t.structure_version + 1;
   entry
@@ -170,8 +189,30 @@ let entry_mem t entry sub =
   Array.iteri (fun i c -> Fd.set_env entry.blocks.(i) c env) sub;
   M.eval t.mgr entry.root env
 
-(** BDD size of an entry. *)
-let entry_size t entry = M.node_count t.mgr entry.root
+(* The two statistics below walk the whole entry BDD, and every check
+   ranks its atoms' entries by size, so each is counted once per root:
+   an id names one BDD until {!compact} renumbers the store, which
+   carries the counts over to the remapped roots. *)
+
+(** BDD size of an entry (nodes reachable from its root). *)
+let entry_size t entry =
+  if entry.size_at <> entry.root then begin
+    entry.size <- M.node_count t.mgr entry.root;
+    entry.size_at <- entry.root
+  end;
+  entry.size
+
+(** Distinct indexed rows: the sat-count of the root over the entry's
+    own levels. *)
+let entry_rows t entry =
+  if entry.rows_at <> entry.root then begin
+    let levels = Array.concat (Array.to_list (Array.map (fun b -> b.Fd.levels) entry.blocks)) in
+    Array.sort compare levels;
+    entry.rows <-
+      (try Fcv_bdd.Sat.count_over t.mgr entry.root ~levels with Invalid_argument _ -> 0.);
+    entry.rows_at <- entry.root
+  end;
+  entry.rows
 
 let minterm t entry sub =
   Fd.tuple_minterm t.mgr (List.init (Array.length sub) (fun i -> (entry.blocks.(i), sub.(i))))
@@ -280,7 +321,14 @@ let compact t =
   t.peak_nodes <- max t.peak_nodes (M.stats t.mgr).M.peak_nodes;
   let entries = t.entries in
   let roots = M.compact t.mgr (List.map (fun e -> e.root) entries) in
-  List.iter2 (fun e root -> e.root <- root) entries roots;
+  List.iter2
+    (fun e root ->
+      (* same BDD, new id: a count taken at the old root still holds *)
+      let carry at = if at = e.root then root else -1 in
+      e.size_at <- carry e.size_at;
+      e.rows_at <- carry e.rows_at;
+      e.root <- root)
+    entries roots;
   let reclaimed = before - M.size t.mgr in
   t.gc_runs <- t.gc_runs + 1;
   t.gc_reclaimed <- t.gc_reclaimed + reclaimed;
@@ -309,12 +357,15 @@ let live_nodes t =
   if t.entries = [] then 2
   else M.node_count_shared t.mgr (List.map (fun e -> e.root) t.entries)
 
+(* The dead ratio given [live_nodes t], so a caller that reports both
+   walks the live store once. *)
+let dead_of t live =
+  let size = M.size t.mgr in
+  if size <= 2 then 0. else float_of_int (size - live) /. float_of_int size
+
 (** Fraction of the manager's node store not reachable from any live
     root — the §4-style occupancy signal the GC policy thresholds. *)
-let dead_ratio t =
-  let size = M.size t.mgr in
-  if size <= 2 then 0.
-  else float_of_int (size - live_nodes t) /. float_of_int size
+let dead_ratio t = dead_of t (live_nodes t)
 
 (** Levels referenced by live structures: entry blocks plus the pooled
     scratch blocks (reused by future checks, so not abandoned). *)
@@ -353,11 +404,12 @@ type lifecycle_stats = {
 }
 
 let lifecycle_stats t =
+  let live = live_nodes t in
   {
     nodes = M.size t.mgr;
-    live = live_nodes t;
+    live;
     peak = peak_nodes t;
-    dead = dead_ratio t;
+    dead = dead_of t live;
     levels_used = M.nvars t.mgr;
     levels_alive = levels_live t;
     gc_runs = t.gc_runs;
@@ -372,7 +424,8 @@ let lifecycle_stats t =
 let publish_gauges t =
   let module T = Fcv_util.Telemetry in
   if T.enabled () then begin
-    T.gauge_set (T.gauge "bdd.live_nodes") (live_nodes t);
-    T.gauge_set (T.gauge "bdd.dead_ratio") (int_of_float (dead_ratio t *. 100.));
+    let live = live_nodes t in
+    T.gauge_set (T.gauge "bdd.live_nodes") live;
+    T.gauge_set (T.gauge "bdd.dead_ratio") (int_of_float (dead_of t live *. 100.));
     T.gauge_set (T.gauge "bdd.levels_used") (M.nvars t.mgr)
   end

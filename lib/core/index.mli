@@ -13,6 +13,12 @@ type entry = {
       (** multiset of projected rows — deletions must know when the
           last witness of a projection disappears *)
   mutable build_time : float;  (** seconds spent building [root] *)
+  mutable size_at : int;
+      (** the root [size] was counted at; -1 = not counted.  Read the
+          statistics through {!entry_size} and {!entry_rows}. *)
+  mutable size : int;
+  mutable rows_at : int;  (** the root [rows] was counted at; -1 = not counted *)
+  mutable rows : float;
 }
 
 type t = {
@@ -79,7 +85,25 @@ val find_covering : t -> table_name:string -> needed:int list -> entry option
 val entry_mem : t -> entry -> int array -> bool
 (** Is this projected row in the index? *)
 
+(** {2 Entry statistics}
+
+    The index is the one owner of its entries' statistics.  Each is a
+    walk of the whole entry BDD, so an entry caches it with the root
+    it was counted at and returns the cached value while [entry.root]
+    is unchanged; the first read after the root changes (an
+    {!insert} or {!delete} that changes the indexed set) recounts
+    once.  {!compact} renumbers the store but keeps every entry's
+    BDD, so it carries the counts over to the remapped roots.  Entries
+    built by {!add}, by [Index_io] and by a level recycle start with
+    nothing counted. *)
+
 val entry_size : t -> entry -> int
+(** Nodes reachable from the entry's root, terminals included. *)
+
+val entry_rows : t -> entry -> float
+(** Distinct indexed rows: the root's sat-count over the entry's own
+    levels. *)
+
 val minterm : t -> entry -> int array -> int
 
 val update_entry : t -> entry -> insert:bool -> int array -> unit
@@ -118,10 +142,12 @@ val compact : t -> int
 (** {2 Memory accounting} — the inputs to the {!Lifecycle} GC policy. *)
 
 val live_nodes : t -> int
-(** Nodes reachable from the entries' live roots (terminals included). *)
+(** Nodes reachable from the entries' live roots (terminals included):
+    one walk of the live store. *)
 
 val dead_ratio : t -> float
-(** Fraction of the manager's nodes unreachable from any live root. *)
+(** Fraction of the manager's nodes unreachable from any live root
+    (one {!live_nodes} walk). *)
 
 val levels_live : t -> int
 (** Levels referenced by entry blocks and pooled scratch blocks. *)
@@ -148,7 +174,10 @@ type lifecycle_stats = {
 }
 
 val lifecycle_stats : t -> lifecycle_stats
+(** Every field above, walking the live store once ([live] and [dead]
+    share the walk). *)
 
 val publish_gauges : t -> unit
 (** Refresh the [bdd.live_nodes] / [bdd.dead_ratio] (percent) /
-    [bdd.levels_used] telemetry gauges; no-op when telemetry is off. *)
+    [bdd.levels_used] telemetry gauges (one walk of the live store);
+    no-op when telemetry is off. *)

@@ -171,6 +171,10 @@ let load_lines db next_line =
           root;
           counts;
           build_time = 0.;
+          size_at = -1;
+          size = 0;
+          rows_at = -1;
+          rows = 0.;
         }
       in
       index.Index.entries <- entry :: index.Index.entries)

@@ -63,24 +63,9 @@ and cached = {
   cplan : plan;
 }
 
-(* Both statistics walk the entry BDD — O(nodes) each — so they are
-   memoized per root.  A mutation that really changes an entry changes
-   its root (hash-consing), which retires the stale line naturally; a
-   root id names one BDD only while no GC renumbers the store, so the
-   memo forgets everything once the index's (structure_version,
-   gc_runs) epoch moves off the one it was filled under. *)
-type stats_memo = {
-  mutable epoch : int * int;
-  m_size : (int, int) Hashtbl.t;
-  m_sat : (int, float) Hashtbl.t;
-}
-
-let stats_memo () = { epoch = (0, 0); m_size = Hashtbl.create 64; m_sat = Hashtbl.create 64 }
-
 type t = {
   cfg : config;
   tbl : (string, hist) Hashtbl.t;
-  memo : stats_memo;
   mutable hits : int;
   mutable misses : int;
   mutable probes : int;
@@ -93,7 +78,6 @@ let create ?(config = default_config) () =
   {
     cfg = config;
     tbl = Hashtbl.create 32;
-    memo = stats_memo ();
     hits = 0;
     misses = 0;
     probes = 0;
@@ -131,42 +115,9 @@ let hist t key =
 
 (* Index statistics over the relations a formula mentions: total entry
    node count, total block width (bits, which grows with domain size),
-   and total sat-count (distinct indexed rows, via Sat.count_over on
-   each entry's own levels). *)
-let memoized m tbl index (e : Index.entry) compute =
-  let epoch = (index.Index.structure_version, index.Index.gc_runs) in
-  if m.epoch <> epoch then begin
-    Hashtbl.reset m.m_size;
-    Hashtbl.reset m.m_sat;
-    m.epoch <- epoch
-  end;
-  match Hashtbl.find_opt tbl e.Index.root with
-  | Some v -> v
-  | None ->
-    let v = compute () in
-    Hashtbl.replace tbl e.Index.root v;
-    v
-
-let entry_size ?memo index (e : Index.entry) =
-  match memo with
-  | None -> Index.entry_size index e
-  | Some m -> memoized m m.m_size index e (fun () -> Index.entry_size index e)
-
-let entry_sat ?memo index (e : Index.entry) =
-  let count () =
-    let levels =
-      Array.concat
-        (Array.to_list (Array.map (fun b -> b.Fcv_bdd.Fd.levels) e.Index.blocks))
-    in
-    Array.sort compare levels;
-    try Fcv_bdd.Sat.count_over (Index.mgr index) e.Index.root ~levels
-    with Invalid_argument _ -> 0.
-  in
-  match memo with
-  | None -> count ()
-  | Some m -> memoized m m.m_sat index e count
-
-let index_terms ?memo index f =
+   and total sat-count (distinct indexed rows).  The index counts each
+   entry once per root, so reading them here is cheap. *)
+let index_terms index f =
   List.fold_left
     (fun (nodes, bits, sat) rel ->
       List.fold_left
@@ -174,7 +125,7 @@ let index_terms ?memo index f =
           let w =
             Array.fold_left (fun a b -> a + Fcv_bdd.Fd.width b) 0 e.Index.blocks
           in
-          (nodes + entry_size ?memo index e, bits + w, sat +. entry_sat ?memo index e))
+          (nodes + Index.entry_size index e, bits + w, sat +. Index.entry_rows index e))
         (nodes, bits, sat)
         (Index.entries_for index rel))
     (0, 0, 0.) (Formula.relations f)
@@ -193,8 +144,8 @@ let c_atom = 0.04
 let c_bit = 0.004
 let c_sat = 0.00002
 
-let estimate_bdd_ms ?memo index f =
-  let nodes, bits, sat = index_terms ?memo index f in
+let estimate_bdd_ms index f =
+  let nodes, bits, sat = index_terms index f in
   let atoms = Formula.atom_count f in
   match Fd_check.covered_fd index f with
   | Some _ ->
@@ -234,12 +185,12 @@ let estimate_sql_ms index f =
 (* Data-size fingerprint: entry nodes + base cardinalities over the
    formula's relations.  Drift beyond the band invalidates the cached
    plan; shrinking below 1/band also forgets trip evidence. *)
-let fingerprint ?memo index f =
+let fingerprint index f =
   List.fold_left
     (fun acc rel ->
       let acc =
         List.fold_left
-          (fun a e -> a +. float_of_int (entry_size ?memo index e))
+          (fun a e -> a +. float_of_int (Index.entry_size index e))
           acc (Index.entries_for index rel)
       in
       acc +. cardinality index.Index.db rel)
@@ -285,7 +236,7 @@ let decide cfg h spec ~model_bdd ~model_sql =
 let leaf ?(detail = "") ?actual ~chosen op est =
   { op; detail; est_ms = est; actual_ms = actual; chosen; children = [] }
 
-let make_tree ?memo index f h ~choice ~est_bdd ~est_sql =
+let make_tree index f h ~choice ~est_bdd ~est_sql =
   let db = index.Index.db in
   let bdd_chosen = choice = Use_bdd in
   let atoms = Formula.atom_count f in
@@ -297,7 +248,7 @@ let make_tree ?memo index f h ~choice ~est_bdd ~est_sql =
             let w =
               Array.fold_left (fun a b -> a + Fcv_bdd.Fd.width b) 0 e.Index.blocks
             in
-            let nodes = entry_size ?memo index e in
+            let nodes = Index.entry_size index e in
             leaf ~chosen "index-scan"
               ~detail:(Printf.sprintf "%s (nodes=%d, bits=%d)" rel nodes w)
               (c_node *. float_of_int nodes))
@@ -370,7 +321,7 @@ let make_tree ?memo index f h ~choice ~est_bdd ~est_sql =
     children = [ bdd_branch; sql_branch ];
   }
 
-let make_plan ?memo index f h ~choice ~reason ~est_bdd ~est_sql ~probe =
+let make_plan index f h ~choice ~reason ~est_bdd ~est_sql ~probe =
   {
     choice;
     strategy = (match choice with Use_bdd -> Checker.Auto | Use_sql -> Checker.Force_sql);
@@ -379,7 +330,7 @@ let make_plan ?memo index f h ~choice ~reason ~est_bdd ~est_sql ~probe =
     cost_ms = (match choice with Use_bdd -> est_bdd | Use_sql -> est_sql);
     reason;
     probe;
-    tree = make_tree ?memo index f h ~choice ~est_bdd ~est_sql;
+    tree = make_tree index f h ~choice ~est_bdd ~est_sql;
   }
 
 (* A cached plan's tree froze its actual_ms annotations at plan time;
@@ -414,7 +365,7 @@ let plan t index (spec : Formula.spec) =
   let f = spec.formula in
   let h = hist t (Formula.spec_to_string spec) in
   let version = index.Index.structure_version in
-  let fp = fingerprint ~memo:t.memo index f in
+  let fp = fingerprint index f in
   let recompute () =
     (* re-promotion: the watched data shrank well below what tripped
        the budget, so the trip evidence (and the stale BDD timing it
@@ -424,10 +375,10 @@ let plan t index (spec : Formula.spec) =
       h.consec_trips <- 0;
       h.bdd_n <- 0
     | _ -> ());
-    let model_bdd = estimate_bdd_ms ~memo:t.memo index f in
+    let model_bdd = estimate_bdd_ms index f in
     let model_sql = estimate_sql_ms index f in
     let choice, reason, est_bdd, est_sql = decide t.cfg h spec ~model_bdd ~model_sql in
-    let p = make_plan ~memo:t.memo index f h ~choice ~reason ~est_bdd ~est_sql ~probe:false in
+    let p = make_plan index f h ~choice ~reason ~est_bdd ~est_sql ~probe:false in
     if h.planned then begin
       t.replans <- t.replans + 1;
       T.incr c_replans

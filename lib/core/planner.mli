@@ -114,20 +114,10 @@ val stats : t -> stats
     their statistics: the BDD side in entry node count and block width
     (domain size), the SQL side in table cardinality. *)
 
-type stats_memo
-(** Cache of per-entry BDD statistics (node counts, sat-counts) keyed
-    by root — both walk the entry BDD, so the planner memoizes them; a
-    real entry change changes the root (hash-consing) and retires the
-    stale key.  A GC renumbers node ids, so the cache empties whenever
-    the index's [(structure_version, gc_runs)] differs from the pair
-    it was filled under. *)
-
-val stats_memo : unit -> stats_memo
-(** A fresh, empty cache (the planner carries its own internally). *)
-
-val estimate_bdd_ms : ?memo:stats_memo -> Index.t -> Formula.t -> float
+val estimate_bdd_ms : Index.t -> Formula.t -> float
 (** Model-only estimate (no history) of the guarded BDD pipeline.
-    Bare calls recount the entry statistics every time. *)
+    Entry statistics are read from the index, which counts each entry
+    once per root ({!Index.entry_size}, {!Index.entry_rows}). *)
 
 val estimate_sql_ms : Index.t -> Formula.t -> float
 (** Model-only estimate (no history) of the SQL violation query. *)

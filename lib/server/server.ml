@@ -186,9 +186,10 @@ let stats_json t =
       (fun n -> (n, T.Int (Tier.table_cardinality t.tier n)))
       (R.Database.table_names index0.Core.Index.db)
   in
-  let mem f =
-    sum (fun s -> f (Core.Index.lifecycle_stats (Core.Monitor.index (Shard.monitor s))))
+  let lifecycle =
+    Array.map (fun s -> Core.Index.lifecycle_stats (Core.Monitor.index (Shard.monitor s))) shards
   in
+  let mem f = Array.fold_left (fun acc ls -> acc + f ls) 0 lifecycle in
   [
     ("uptime_ms", T.Float ((Unix.gettimeofday () -. t.started) *. 1000.));
     ("sessions", T.Int (List.length t.sessions));
@@ -205,13 +206,7 @@ let stats_json t =
           ("live_nodes", T.Int (mem (fun ls -> ls.Core.Index.live)));
           ("peak_nodes", T.Int (mem (fun ls -> ls.Core.Index.peak)));
           ( "dead_ratio",
-            T.Float
-              (Array.fold_left
-                 (fun acc s ->
-                   max acc
-                     (Core.Index.lifecycle_stats (Core.Monitor.index (Shard.monitor s)))
-                       .Core.Index.dead)
-                 0. shards) );
+            T.Float (Array.fold_left (fun acc ls -> max acc ls.Core.Index.dead) 0. lifecycle) );
           ("levels_used", T.Int (mem (fun ls -> ls.Core.Index.levels_used)));
           ("levels_live", T.Int (mem (fun ls -> ls.Core.Index.levels_alive)));
           ("op_cache_entries", T.Int (mem (fun ls -> ls.Core.Index.cache_entries)));

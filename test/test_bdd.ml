@@ -1,6 +1,7 @@
 (** Kernel tests: the ROBDD invariants, every logical operation checked
-    against brute-force truth-table evaluation on random formulas, and
-    the node-budget behaviour. *)
+    against brute-force truth-table evaluation on random formulas, the
+    node-budget behaviour, and the stamp walks against a reference
+    walk. *)
 
 module M = Fcv_bdd.Manager
 module O = Fcv_bdd.Ops
@@ -464,6 +465,81 @@ let test_shared_node_count () =
   let g = O.band m (M.ithvar m 0) (M.ithvar m 1) in
   check "shared count is not double" true (M.node_count_shared m [ f; g ] = M.node_count m f)
 
+(* Reference walks with a fresh Hashtbl per call, as the kernel's own
+   walks were before they took stamps. *)
+let reference_count m roots =
+  let seen = Hashtbl.create 256 in
+  let rec go id =
+    if not (Hashtbl.mem seen id) then begin
+      Hashtbl.add seen id ();
+      if not (M.is_terminal id) then begin
+        go (M.low m id);
+        go (M.high m id)
+      end
+    end
+  in
+  List.iter go roots;
+  Hashtbl.length seen
+
+let reference_support m root =
+  let seen = Hashtbl.create 256 and levels = Hashtbl.create 16 in
+  let rec go id =
+    if (not (M.is_terminal id)) && not (Hashtbl.mem seen id) then begin
+      Hashtbl.add seen id ();
+      Hashtbl.replace levels (M.var m id) ();
+      go (M.low m id);
+      go (M.high m id)
+    end
+  in
+  go root;
+  List.sort compare (Hashtbl.fold (fun l () acc -> l :: acc) levels [])
+
+(* Random BDDs from seeded ops (random cubes folded into a pool of
+   roots), walked between ops while the store doubles from 2^10 past
+   2^17 nodes, then again after a compaction renumbers it. *)
+let test_stamp_walks () =
+  let nv = 40 in
+  let m = M.create ~nvars:nv () in
+  let rng = Random.State.make [| 23 |] in
+  let pool = Array.make 48 M.zero in
+  let pick () = pool.(Random.State.int rng (Array.length pool)) in
+  let cube () =
+    List.fold_left
+      (fun acc _ ->
+        let v = Random.State.int rng nv in
+        O.band m acc (if Random.State.bool rng then M.ithvar m v else M.nithvar m v))
+      M.one
+      (List.init (4 + Random.State.int rng 6) Fun.id)
+  in
+  let step () =
+    let i = Random.State.int rng (Array.length pool) in
+    let op = [| O.Or; O.Or; O.Xor; O.And; O.Diff |].(Random.State.int rng 5) in
+    pool.(i) <- O.apply m op pool.(i) (if Random.State.int rng 4 = 0 then pick () else cube ())
+  in
+  let agree what =
+    let a = pick () and b = pick () and c = pick () in
+    check_int (what ^ ": node_count") (reference_count m [ a ]) (M.node_count m a);
+    let overlapping = [ a; b; a; c; M.one ] in
+    check_int
+      (what ^ ": node_count_shared")
+      (reference_count m overlapping)
+      (M.node_count_shared m overlapping);
+    Alcotest.(check (list int)) (what ^ ": support") (reference_support m a) (M.support m a)
+  in
+  let n = ref 0 in
+  while M.size m <= 1 lsl 17 do
+    step ();
+    incr n;
+    if !n mod 4 = 0 then agree (Printf.sprintf "step %d (%d nodes)" !n (M.size m))
+  done;
+  let roots = M.compact m (Array.to_list pool) in
+  List.iteri (fun i r -> pool.(i) <- r) roots;
+  check "compaction reclaimed nodes" true (M.size m < 1 lsl 17);
+  for k = 1 to 50 do
+    agree (Printf.sprintf "compacted, walk %d" k);
+    step ()
+  done
+
 let test_of_codes () =
   let m = M.create ~nvars:4 () in
   let levels = [| 0; 1; 2; 3 |] in
@@ -613,6 +689,7 @@ let suite =
     Alcotest.test_case "cubes partition models" `Quick test_cubes_partition_models;
     Alcotest.test_case "support" `Quick test_support;
     Alcotest.test_case "shared node count" `Quick test_shared_node_count;
+    Alcotest.test_case "stamp walks agree with a reference walk" `Quick test_stamp_walks;
     Alcotest.test_case "of_codes" `Quick test_of_codes;
     Alcotest.test_case "of_codes input validation" `Quick test_of_codes_rejects_bad_input;
     QCheck_alcotest.to_alcotest prop_apply_matches_truth_table;

@@ -1,6 +1,7 @@
-(** Logical-index store tests: registration, covering lookup, and the
+(** Logical-index store tests: registration, covering lookup, the
     §5.2 incremental maintenance (insert/delete) staying consistent
-    with a from-scratch rebuild. *)
+    with a from-scratch rebuild, and the entry statistics the index
+    counts once per root. *)
 
 module R = Fcv_relation
 module I = Core.Index
@@ -129,6 +130,142 @@ let test_entry_size_and_build_time () =
   check "positive size" true (I.entry_size idx e > 2);
   check "build time recorded" true (e.I.build_time >= 0.)
 
+(* -- entry statistics -------------------------------------------------------- *)
+
+module M = Fcv_bdd.Manager
+
+let entry_levels (e : I.entry) =
+  let levels =
+    Array.concat (Array.to_list (Array.map (fun b -> b.Fcv_bdd.Fd.levels) e.I.blocks))
+  in
+  Array.sort compare levels;
+  levels
+
+(* University data, the four structural constraints plus twelve
+   department-area policies, rows moved between rounds (one deleted, a
+   recombined one inserted, every value already in its dictionary so
+   no entry rebuilds), one compaction per round, then one rebuild on
+   domain growth and one level recycle.  At every check point each
+   entry's statistics equal a fresh count of its current root, and the
+   planner's estimate equals its value on a freshly loaded copy of the
+   index, which has nothing counted. *)
+let test_entry_stats_follow_root () =
+  let rng = Fcv_util.Rng.create 42 in
+  let db, _, _, _ =
+    Fcv_datagen.University.generate rng
+      { Fcv_datagen.University.default with students = 300; violators = 5 }
+  in
+  let fs =
+    List.map Core.Fol_parser.of_string
+      ([
+         "forall s, c . takes(s, c) -> (exists a . course(c, a))";
+         "forall s, c . takes(s, c) -> (exists d, k . student(s, d, k))";
+         "forall s, d1, k1, d2, k2 . student(s, d1, k1) and student(s, d2, k2) -> d1 = d2";
+         "forall c, a1, a2 . course(c, a1) and course(c, a2) -> a1 = a2";
+       ]
+      @ List.init 12 (fun i ->
+            Printf.sprintf
+              "forall s, k . student(s, %d, k) -> (exists c . takes(s, c) and course(c, %d))"
+              (i mod 8) (i / 8)))
+  in
+  let index = I.create db in
+  Core.Checker.ensure_indices index fs;
+  let expect point =
+    let m = I.mgr index in
+    List.iter
+      (fun e ->
+        let what = Printf.sprintf "%s, %s" point (R.Table.name e.I.table) in
+        check_int (what ^ ": size") (M.node_count m e.I.root) (I.entry_size index e);
+        Alcotest.(check (float 0.))
+          (what ^ ": rows")
+          (Fcv_bdd.Sat.count_over m e.I.root ~levels:(entry_levels e))
+          (I.entry_rows index e))
+      (I.entries index);
+    let copy = Core.Index_io.load_string db (Core.Index_io.save_string index) in
+    List.iter
+      (fun f ->
+        Alcotest.(check (float 0.))
+          (Printf.sprintf "%s: estimate of %s" point (Core.Formula.to_string f))
+          (Core.Planner.estimate_bdd_ms copy f)
+          (Core.Planner.estimate_bdd_ms index f))
+      fs
+  in
+  let counted_nothing point =
+    List.iter
+      (fun e ->
+        check (point ^ ": nothing counted") true (e.I.size_at = -1 && e.I.rows_at = -1))
+      (I.entries index)
+  in
+  let move round table_name =
+    let t = R.Database.table db table_name in
+    let n = R.Table.cardinality t in
+    let row = Array.copy (R.Table.row t (Fcv_util.Rng.int rng n)) in
+    ignore (I.delete index ~table_name row);
+    expect (Printf.sprintf "round %d, delete from %s" round table_name);
+    let other = R.Table.row t (Fcv_util.Rng.int rng (n - 1)) in
+    let j = Fcv_util.Rng.int rng (Array.length row) in
+    row.(j) <- other.(j);
+    I.insert index ~table_name row;
+    expect (Printf.sprintf "round %d, insert into %s" round table_name)
+  in
+  let version = index.I.structure_version in
+  expect "built";
+  for round = 1 to 12 do
+    List.iter (move round) [ "takes"; "takes"; "student"; "course" ];
+    ignore (I.compact index);
+    (* compaction keeps every BDD: the counts follow the remapped roots *)
+    List.iter
+      (fun e ->
+        check
+          (Printf.sprintf "round %d: counts carried over by compaction" round)
+          true
+          (e.I.size_at = e.I.root && e.I.rows_at = e.I.root))
+      (I.entries index);
+    expect (Printf.sprintf "round %d, compacted" round)
+  done;
+  check_int "no row move rebuilt an entry" version index.I.structure_version;
+  (* a value past the course entries' frozen domain rebuilds them *)
+  let course = R.Database.table db "course" in
+  let area = R.Dict.intern (R.Table.dict course 1) (R.Value.Int 1_000_000) in
+  I.insert index ~table_name:"course" [| (R.Table.row course 0).(0); area |];
+  check "domain growth rebuilt an entry" true (index.I.structure_version > version);
+  expect "rebuilt on domain growth";
+  ignore (Core.Lifecycle.recycle index);
+  counted_nothing "recycled";
+  expect "recycled"
+
+(* A cached size is a field read: uncached, each of these calls would
+   walk more than 2^16 nodes. *)
+let test_cached_size_is_a_lookup () =
+  let db = R.Database.create () in
+  R.Database.add_domain db (R.Dict.of_int_range "w" 4096);
+  let t = R.Database.create_table db ~name:"big" ~attrs:[ ("a", "w"); ("b", "w"); ("c", "w") ] in
+  let rng = Fcv_util.Rng.create 7 in
+  let random_row () = Array.init 3 (fun _ -> Fcv_util.Rng.int rng 4096) in
+  for _ = 1 to 16_000 do
+    R.Table.insert_coded t (random_row ())
+  done;
+  let idx = I.create db in
+  let e = I.add idx ~table_name:"big" ~strategy:(Core.Ordering.Fixed [| 0; 1; 2 |]) () in
+  let size = I.entry_size idx e in
+  if size <= 1 lsl 16 then Alcotest.failf "entry has %d nodes, want more than 2^16" size;
+  let t0 = Fcv_util.Timer.now () in
+  for _ = 1 to 10_000 do
+    ignore (I.entry_size idx e)
+  done;
+  let ms = (Fcv_util.Timer.now () -. t0) *. 1000. in
+  if ms >= 50. then Alcotest.failf "10,000 cached reads took %.1f ms" ms;
+  let root = e.I.root in
+  let rec fresh_row () =
+    let row = random_row () in
+    if R.Table.mem_coded t row then fresh_row () else row
+  in
+  I.insert idx ~table_name:"big" (fresh_row ());
+  check "the insert changed the root" true (e.I.root <> root);
+  let size' = I.entry_size idx e in
+  check_int "recounted at the new root" (M.node_count (I.mgr idx) e.I.root) size';
+  check "the count moved" true (size' <> size)
+
 let suite =
   [
     Alcotest.test_case "add and find" `Quick test_add_and_find;
@@ -139,6 +276,8 @@ let suite =
     Alcotest.test_case "domain growth rebuilds in place" `Quick
       test_out_of_domain_growth_rebuilds;
     Alcotest.test_case "entry size / build time" `Quick test_entry_size_and_build_time;
+    Alcotest.test_case "entry statistics follow the root" `Quick test_entry_stats_follow_root;
+    Alcotest.test_case "a cached size is a lookup" `Quick test_cached_size_is_a_lookup;
   ]
 
 let () = Registry.register "index" suite

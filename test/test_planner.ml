@@ -78,58 +78,6 @@ let test_estimates_monotone () =
   check "SQL estimate grows with cardinality" true
     (est_sql ~dom:16 ~rows:4 < est_sql ~dom:16 ~rows:14)
 
-(* [Index.compact] renumbers node ids without bumping
-   [structure_version], so after a GC an entry's new root can land on
-   an id the memo saw as another entry's root.  University data, the
-   four structural constraints plus twelve department-area policies,
-   rows moved between rounds (one deleted, a recombined one inserted,
-   every value already in its dictionary so no entry rebuilds), the
-   memo filled before each compaction and read after it. *)
-let test_memo_survives_gc () =
-  let rng = Fcv_util.Rng.create 42 in
-  let db, _, _, _ =
-    Fcv_datagen.University.generate rng
-      { Fcv_datagen.University.default with students = 300; violators = 5 }
-  in
-  let fs =
-    List.map parse
-      ([
-         "forall s, c . takes(s, c) -> (exists a . course(c, a))";
-         "forall s, c . takes(s, c) -> (exists d, k . student(s, d, k))";
-         "forall s, d1, k1, d2, k2 . student(s, d1, k1) and student(s, d2, k2) -> d1 = d2";
-         "forall c, a1, a2 . course(c, a1) and course(c, a2) -> a1 = a2";
-       ]
-      @ List.init 12 (fun i ->
-            Printf.sprintf
-              "forall s, k . student(s, %d, k) -> (exists c . takes(s, c) and course(c, %d))"
-              (i mod 8) (i / 8)))
-  in
-  let index = index_of db fs in
-  let memo = P.stats_memo () in
-  let move table_name =
-    let t = R.Database.table db table_name in
-    let n = R.Table.cardinality t in
-    let row = Array.copy (R.Table.row t (Fcv_util.Rng.int rng n)) in
-    ignore (Core.Index.delete index ~table_name row);
-    let other = R.Table.row t (Fcv_util.Rng.int rng (n - 1)) in
-    let j = Fcv_util.Rng.int rng (Array.length row) in
-    row.(j) <- other.(j);
-    Core.Index.insert index ~table_name row
-  in
-  let version = index.Core.Index.structure_version in
-  for round = 1 to 12 do
-    List.iter (fun f -> ignore (P.estimate_bdd_ms ~memo index f)) fs;
-    List.iter move [ "takes"; "takes"; "student"; "course" ];
-    ignore (Core.Index.compact index);
-    List.iter
-      (fun f ->
-        Alcotest.(check (float 0.))
-          (Printf.sprintf "round %d: %s" round (F.to_string f))
-          (P.estimate_bdd_ms index f) (P.estimate_bdd_ms ~memo index f))
-      fs
-  done;
-  check_int "no row move rebuilt an entry" version index.Core.Index.structure_version
-
 (* -- learning rules ---------------------------------------------------------- *)
 
 (* Make the initial decision deterministic regardless of the model's
@@ -428,7 +376,6 @@ let suite =
   [
     Alcotest.test_case "estimates monotone in nodes, width, cardinality" `Quick
       test_estimates_monotone;
-    Alcotest.test_case "memoized estimates survive index GC" `Quick test_memo_survives_gc;
     Alcotest.test_case "consecutive trips demote to SQL" `Quick test_trip_demotion;
     Alcotest.test_case "a clean BDD run resets the trip streak" `Quick
       test_bdd_success_resets_trips;
