@@ -7,7 +7,11 @@
    each: once under [Forced Auto] planning (the paper's blind
    try-BDD-first thresholding, "legacy" below) and once under [Planned] (the
    cost-based planner choosing per-constraint strategies and learning
-   from every result).  Writes BENCH_plan.json.
+   from every result).  Each mode runs on its own monitor over its own
+   copy of the workload, and their timed passes alternate (one legacy
+   pass, then one planner pass), so a stretch of host noise lands on
+   both sides instead of on one mode's whole run.  Writes
+   BENCH_plan.json.
 
    Workloads:
    - university (50) and retail (24): the same constraint suites as
@@ -33,7 +37,7 @@ module T = Fcv_util.Telemetry
 module M = Fcv_bdd.Manager
 
 let warm_passes = 2
-let timed_passes = 5
+let timed_passes = 15
 let slack = 1.10
 
 (* -- workloads (the university/retail suites match bench/parallel.ml) -------- *)
@@ -137,7 +141,15 @@ let mode_name = function
   | Core.Monitor.Planned -> "planner"
   | Core.Monitor.Forced s -> "forced-" ^ Core.Checker.strategy_name s
 
-let run_mode make planning =
+(* One mode's monitor over its own copy of the workload. *)
+type mode = {
+  planning : Core.Monitor.planning;
+  monitor : Core.Monitor.t;
+  mgr : M.t;
+  trips0 : int;
+}
+
+let setup make planning =
   let db, sources, headroom = make () in
   let formulas = List.map Core.Fol_parser.of_string sources in
   let index = Core.Index.create ~max_nodes:1_000_000 db in
@@ -149,26 +161,27 @@ let run_mode make planning =
   let trips0 = (M.stats mgr).M.budget_trips in
   let monitor = Core.Monitor.create ~planning index in
   List.iter (fun src -> ignore (Core.Monitor.add monitor src)) sources;
-  let pass () =
-    (* reclaim abandoned-attempt garbage outside the timer, so a
-       tight-budget run never starves index maintenance of nodes *)
-    ignore (Core.Monitor.gc monitor);
-    mutation_pair monitor;
-    let t0 = Fcv_util.Timer.now () in
-    let reports = Core.Monitor.validate monitor in
-    ((Fcv_util.Timer.now () -. t0) *. 1000., count_violated reports)
-  in
-  for _ = 1 to warm_passes do
-    ignore (pass ())
-  done;
-  let runs = List.init timed_passes (fun _ -> pass ()) in
+  { planning; monitor; mgr; trips0 }
+
+(* One pass: validate time in ms, and the violated count. *)
+let pass m =
+  (* reclaim abandoned-attempt garbage outside the timer, so a
+     tight-budget run never starves index maintenance of nodes *)
+  ignore (Core.Monitor.gc m.monitor);
+  mutation_pair m.monitor;
+  let t0 = Fcv_util.Timer.now () in
+  let reports = Core.Monitor.validate m.monitor in
+  ((Fcv_util.Timer.now () -. t0) *. 1000., count_violated reports)
+
+(* A mode's summary over its timed passes. *)
+let summarise m runs =
   let violated =
     match List.sort_uniq compare (List.map snd runs) with
     | [ v ] -> v
     | vs ->
       failwith
         (Printf.sprintf "%s: violated count drifted across passes: {%s}"
-           (mode_name planning)
+           (mode_name m.planning)
            (String.concat ", " (List.map string_of_int vs)))
   in
   let mean_ms =
@@ -177,12 +190,27 @@ let run_mode make planning =
   {
     mean_ms;
     violated;
-    trips = (M.stats mgr).M.budget_trips - trips0;
+    trips = (M.stats m.mgr).M.budget_trips - m.trips0;
     pstats =
-      (match planning with
-      | Core.Monitor.Planned -> Some (Core.Planner.stats (Core.Monitor.planner monitor))
+      (match m.planning with
+      | Core.Monitor.Planned -> Some (Core.Planner.stats (Core.Monitor.planner m.monitor))
       | _ -> None);
   }
+
+(* Both modes, warmed, then their timed passes interleaved. *)
+let run_modes make =
+  let legacy = setup make (Core.Monitor.Forced Core.Checker.Auto) in
+  let planner = setup make Core.Monitor.Planned in
+  for _ = 1 to warm_passes do
+    ignore (pass legacy);
+    ignore (pass planner)
+  done;
+  let runs =
+    List.init timed_passes (fun _ ->
+        let l = pass legacy in
+        (l, pass planner))
+  in
+  (summarise legacy (List.map fst runs), summarise planner (List.map snd runs))
 
 type workload_result = {
   name : string;
@@ -195,8 +223,7 @@ type workload_result = {
 
 let run_workload name make ~expect_trips =
   Printf.printf "\n== %s ==\n%!" name;
-  let legacy = run_mode make (Core.Monitor.Forced Core.Checker.Auto) in
-  let planner = run_mode make Core.Monitor.Planned in
+  let legacy, planner = run_modes make in
   let ratio = if legacy.mean_ms > 0. then planner.mean_ms /. legacy.mean_ms else 1. in
   let failures =
     (if planner.violated <> legacy.violated then
@@ -281,7 +308,8 @@ let json_of_workload w =
 let () =
   let out = if Array.length Sys.argv > 1 then Sys.argv.(1) else "BENCH_plan.json" in
   Printf.printf
-    "planner vs legacy validation — %d warm + %d timed passes per mode, gate <= %.2fx\n"
+    "planner vs legacy validation — %d warm + %d timed passes per mode, interleaved, gate \
+     <= %.2fx\n"
     warm_passes timed_passes slack;
   let uni = run_workload "university" university ~expect_trips:false in
   let ret = run_workload "retail" retail ~expect_trips:false in

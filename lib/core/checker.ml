@@ -5,8 +5,12 @@
     + typecheck ({!Typing});
     + apply the §4.4 rewrite pipeline ({!Rewrite.optimize}): prenex →
       leading-quantifier elimination → ∀ push-down;
-    + compile the remaining formula to a BDD over the indices
-      ({!Compile}), under the manager's {b node budget};
+    + under the violation polarity, build the violation form of a
+      validity matrix ({!Rewrite.violation}): its negation with ∀
+      pushed down again, and every variable that occurs once, in one
+      atom, compiled as a wildcard on a projection of the relation;
+    + compile that formula to a BDD over the indices ({!Compile}),
+      under the manager's {b node budget};
     + read the answer off the final BDD in O(1): validity or
       satisfiability relative to the free variables' domain guards;
     + if the budget is exceeded ({!Fcv_bdd.Manager.Node_limit}),
@@ -63,11 +67,12 @@ type result = {
 }
 
 (** How the final test is phrased.  [Violation] compiles the {e
-    negation} of the validity matrix in NNF and tests
-    unsatisfiability: negations then sit on the (small, sparse) atom
-    BDDs and conjunctions short-circuit, instead of negating large
-    dense intermediates — this is also operationally the paper's
-    framing ("identify whether the constraint is violated").
+    negation} of the validity matrix, as {!Rewrite.violation} forms it,
+    and tests unsatisfiability: negations then sit on the (small,
+    sparse) atom BDDs and conjunctions short-circuit, instead of
+    negating large dense intermediates, and single-atom variables are
+    projected out of their atoms — this is also operationally the
+    paper's framing ("identify whether the constraint is violated").
     [Direct] compiles the matrix as-is and tests validity. *)
 type polarity = Direct | Violation
 
@@ -117,20 +122,23 @@ let read_answer ctx check root free =
     let guard = Compile.free_guard ctx free in
     if O.is_satisfiable (O.band m guard root) then Satisfied else Violated
 
+let free_of f = Formula.Sset.elements (Formula.free_vars f)
+
 (* Compile-and-decide under the chosen polarity. *)
-let decide ctx pipeline check_mode rewritten free =
+let decide ctx pipeline check_mode rewritten =
   match (pipeline.polarity, check_mode) with
   | Violation, Rewrite.Check_valid ->
-    (* C holds iff guard ∧ ¬matrix is unsatisfiable *)
-    let violation = Rewrite.nnf (Formula.Not rewritten) in
+    (* C holds iff guard ∧ ¬matrix is unsatisfiable; the violation form
+       keeps that test exact while projecting single-atom variables *)
+    let violation = Rewrite.violation rewritten in
     let root = T.with_span "compile" (fun () -> Compile.compile ctx violation) in
     T.with_span "verdict" (fun () ->
         let m = Compile.mgr ctx in
-        let guard = Compile.free_guard ctx free in
+        let guard = Compile.free_guard ctx (free_of violation) in
         if O.is_false (O.band m guard root) then Satisfied else Violated)
   | Violation, Rewrite.Check_satisfiable | Direct, _ ->
     let root = T.with_span "compile" (fun () -> Compile.compile ctx rewritten) in
-    T.with_span "verdict" (fun () -> read_answer ctx check_mode root free)
+    T.with_span "verdict" (fun () -> read_answer ctx check_mode root (free_of rewritten))
 
 (* What an engine measured: a hard spec's verdict, or a soft spec's
    exact (violations, total) binding counts. *)
@@ -151,10 +159,9 @@ let compile_verdict ~pipeline ~rewritten index c =
      needs a typing of the rewritten formula *)
   let typing_rw = Typing.infer index.Index.db rw in
   let ctx = Compile.make_ctx ~use_appquant:pipeline.use_appquant index typing_rw in
-  let free = Formula.Sset.elements (Formula.free_vars rw) in
   Fun.protect
     ~finally:(fun () -> Compile.release ctx)
-    (fun () -> decide ctx pipeline check_mode rw free)
+    (fun () -> decide ctx pipeline check_mode rw)
 
 (* The BDD engine, under the node budget: the FD projection-count
    method when the constraint is an indexed FD, else exact violation

@@ -53,10 +53,11 @@ type result = {
 }
 
 type polarity = Direct | Violation
-(** [Violation] (default) compiles nnf(¬matrix) and tests
-    unsatisfiability — negation sits on small sparse atom BDDs and ∧
-    short-circuits.  [Direct] compiles the matrix and tests
-    validity. *)
+(** [Violation] (default) compiles {!Rewrite.violation} of the
+    matrix (nnf(¬matrix), ∀ pushed down, single-atom variables
+    projected) and tests unsatisfiability — negation sits on small
+    sparse atom BDDs and ∧ short-circuits.  [Direct] compiles the
+    matrix and tests validity. *)
 
 type pipeline = {
   rewrite : Formula.t -> Rewrite.check * Formula.t;

@@ -13,6 +13,12 @@
     + existential quantifiers stay pulled up so {!Compile} can use the
       fused [appex] on ∃x(φ₁ ∨ φ₂) (Rule 6).
 
+    The violation polarity compiles the negated matrix, and negation
+    turns the pulled-up ∃ of an inclusion dependency into a ∀ over a
+    conjunction; {!violation} builds that form, reapplying Rule 5 and
+    projecting single-atom variables onto the logical index of a
+    projection of the relation.
+
     The equi-join rename rule (§4.2) lives in {!Compile}, where blocks
     are known. *)
 
@@ -179,11 +185,122 @@ let rec push_forall = function
   | Implies (a, b) -> Implies (push_forall a, push_forall b)
   | Iff (a, b) -> Iff (push_forall a, push_forall b)
 
+(* -- the violation form -------------------------------------------------------
+
+   An entry BDD holds only valid codes, so bit-level ∃ over one of its
+   blocks is the active-domain ∃ (the reason {!Compile} projects a
+   wildcard that way).  For a variable x occurring exactly once in the
+   atom R(…x…) that is the whole scope of its quantifier, therefore,
+
+     ∃x. R(…x…) ≡ R(…_…)    and    ∀x. ¬R(…x…) ≡ ¬R(…_…),
+
+   and the atom compiles on the entry of a projection of R.  A
+   variable repeated in its atom, shared with [=], [in] or another
+   atom, or under a positive ∀ or a negated ∃ is left alone. *)
+
+(* Bound variables, bottom-up, so a quantifier emptied below exposes
+   its atom to the one above; [n] counts the variables made
+   wildcards. *)
+let project_bound n f =
+  (* the variables of [xs] occurring once in [ts] become wildcards;
+     returns the ones left bound and the new terms *)
+  let split xs ts =
+    let once x = List.length (List.filter (( = ) (Var x)) ts) = 1 in
+    let gone, kept = List.partition once xs in
+    n := !n + List.length gone;
+    (kept, List.map (function Var x when List.mem x gone -> Wildcard | t -> t) ts)
+  in
+  let bind q xs body = requantify (List.map (fun x -> (q, x)) xs) body in
+  let rec go = function
+    | Exists (xs, g) -> (
+      match go g with
+      | Atom (r, ts) ->
+        let kept, ts = split xs ts in
+        bind Q_exists kept (Atom (r, ts))
+      | g -> Exists (xs, g))
+    | Forall (xs, g) -> (
+      match go g with
+      | Not (Atom (r, ts)) ->
+        let kept, ts = split xs ts in
+        bind Q_forall kept (Not (Atom (r, ts)))
+      | g -> Forall (xs, g))
+    | And (a, b) -> And (go a, go b)
+    | Or (a, b) -> Or (go a, go b)
+    | Implies (a, b) -> Implies (go a, go b)
+    | Iff (a, b) -> Iff (go a, go b)
+    | Not g -> Not (go g)
+    | (True | False | Atom _ | Eq _ | In _) as f -> f
+  in
+  go f
+
+(* Free occurrences of each variable of [f]. *)
+let free_occurrences f =
+  let count = Hashtbl.create 16 in
+  let term bound = function
+    | Var x when not (Sset.mem x bound) ->
+      Hashtbl.replace count x (1 + Option.value ~default:0 (Hashtbl.find_opt count x))
+    | Var _ | Const _ | Wildcard -> ()
+  in
+  let rec go bound = function
+    | True | False -> ()
+    | Atom (_, ts) -> List.iter (term bound) ts
+    | Eq (a, b) ->
+      term bound a;
+      term bound b
+    | In (a, _) -> term bound a
+    | Not g -> go bound g
+    | And (a, b) | Or (a, b) | Implies (a, b) | Iff (a, b) ->
+      go bound a;
+      go bound b
+    | Exists (xs, g) | Forall (xs, g) -> go (List.fold_right Sset.add xs bound) g
+  in
+  go Sset.empty f;
+  count
+
+(* Free variables: one occurring once in all of [f], in a positive atom
+   that is a top-level conjunct, becomes a wildcard — exact for a
+   satisfiability test, as ∃x. (R(…x…) ∧ φ) ≡ R(…_…) ∧ φ when x is not
+   free in φ. *)
+let project_free n f =
+  let count = free_occurrences f in
+  let term = function
+    | Var x when Hashtbl.find_opt count x = Some 1 ->
+      incr n;
+      Wildcard
+    | t -> t
+  in
+  let rec go = function
+    | And (a, b) -> And (go a, go b)
+    | Atom (r, ts) -> Atom (r, List.map term ts)
+    | g -> g
+  in
+  go f
+
+(* The violation form and the number of variables it made wildcards. *)
+let violation_counted f =
+  let n = ref 0 in
+  let g = project_free n (project_bound n (push_forall (nnf (Not f)))) in
+  (g, !n)
+
+(** The formula the violation polarity compiles for a validity matrix
+    [f]: the NNF of ¬[f], ∀ pushed down across its conjunctions
+    (Rule 5), and single-atom variables made wildcards.  Equivalent to
+    ¬[f] up to the ∃-closure of their free variables, the
+    satisfiability test the verdict makes.  When telemetry is enabled,
+    counts the variables made wildcards
+    ([rewrite.projected_vars]). *)
+let violation f =
+  let module T = Fcv_util.Telemetry in
+  let g, n = violation_counted f in
+  if n > 0 && T.enabled () then T.incr ~by:n (T.counter "rewrite.projected_vars");
+  g
+
 (** The full §4.4 pipeline.  Returns the check mode and the optimised
     formula whose BDD is to be tested for validity/satisfiability.
     When telemetry is enabled, records which rules fired: the leading
-    quantifiers dropped (§4.1) and whether ∀ push-down (Rule 5)
-    changed the formula. *)
+    quantifiers dropped (§4.1), whether ∀ push-down (Rule 5) changed
+    the formula, and how many variables the violation form of a
+    validity matrix projects ({!violation}). *)
 let optimize f =
   let module T = Fcv_util.Telemetry in
   let prefix, matrix = prenex f in
@@ -195,10 +312,14 @@ let optimize f =
     if dropped > 0 then
       T.incr ~by:dropped (T.counter "rewrite.leading_quantifiers_eliminated");
     if g' <> g then T.incr (T.counter "rewrite.forall_pushdown");
+    let projected =
+      match check with Check_valid -> snd (violation_counted g') | Check_satisfiable -> 0
+    in
     T.event "rewrite"
       [
         ("leading_dropped", T.Int dropped);
         ("forall_pushdown", T.Bool (g' <> g));
+        ("projected_vars", T.Int projected);
         ( "check",
           T.String (match check with Check_valid -> "valid" | Check_satisfiable -> "satisfiable")
         );

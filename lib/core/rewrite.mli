@@ -1,7 +1,9 @@
 (** The paper's query re-write rules (§4), applied in the prioritised
     order of §4.4: prenex normal form (subsuming the ∃/∨ and ∀/∧
     pull-ups of Eqs. 3–4), leading-quantifier elimination (§4.1), and
-    ∀ push-down across conjunctions (Rule 5).  The equi-join rename
+    ∀ push-down across conjunctions (Rule 5).  The violation polarity
+    compiles {!violation}, which reapplies Rule 5 after negating the
+    matrix and projects single-atom variables.  The equi-join rename
     (§4.2) lives in {!Compile}. *)
 
 type check = Check_valid | Check_satisfiable
@@ -36,8 +38,32 @@ val push_forall : Formula.t -> Formula.t
 (** Rule 5: ∀x(φ₁ ∧ φ₂) ⇝ ∀xφ₁ ∧ ∀xφ₂, recursively; vacuous
     quantifiers are dropped (domains are non-empty). *)
 
+val violation : Formula.t -> Formula.t
+(** The formula the violation polarity compiles for a validity matrix
+    [f]:
+    + the NNF of ¬[f];
+    + ∀ pushed down across its conjunctions ({!push_forall});
+    + each bound variable occurring exactly once, in the atom that is
+      its quantifier's whole scope, made a wildcard:
+      ∃x̄. R(…x̄…) ⇝ R(…_…) and ∀x̄. ¬R(…x̄…) ⇝ ¬R(…_…);
+    + each free variable occurring exactly once in the whole formula,
+      in a positive atom that is a top-level conjunct, made a
+      wildcard.
+
+    Steps 3 and 4 rely on the index invariant that an entry BDD holds
+    only valid codes, so bit-level ∃ over an attribute block is the
+    active-domain ∃.  The result is equivalent to ¬[f] up to the
+    ∃-closure of the free variables: [∃x̄. violation f ≡ ∃x̄. ¬f],
+    which is what the satisfiability verdict tests.  With telemetry
+    enabled, adds the number of variables made wildcards to the
+    [rewrite.projected_vars] counter. *)
+
 val optimize : Formula.t -> check * Formula.t
-(** The full §4.4 pipeline. *)
+(** The full §4.4 pipeline.  With telemetry enabled, its [rewrite]
+    event records the leading quantifiers dropped, whether ∀ push-down
+    fired, the check mode, and [projected_vars]: how many variables
+    {!violation} makes wildcards in the returned matrix (0 for a
+    satisfiability check). *)
 
 val no_rewrite : Formula.t -> check * Formula.t
 (** Identity pipeline (ablation): validity of the unchanged closed

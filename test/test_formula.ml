@@ -109,6 +109,51 @@ let test_push_forall () =
   | F.And (F.Forall _, F.Atom _) -> ()
   | g -> Alcotest.fail ("vacuous drop failed: " ^ F.to_string g)
 
+(* The violation form of audit's orders → customers dependency
+   compiles on projections: c joins the two atoms, every other
+   variable becomes a wildcard. *)
+let test_violation_projects () =
+  let f =
+    parse
+      "forall o, c . orders(o, c, _, _, _) -> (exists ci, st, sg . customers(c, ci, st, sg))"
+  in
+  let mode, g = RW.optimize f in
+  check "validity mode" true (mode = RW.Check_valid);
+  match RW.violation g with
+  | F.And
+      ( F.Atom ("orders", [ F.Wildcard; F.Var c; F.Wildcard; F.Wildcard; F.Wildcard ]),
+        F.Not (F.Atom ("customers", [ F.Var c'; F.Wildcard; F.Wildcard; F.Wildcard ])) ) ->
+    check "the join variable stays shared" true (c = c')
+  | v -> Alcotest.fail ("unexpected violation form: " ^ F.to_string v)
+
+(* Matrices whose violation form must project nothing: it is then the
+   NNF of the negation with ∀ pushed down, unchanged. *)
+let test_violation_leaves () =
+  List.iter
+    (fun src ->
+      let m = parse src in
+      let plain = RW.push_forall (RW.nnf (F.Not m)) in
+      let v = RW.violation m in
+      if v <> plain then
+        Alcotest.failf "%s: projected to %s, expected %s" src (F.to_string v) (F.to_string plain))
+    [
+      (* repeated in its atom, free and bound *)
+      "not q(x, x)";
+      "exists y . q(y, y)";
+      (* shared with =, in, or another atom *)
+      "not (r(x, y) and x = y)";
+      "not (r(x, y) and x in {1, 2} and y in {3})";
+      "not (r(x, y) and s(y, x))";
+      "forall y . not (r(1, y) and y = 2)";
+      "forall y . not (r(1, y) and t(y))";
+      (* under a positive ∀ or a negated ∃ *)
+      "exists y . not r(1, y)";
+      "forall y . r(1, y)";
+      (* a free variable in a negated atom, or under a disjunction *)
+      "r(x, 1)";
+      "not (r(x, 1) or t(2))";
+    ]
+
 let test_typing_errors () =
   let db = Gen.random_db 1 in
   let fails f = match Core.Typing.infer db f with exception Core.Typing.Type_error _ -> true | _ -> false in
@@ -177,6 +222,35 @@ let prop_prenex_preserves =
 let prop_push_forall_preserves =
   preservation_test "forall push-down preserves semantics" (fun f -> RW.push_forall (RW.nnf f))
 
+(* Steps 1–3 of the violation form on a closed formula (step 4 needs
+   free variables): ¬f, with ∀ pushed down and single-atom variables
+   projected, judges exactly like ¬f. *)
+let prop_violation_negates =
+  QCheck.Test.make ~count:1000 ~name:"violation form of a closed formula is its negation"
+    Gen.formula_arbitrary (fun f ->
+      let f = Gen.close f in
+      List.for_all2
+        (fun a b -> match (a, b) with Some x, Some y -> x = not y | _ -> true)
+        (naive_on_all f)
+        (naive_on_all (RW.violation f)))
+
+(* All four steps, as the checker uses them: a validity matrix g holds
+   for every binding of its free variables iff its violation form is
+   unsatisfiable. *)
+let prop_violation_decides =
+  QCheck.Test.make ~count:1000 ~name:"violation form decides the validity check"
+    Gen.formula_arbitrary (fun f ->
+      let f = Gen.close f in
+      match RW.optimize f with
+      | RW.Check_satisfiable, _ -> true
+      | RW.Check_valid, g ->
+        let v = RW.violation g in
+        let free = F.Sset.elements (F.free_vars v) in
+        let witness = if free = [] then v else F.Exists (free, v) in
+        List.for_all2
+          (fun a b -> match (a, b) with Some x, Some y -> x = not y | _ -> true)
+          (naive_on_all f) (naive_on_all witness))
+
 let prop_optimize_consistent =
   (* the optimised (mode, formula) pair judges exactly like the original:
      Check_valid: naive(∀free. g); Check_satisfiable: naive(∃free. g) *)
@@ -205,12 +279,17 @@ let suite =
     Alcotest.test_case "prenex shape" `Quick test_prenex_shape;
     Alcotest.test_case "leading-quantifier elimination" `Quick test_eliminate_leading;
     Alcotest.test_case "forall push-down" `Quick test_push_forall;
+    Alcotest.test_case "violation form projects single-atom variables" `Quick
+      test_violation_projects;
+    Alcotest.test_case "violation form leaves shared variables" `Quick test_violation_leaves;
     Alcotest.test_case "typing errors" `Quick test_typing_errors;
     Alcotest.test_case "rename apart" `Quick test_rename_apart;
     Alcotest.test_case "shadowing semantics" `Quick test_shadowing_semantics;
     QCheck_alcotest.to_alcotest prop_nnf_preserves;
     QCheck_alcotest.to_alcotest prop_prenex_preserves;
     QCheck_alcotest.to_alcotest prop_push_forall_preserves;
+    QCheck_alcotest.to_alcotest prop_violation_negates;
+    QCheck_alcotest.to_alcotest prop_violation_decides;
     QCheck_alcotest.to_alcotest prop_optimize_consistent;
   ]
 

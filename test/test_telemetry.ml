@@ -153,8 +153,10 @@ let test_disabled_is_noop () =
 (* -- budget-fallback regression ------------------------------------------------ *)
 
 (* A non-FD-shaped constraint, so the checker takes the generic
-   compile path. *)
-let fallback_constraint = "forall x, y . r(x, y) -> (exists c . s(y, c))"
+   compile path.  Its ∃c scopes a conjunction, so the violation form
+   projects nothing and the compile still needs more nodes than the
+   budget's headroom below. *)
+let fallback_constraint = "forall x, y . r(x, y) -> (exists c . s(y, c) and t(x))"
 
 (* FD-shaped specs over a four-column table, so the FD fast path's
    projection allocates nodes and is what trips the budget. *)
@@ -314,6 +316,27 @@ let test_force_sql_costs_nothing_extra () =
           (fun ev -> T.Json.member "kind" ev = Some (T.String "bdd.budget_trip"))
           (T.events ())))
 
+(* The violation form of the retail audit's orders → customers
+   dependency projects four of its five variables (o, ci, st, sg; c
+   joins the atoms): the counter and the rewrite event both say so. *)
+let test_projected_vars () =
+  let gen =
+    Fcv_datagen.Retail.generate (Fcv_util.Rng.create 3)
+      { Fcv_datagen.Retail.default with customers = 30; products = 10; orders = 60 }
+  in
+  let f =
+    Core.Fol_parser.of_string
+      (List.assoc "orders reference existing customers" Fcv_datagen.Retail.audit_constraints)
+  in
+  let index = Core.Index.create gen.Fcv_datagen.Retail.db in
+  Core.Checker.ensure_indices index [ f ];
+  T.reset ();
+  let r = Core.Checker.check index f in
+  check "checked on BDD" true (r.Core.Checker.method_used = Core.Checker.Bdd);
+  check_int "rewrite.projected_vars" 4 (T.counter_value (T.counter "rewrite.projected_vars"));
+  check "rewrite event carries projected_vars" true
+    (List.map (T.Json.member "projected_vars") (events_of "rewrite") = [ Some (T.Int 4) ])
+
 (* The planner's cache telemetry: every plan outcome ticks exactly one
    of planner.{hit,miss,probe,replans}, in step with Planner.stats. *)
 let test_planner_counters () =
@@ -371,6 +394,8 @@ let suite =
       (with_telemetry test_force_sql_costs_nothing_extra);
     Alcotest.test_case "planner cache counters" `Quick
       (with_telemetry test_planner_counters);
+    Alcotest.test_case "violation form counts projected variables" `Quick
+      (with_telemetry test_projected_vars);
   ]
 
 let () = Registry.register "telemetry" suite
