@@ -89,14 +89,17 @@ let home ctx x =
     Hashtbl.replace ctx.vars x b;
     b
 
-(* Restrict a block of [f] to a constant code (bits disappear). *)
-let restrict_code m f block code =
-  O.restrict m f
-    (List.init (Fd.width block) (fun j ->
-         (Fd.level_of_bit block j, Fcv_util.Bits.test code j)))
-
 (* -- atoms ---------------------------------------------------------------- *)
 
+(* An atom compiles in two steps.  Its constants and wildcards are
+   the covering entry's projection: the root restricted to the
+   constants' codes, with the wildcard blocks ∃-projected out (entry
+   BDDs contain only valid codes, so unguarded bit-level ∃ is exact).
+   The index caches that per root ({!Index.projection}), so a check
+   over an unchanged entry neither restricts nor projects.  What
+   depends on the check stays here: a repeated variable is equated
+   with its first occurrence and projected, and every variable's
+   block is renamed onto its home. *)
 let compile_atom ctx rel terms =
   let m = mgr ctx in
   let table =
@@ -112,48 +115,47 @@ let compile_atom ctx rel terms =
     | Some e -> e
     | None -> fail "no logical index on %s covers the atom's attributes" rel
   in
-  (* map schema position -> index within entry.attrs *)
-  let slot_of_pos p =
-    let rec go i = if entry.Index.attrs.(i) = p then i else go (i + 1) in
-    go 0
+  let slot_of_pos = Index.slot_of entry in
+  (* a constant outside the entry's domain matches no row *)
+  let code_of pos value =
+    match R.Dict.code (R.Table.dict table pos) value with
+    | Some code when code < entry.Index.blocks.(slot_of_pos pos).Fd.dom_size -> Some code
+    | _ -> None
   in
-  let bdd = ref entry.Index.root in
-  (* duplicate variables within the atom: keep the first occurrence,
-     equate and project the rest *)
-  let seen_var : (string, int) Hashtbl.t = Hashtbl.create 4 in
-  let to_quantify = ref [] in
-  let renames = ref [] in
-  (* constants first: restriction shrinks the BDD before anything else *)
+  let fix = ref [] and drop = ref [] and absent = ref false in
   Array.iteri
     (fun pos t ->
       match t with
       | Const value -> (
-        let slot = slot_of_pos pos in
-        let dict = R.Table.dict table pos in
-        match R.Dict.code dict value with
-        | Some code when code < entry.Index.blocks.(slot).Fd.dom_size ->
-          bdd := restrict_code m !bdd entry.Index.blocks.(slot) code
-        | _ -> bdd := M.zero)
-      | Var _ | Wildcard -> ())
+        match code_of pos value with
+        | Some code -> fix := (pos, code) :: !fix
+        | None -> absent := true)
+      | Wildcard -> if Array.exists (( = ) pos) entry.Index.attrs then drop := pos :: !drop
+      | Var _ -> ())
     terms;
-  if !bdd <> M.zero then begin
+  let projected =
+    if !absent then M.zero else Index.projection ctx.index entry ~fix:!fix ~drop:!drop
+  in
+  if projected = M.zero then M.zero
+  else begin
+    let bdd = ref projected in
+    (* duplicate variables within the atom: keep the first occurrence,
+       equate and project the rest *)
+    let seen_var : (string, int) Hashtbl.t = Hashtbl.create 4 in
+    let duplicates = ref [] in
+    let renames = ref [] in
     Array.iteri
       (fun pos t ->
         match t with
-        | Const _ -> ()
-        | Wildcard ->
-          (* present in the entry? project it out (entry BDDs contain
-             only valid codes, so unguarded bit-level ∃ is exact) *)
-          if Array.exists (( = ) pos) entry.Index.attrs then
-            to_quantify := entry.Index.blocks.(slot_of_pos pos) :: !to_quantify
+        | Const _ | Wildcard -> ()
         | Var x -> (
           let block = entry.Index.blocks.(slot_of_pos pos) in
           match Hashtbl.find_opt seen_var x with
-          | Some _first_slot ->
+          | Some first_slot ->
             (* R(x, x): equate with the first occurrence, then project *)
-            let first_block = entry.Index.blocks.(Hashtbl.find seen_var x) in
+            let first_block = entry.Index.blocks.(first_slot) in
             bdd := O.band m !bdd (Fd.eq_blocks m first_block block);
-            to_quantify := block :: !to_quantify
+            duplicates := block :: !duplicates
           | None ->
             Hashtbl.replace seen_var x (slot_of_pos pos);
             (match Hashtbl.find_opt ctx.vars x with
@@ -174,10 +176,7 @@ let compile_atom ctx rel terms =
                 Hashtbl.replace ctx.vars x block
               end)))
       terms;
-    (* project the don't-care / duplicate blocks *)
-    let levels =
-      List.concat_map (fun b -> Array.to_list b.Fd.levels) !to_quantify
-    in
+    let levels = List.concat_map (fun b -> Array.to_list b.Fd.levels) !duplicates in
     if levels <> [] then bdd := O.exists m levels !bdd;
     (* simultaneous rename of remaining occurrences onto home blocks.
        Homes are at least as wide as any occurrence (see
@@ -195,9 +194,9 @@ let compile_atom ctx rel terms =
         ([], []) !renames
     in
     if pairs <> [] then bdd := O.replace m !bdd pairs;
-    if high <> [] then bdd := O.band m !bdd (Fd.cube m high)
-  end;
-  !bdd
+    if high <> [] then bdd := O.band m !bdd (Fd.cube m high);
+    !bdd
+  end
 
 (* -- quantifiers ----------------------------------------------------------- *)
 
@@ -245,10 +244,7 @@ let plan_homes ctx f =
   let sorted = List.sort (fun (a, _, _) (b, _, _) -> compare b a) sized in
   List.iter
     (fun (_, entry, terms) ->
-      let slot_of_pos p =
-        let rec go i = if entry.Index.attrs.(i) = p then i else go (i + 1) in
-        go 0
-      in
+      let slot_of_pos = Index.slot_of entry in
       List.iteri
         (fun pos t ->
           match t with

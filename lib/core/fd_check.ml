@@ -7,8 +7,10 @@
 
       |π_{lhs ∪ rhs}(R)| = |π_{lhs}(R)|
 
-    and both projections are single [exists] passes over the entry's
-    BDD followed by O(|BDD|) model counts — no self-join, no renaming.
+    and both projections are [exists] passes over the entry's BDD
+    (π_{lhs} a further pass over π_{lhs ∪ rhs}), computed once per
+    entry root by {!Index.projection}, followed by O(|BDD|) model
+    counts — no self-join, no renaming.
     The SQL counterpart is the paper's GROUP BY query
     (SELECT lhs FROM R GROUP BY lhs HAVING COUNT(DISTINCT rhs) > 1). *)
 
@@ -25,13 +27,9 @@ let sorted_levels blocks = Array.of_list (List.sort compare (levels_of blocks))
    manager variable must be out of [root]'s support). *)
 let count_over m blocks root = Sat.count_over m root ~levels:(sorted_levels blocks)
 
-(* Project the given blocks out of [root]. *)
-let drop m blocks root =
-  match levels_of blocks with [] -> root | levels -> O.exists m levels root
-
 (* A covering entry of [table_name] for the attribute names [attrs]:
    the entry, the attributes' positions and blocks (in [attrs] order),
-   and the entry's other blocks.  [who] names the caller in the
+   and the entry's other positions.  [who] names the caller in the
    error.
    @raise Invalid_argument if no entry covers [attrs]. *)
 let resolve ~who index ~table_name attrs =
@@ -42,41 +40,33 @@ let resolve ~who index ~table_name attrs =
     | Some e -> e
     | None -> invalid_arg (who ^ ": no covering index")
   in
-  let slot p =
-    let rec go i = if entry.Index.attrs.(i) = p then i else go (i + 1) in
-    go 0
-  in
-  let others =
-    Array.to_list entry.Index.blocks
-    |> List.filteri (fun i _ -> not (List.mem entry.Index.attrs.(i) pos))
-  in
-  (entry, pos, List.map (fun p -> entry.Index.blocks.(slot p)) pos, others)
+  let others = List.filter (fun p -> not (List.mem p pos)) (Array.to_list entry.Index.attrs) in
+  (entry, pos, List.map (fun p -> entry.Index.blocks.(Index.slot_of entry p)) pos, others)
 
 (* Split a [resolve]d list at the boundary between the first [n]
    attributes and the rest. *)
 let split_at n l = (List.filteri (fun i _ -> i < n) l, List.filteri (fun i _ -> i >= n) l)
 
 (* An FD's covering entry projected onto lhs ∪ rhs: the lhs positions,
-   the lhs and rhs blocks, and π_{lhs ∪ rhs} of the entry. *)
+   the lhs and rhs blocks, π_{lhs ∪ rhs} of the entry, and π_{lhs} on
+   demand (the index derives it from the cached π_{lhs ∪ rhs}). *)
 let fd_projection ~who index ~table_name ~lhs ~rhs =
   let entry, pos, blocks, others = resolve ~who index ~table_name (lhs @ rhs) in
   let n = List.length lhs in
+  let lhs_pos, rhs_pos = split_at n pos in
   let lhs_blocks, rhs_blocks = split_at n blocks in
-  let proj_lr = drop (Index.mgr index) others entry.Index.root in
-  (fst (split_at n pos), lhs_blocks, rhs_blocks, proj_lr)
+  let proj_l () = Index.projection index entry ~fix:[] ~drop:(others @ rhs_pos) in
+  (lhs_pos, lhs_blocks, rhs_blocks, Index.projection index entry ~fix:[] ~drop:others, proj_l)
 
 (** Does [lhs → rhs] (attribute names) hold according to the logical
     index?  Picks a covering entry of [table_name].
     @raise Invalid_argument if no entry covers lhs ∪ rhs. *)
 let fd_holds index ~table_name ~lhs ~rhs =
-  let _, lhs_blocks, rhs_blocks, proj_lr =
+  let _, lhs_blocks, rhs_blocks, proj_lr, proj_l =
     fd_projection ~who:"Fd_check.fd_holds" index ~table_name ~lhs ~rhs
   in
   let m = Index.mgr index in
-  (* π_{lhs ∪ rhs} then π_{lhs}: the second is a further projection of
-     the first, sharing work *)
-  let proj_l = drop m rhs_blocks proj_lr in
-  count_over m (lhs_blocks @ rhs_blocks) proj_lr = count_over m lhs_blocks proj_l
+  count_over m (lhs_blocks @ rhs_blocks) proj_lr = count_over m lhs_blocks (proj_l ())
 
 (** Exact [(violating, total)] ordered-pair counts behind a soft FD:
     over the bindings of  ∀ x̄, r1, r2. R(..) ∧ R(..) → r1 = r2  (pairs
@@ -92,7 +82,7 @@ let fd_holds index ~table_name ~lhs ~rhs =
     @raise Invalid_argument if no entry covers lhs ∪ rhs. *)
 let fd_soft_counts index ~table_name ~lhs ~rhs =
   let module N = Fcv_bdd.Nat in
-  let _, lhs_blocks, rhs_blocks, proj_lr =
+  let _, lhs_blocks, rhs_blocks, proj_lr, proj_l =
     fd_projection ~who:"Fd_check.fd_soft_counts" index ~table_name ~lhs ~rhs
   in
   let m = Index.mgr index in
@@ -257,9 +247,8 @@ let fd_soft_counts index ~table_name ~lhs ~rhs =
   end
   else begin
     (* interleaved order: restrict-and-count per lhs group *)
-    let proj_l = drop m rhs_blocks proj_lr in
     let total = ref N.zero and agreeing = ref N.zero in
-    Sat.fold_cubes m proj_l ~init:() ~f:(fun () cube ->
+    Sat.fold_cubes m (proj_l ()) ~init:() ~f:(fun () cube ->
         Sat.iter_expanded ~levels:lhs_levels cube ~f:(fun values ->
             let fix =
               List.mapi (fun i l -> (l, values.(i))) (Array.to_list lhs_levels)
@@ -280,14 +269,11 @@ let fd_soft_counts index ~table_name ~lhs ~rhs =
 let mvd_holds index ~table_name ~lhs ~mid =
   if List.exists (fun a -> List.mem a lhs) mid then
     invalid_arg "Fd_check.mvd_holds: lhs and mid overlap";
-  let entry, _, blocks, rest_blocks =
-    resolve ~who:"Fd_check.mvd_holds" index ~table_name (lhs @ mid)
-  in
-  let mid_blocks = snd (split_at (List.length lhs) blocks) in
-  let m = Index.mgr index in
-  let proj_mid = drop m rest_blocks entry.Index.root in
-  let proj_rest = drop m mid_blocks entry.Index.root in
-  O.band m proj_mid proj_rest = entry.Index.root
+  let entry, pos, _, rest = resolve ~who:"Fd_check.mvd_holds" index ~table_name (lhs @ mid) in
+  let mid_pos = snd (split_at (List.length lhs) pos) in
+  let proj_mid = Index.projection index entry ~fix:[] ~drop:rest in
+  let proj_rest = Index.projection index entry ~fix:[] ~drop:mid_pos in
+  O.band (Index.mgr index) proj_mid proj_rest = entry.Index.root
 
 (** Recognise a functional-dependency-shaped constraint
 
@@ -371,8 +357,8 @@ let ind_holds index ~r ~attrs_r ~s ~attrs_s =
         invalid_arg "Fd_check.ind_holds: attributes over different domains")
     keep_r keep_s;
   let m = Index.mgr index in
-  let proj_r = drop m others_r entry_r.Index.root in
-  let proj_s = drop m others_s entry_s.Index.root in
+  let proj_r = Index.projection index entry_r ~fix:[] ~drop:others_r in
+  let proj_s = Index.projection index entry_s ~fix:[] ~drop:others_s in
   (* rename S's projection onto R's blocks, then π_R \ π_S must be empty *)
   let pairs =
     List.concat (List.map2 (fun br bs ->
@@ -387,12 +373,12 @@ let ind_holds index ~r ~attrs_r ~s ~attrs_s =
     attribute. *)
 let violating_lhs ?(limit = max_int) index ~table_name ~lhs ~rhs =
   let table = R.Database.table index.Index.db table_name in
-  let lhs_pos, lhs_blocks, rhs_blocks, proj_lr =
+  let lhs_pos, lhs_blocks, rhs_blocks, proj_lr, proj_l =
     fd_projection ~who:"Fd_check.violating_lhs" index ~table_name ~lhs ~rhs
   in
   let m = Index.mgr index in
   (* walk the lhs values present and count their rhs co-domain *)
-  let proj_l = drop m rhs_blocks proj_lr in
+  let proj_l = proj_l () in
   let results = ref [] in
   let count = ref 0 in
   let lhs_levels = sorted_levels lhs_blocks in

@@ -1,7 +1,8 @@
 (** Functional-dependency checking straight on a logical index — the
     paper's Fig. 5(b) technique: lhs → rhs holds iff
-    |π(lhs∪rhs)| = |π(lhs)|, two projections plus two O(|BDD|) model
-    counts; no self-join, no renaming. *)
+    |π(lhs∪rhs)| = |π(lhs)|, two projections (cached per entry root by
+    {!Index.projection}) plus two O(|BDD|) model counts; no self-join,
+    no renaming. *)
 
 val fd_holds : Index.t -> table_name:string -> lhs:string list -> rhs:string list -> bool
 (** @raise Invalid_argument when no index covers lhs ∪ rhs. *)

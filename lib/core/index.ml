@@ -13,6 +13,14 @@ module M = Fcv_bdd.Manager
 module O = Fcv_bdd.Ops
 module Fd = Fcv_bdd.Fd
 
+(* A projection of an entry cached by {!projection}: the root it was
+   computed at, its BDD, and whether a check has read it since the
+   last {!compact}. *)
+type projection = { at : int; bdd : int; mutable read : bool }
+
+(* sorted fixed (position, code) pairs, sorted dropped positions *)
+type projection_key = (int * int) list * int list
+
 type entry = {
   table : R.Table.t;
   attrs : int array;  (** indexed schema positions, ascending *)
@@ -28,6 +36,7 @@ type entry = {
   mutable size : int;
   mutable rows_at : int;  (** the root [rows] was counted at; -1 = not counted *)
   mutable rows : float;
+  projections : (projection_key, projection) Hashtbl.t;
 }
 
 type t = {
@@ -167,6 +176,7 @@ let add t ~table_name ?attrs ~strategy () =
       size = 0;
       rows_at = -1;
       rows = 0.;
+      projections = Hashtbl.create 8;
     }
   in
   t.entries <- entry :: t.entries;
@@ -213,6 +223,78 @@ let entry_rows t entry =
     entry.rows_at <- entry.root
   end;
   entry.rows
+
+(* -- projections ------------------------------------------------------------ *)
+
+(** The slot of schema position [p] in [entry.attrs]. *)
+let slot_of entry p =
+  let rec go i =
+    if i = Array.length entry.attrs then
+      invalid_arg (Printf.sprintf "Index.slot_of: position %d is not indexed" p)
+    else if entry.attrs.(i) = p then i
+    else go (i + 1)
+  in
+  go 0
+
+(** The entry's root restricted to the codes at the [fix] positions,
+    with the [drop] positions' blocks ∃-projected out (positions are
+    schema positions of indexed attributes).  Cached on the entry with
+    the root it was computed at: a miss starts from the cached
+    projection of the same root with the largest fixed and dropped
+    subsets, restricts the rest of [fix], then projects the rest of
+    [drop].  Nothing is cached when the node budget trips. *)
+let projection t entry ~fix ~drop =
+  let fix = List.sort_uniq compare fix and drop = List.sort_uniq compare drop in
+  List.iter
+    (fun (p, code) ->
+      let b = entry.blocks.(slot_of entry p) in
+      if code < 0 || code >= b.Fd.dom_size || List.mem p drop then
+        invalid_arg "Index.projection: bad fixed position or code")
+    fix;
+  if fix = [] && drop = [] then entry.root
+  else
+    let module T = Fcv_util.Telemetry in
+    let key = (fix, drop) in
+    let root = entry.root in
+    match Hashtbl.find_opt entry.projections key with
+    | Some p when p.at = root ->
+      p.read <- true;
+      if T.enabled () then T.incr (T.counter "index.projection_hits");
+      p.bdd
+    | _ ->
+      let base_fix, base_drop, base =
+        Hashtbl.fold
+          (fun (f, d) p ((bf, bd, _) as best) ->
+            if
+              p.at = root
+              && List.length f + List.length d > List.length bf + List.length bd
+              && List.for_all (fun x -> List.mem x fix) f
+              && List.for_all (fun p -> List.mem p drop) d
+            then (f, d, p.bdd)
+            else best)
+          entry.projections ([], [], root)
+      in
+      let block p = entry.blocks.(slot_of entry p) in
+      let literals =
+        List.concat_map
+          (fun ((p, code) as x) ->
+            if List.mem x base_fix then []
+            else
+              let b = block p in
+              List.init (Fd.width b) (fun j -> (Fd.level_of_bit b j, Fcv_util.Bits.test code j)))
+          fix
+      in
+      let levels =
+        List.concat_map
+          (fun p -> if List.mem p base_drop then [] else Array.to_list (block p).Fd.levels)
+          drop
+      in
+      let m = t.mgr in
+      let bdd = if literals = [] then base else O.restrict m base literals in
+      let bdd = if levels = [] then bdd else O.exists m levels bdd in
+      Hashtbl.replace entry.projections key { at = root; bdd; read = true };
+      if T.enabled () then T.incr (T.counter "index.projection_builds");
+      bdd
 
 let minterm t entry sub =
   Fd.tuple_minterm t.mgr (List.init (Array.length sub) (fun i -> (entry.blocks.(i), sub.(i))))
@@ -320,7 +402,25 @@ let compact t =
   let before = M.size t.mgr in
   t.peak_nodes <- max t.peak_nodes (M.stats t.mgr).M.peak_nodes;
   let entries = t.entries in
-  let roots = M.compact t.mgr (List.map (fun e -> e.root) entries) in
+  (* ids are reused after compaction: keep only the projections a
+     check read since the last one, at the entry's current root *)
+  List.iter
+    (fun e ->
+      Hashtbl.filter_map_inplace
+        (fun _ p -> if p.read && p.at = e.root then Some p else None)
+        e.projections)
+    entries;
+  let kept =
+    List.concat_map
+      (fun e -> Hashtbl.fold (fun key p acc -> (e, key, p.bdd) :: acc) e.projections [])
+      entries
+  in
+  let roots =
+    M.compact t.mgr (List.map (fun e -> e.root) entries @ List.map (fun (_, _, b) -> b) kept)
+  in
+  let n = List.length entries in
+  let entry_roots = List.filteri (fun i _ -> i < n) roots in
+  let projected = List.filteri (fun i _ -> i >= n) roots in
   List.iter2
     (fun e root ->
       (* same BDD, new id: a count taken at the old root still holds *)
@@ -328,7 +428,10 @@ let compact t =
       e.size_at <- carry e.size_at;
       e.rows_at <- carry e.rows_at;
       e.root <- root)
-    entries roots;
+    entries entry_roots;
+  List.iter2
+    (fun (e, key, _) bdd -> Hashtbl.replace e.projections key { at = e.root; bdd; read = false })
+    kept projected;
   let reclaimed = before - M.size t.mgr in
   t.gc_runs <- t.gc_runs + 1;
   t.gc_reclaimed <- t.gc_reclaimed + reclaimed;
@@ -351,11 +454,20 @@ let delete t ~table_name row =
 
 (* -- memory accounting ----------------------------------------------------- *)
 
-(** Nodes reachable from the entries' live roots (terminals included)
-    — what {!compact} would keep. *)
+(** Nodes reachable from the entries' live roots and from the
+    projections cached at those roots (terminals included) — what
+    {!compact} would keep if every cached projection were read before
+    it. *)
 let live_nodes t =
   if t.entries = [] then 2
-  else M.node_count_shared t.mgr (List.map (fun e -> e.root) t.entries)
+  else
+    M.node_count_shared t.mgr
+      (List.concat_map
+         (fun e ->
+           Hashtbl.fold
+             (fun _ p acc -> if p.at = e.root then p.bdd :: acc else acc)
+             e.projections [ e.root ])
+         t.entries)
 
 (* The dead ratio given [live_nodes t], so a caller that reports both
    walks the live store once. *)

@@ -2,6 +2,17 @@
     characteristic-function BDD per indexed table (or projection),
     plus the §5.2 incremental maintenance. *)
 
+type projection = {
+  at : int;  (** the root the projection was computed at *)
+  bdd : int;
+  mutable read : bool;  (** read by a check since the last {!compact} *)
+}
+(** A projection of an entry cached by {!val-projection}. *)
+
+type projection_key = (int * int) list * int list
+(** Sorted fixed [(position, code)] pairs and sorted dropped
+    positions (schema positions of indexed attributes). *)
+
 type entry = {
   table : Fcv_relation.Table.t;
   attrs : int array;  (** indexed schema positions, ascending *)
@@ -19,6 +30,9 @@ type entry = {
   mutable size : int;
   mutable rows_at : int;  (** the root [rows] was counted at; -1 = not counted *)
   mutable rows : float;
+  projections : (projection_key, projection) Hashtbl.t;
+      (** projections cached per root; read them through
+          {!val-projection} *)
 }
 
 type t = {
@@ -85,17 +99,41 @@ val find_covering : t -> table_name:string -> needed:int list -> entry option
 val entry_mem : t -> entry -> int array -> bool
 (** Is this projected row in the index? *)
 
-(** {2 Entry statistics}
+val slot_of : entry -> int -> int
+(** The slot of a schema position in [entry.attrs] (and so in
+    [entry.blocks]).
+    @raise Invalid_argument if the entry does not index it. *)
 
-    The index is the one owner of its entries' statistics.  Each is a
-    walk of the whole entry BDD, so an entry caches it with the root
-    it was counted at and returns the cached value while [entry.root]
-    is unchanged; the first read after the root changes (an
-    {!insert} or {!delete} that changes the indexed set) recounts
-    once.  {!compact} renumbers the store but keeps every entry's
-    BDD, so it carries the counts over to the remapped roots.  Entries
-    built by {!add}, by [Index_io] and by a level recycle start with
-    nothing counted. *)
+(** {2 Entry statistics and projections}
+
+    The index is the one owner of its entries' statistics and
+    projections.  Each statistic is a walk of the whole entry BDD, and
+    each projection a restrict and an ∃ over it, so an entry caches
+    them with the root they were computed at and returns the cached
+    value while [entry.root] is unchanged; the first read after the
+    root changes (an {!insert} or {!delete} that changes the indexed
+    set) recomputes once.
+
+    A projection is cached under its {!projection_key}: the sorted
+    fixed [(position, code)] pairs and the sorted dropped positions.
+    Its BDD uses only the entry's own levels.  A miss starts from the
+    cached projection of the same root whose fixed and dropped sets
+    are the largest subsets of the requested ones (so π{_ lhs} comes
+    from π{_ lhs ∪ rhs}), restricts the remaining fixed codes, then
+    projects the remaining dropped blocks.  A
+    {!Fcv_bdd.Manager.Node_limit} raised inside leaves the cache as it
+    was.
+
+    {!compact} renumbers the store but keeps every entry's BDD, so it
+    carries the counts over to the remapped roots.  It keeps and
+    remaps the projections a check read since the previous
+    compaction, and drops the ones computed at a stale root (ids are
+    reused after compaction) or not read since, so the cache holds
+    only the keys checks read between two compactions.  Entries built
+    by {!add} (and so by {!rebuild_entry}), by [Index_io] (and so by
+    a level recycle and replica hydration) start with nothing
+    counted and nothing cached; [Index_io.save] writes entry roots
+    only. *)
 
 val entry_size : t -> entry -> int
 (** Nodes reachable from the entry's root, terminals included. *)
@@ -103,6 +141,18 @@ val entry_size : t -> entry -> int
 val entry_rows : t -> entry -> float
 (** Distinct indexed rows: the root's sat-count over the entry's own
     levels. *)
+
+val projection : t -> entry -> fix:(int * int) list -> drop:int list -> int
+(** The entry's root restricted to the code at each [fix] position,
+    with the [drop] positions' blocks ∃-projected out (positions are
+    schema positions of the entry's attributes).  Cached per root, see
+    above; telemetry counts [index.projection_builds] and
+    [index.projection_hits].
+    @raise Invalid_argument on a position the entry does not index, a
+    code outside its block's domain, or a position both fixed and
+    dropped.
+    @raise Fcv_bdd.Manager.Node_limit past the node budget (nothing
+    is cached then). *)
 
 val minterm : t -> entry -> int array -> int
 
@@ -135,19 +185,23 @@ val remove_entries_for : t -> string -> int
 
 val compact : t -> int
 (** Garbage-collect the shared manager down to the entries' live
-    BDDs; returns the number of nodes reclaimed.  Call between
-    checks, never while holding node ids from an ongoing
+    BDDs and the projections read since the previous compaction (see
+    {!val-projection}); returns the number of nodes reclaimed.  Call
+    between checks, never while holding node ids from an ongoing
     compilation. *)
 
 (** {2 Memory accounting} — the inputs to the {!Lifecycle} GC policy. *)
 
 val live_nodes : t -> int
-(** Nodes reachable from the entries' live roots (terminals included):
-    one walk of the live store. *)
+(** Nodes reachable from the entries' live roots and from the
+    projections cached at them (terminals included): one walk of the
+    live store.  Right after {!compact} it equals the manager's
+    size. *)
 
 val dead_ratio : t -> float
-(** Fraction of the manager's nodes unreachable from any live root
-    (one {!live_nodes} walk). *)
+(** Fraction of the manager's nodes unreachable from any live root or
+    cached projection (one {!live_nodes} walk), so the GC policy never
+    counts a projection {!compact} keeps as garbage. *)
 
 val levels_live : t -> int
 (** Levels referenced by entry blocks and pooled scratch blocks. *)

@@ -175,6 +175,7 @@ let load_lines db next_line =
           size = 0;
           rows_at = -1;
           rows = 0.;
+          projections = Hashtbl.create 8;
         }
       in
       index.Index.entries <- entry :: index.Index.entries)

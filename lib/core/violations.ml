@@ -39,9 +39,10 @@ type analyzer = {
     for witness listing, counting, attribution and blame.  [None] when
     ¬C has no leading existential block to witness (e.g. the
     constraint is a bare existential — then a violation has no finite
-    witness, only the fact of emptiness).  Call {!release} when
-    done. *)
-let analyze index constraint_ =
+    witness, only the fact of emptiness).  [width] keeps only the
+    first [width] variables of that block as witnesses; the rest stay
+    in the matrix under an ∃.  Call {!release} when done. *)
+let analyze_over ?width index constraint_ =
   let db = index.Index.db in
   (* the compiler needs shadow-free binders; names without conflicts
      are preserved so witnesses keep their user-facing names *)
@@ -55,6 +56,13 @@ let analyze index constraint_ =
     | f -> ([], f)
   in
   let witnesses, matrix = strip v in
+  let witnesses, matrix =
+    match width with
+    | Some w when List.length witnesses > w ->
+      ( List.filteri (fun i _ -> i < w) witnesses,
+        Exists (List.filteri (fun i _ -> i >= w) witnesses, matrix) )
+    | _ -> (witnesses, matrix)
+  in
   if witnesses = [] then None
   else begin
     let ctx = Compile.make_ctx index typing in
@@ -94,6 +102,8 @@ let analyze index constraint_ =
       }
   end
 
+let analyze index constraint_ = analyze_over index constraint_
+
 let release a = Compile.release a.ctx
 
 (** Exact number of violating bindings, straight off the BDD. *)
@@ -128,15 +138,19 @@ let support_count_exact a ~renamed =
 (** Exact [(violations, total)] binding counts for a threshold
     verdict: models of ¬C's matrix over the witness space, and models
     of the outermost hypothesis over the same space.  [violations ≤
-    total] always (the matrix entails the hypothesis).  [None] when ¬C
-    has no leading existential block to witness — the caller falls
-    back to 0/1 semantics on the plain verdict. *)
+    total] always (the matrix entails the hypothesis).  The witness
+    space is C's own leading ∀-block ({!Formula.strip_foralls}), the
+    space {!Naive_eval.soft_counts} enumerates: a leading ∃ that
+    nnf(¬body) adds stays in the matrix.  [None] when C has no
+    leading ∀-block — the caller falls back to 0/1 semantics on the
+    plain verdict. *)
 let soft_counts index constraint_ =
-  (* [analyze] renames apart internally; renaming here again is
+  (* [analyze_over] renames apart internally; renaming here again is
      deterministic, so the hypothesis's names line up with the
      analyzer's blocks *)
   let renamed = Rewrite.rename_apart constraint_ in
-  match analyze index constraint_ with
+  let width = List.length (fst (Formula.strip_foralls renamed)) in
+  match analyze_over ~width index constraint_ with
   | None -> None
   | Some a ->
     Fun.protect

@@ -25,8 +25,10 @@ val soft_counts : Index.t -> Formula.t -> (Fcv_bdd.Nat.t * Fcv_bdd.Nat.t) option
     of the constraint's outermost hypothesis ([True] — the whole
     guarded space — when the ∀-stripped body is not an implication)
     over the same space.  [violations ≤ total] always.  Arbitrary
-    precision: immune to the [2^53] float rounding of {!count}.
-    [None] when ¬C has no leading existential block to witness. *)
+    precision: immune to the [2^53] float rounding of {!count}.  The
+    space is C's own leading ∀-block ({!Formula.strip_foralls}), as
+    {!Naive_eval.soft_counts} enumerates it; [None] when C has no
+    leading ∀-block (the caller's 0/1 semantics). *)
 
 (** {2 Analysis sessions}
 

@@ -189,6 +189,27 @@ let prop_soft_differential =
         Fcv_bdd.Manager.set_max_nodes mgr (Fcv_bdd.Manager.size mgr + 8);
         agrees (C.check_spec index spec))
 
+(* Soft counts range over the constraint's own leading ∀-block on every
+   route: Auto (BDD) and Force_sql (the naive recount) both read the
+   counts {!Core.Naive_eval.soft_counts} enumerates.  Both shapes below
+   once read different rates on the two routes. *)
+let soft_counts_agree src () =
+  let db = Gen.random_db 3 in
+  let spec = Core.Fol_parser.spec_of_string src in
+  let nv, nt = Core.Naive_eval.soft_counts db spec.F.formula in
+  let index = Core.Index.create db in
+  C.ensure_indices index [ spec.F.formula ];
+  List.iter
+    (fun (label, strategy, method_used) ->
+      let r = C.check_spec ~strategy index spec in
+      check (label ^ ": engine") true (r.C.method_used = method_used);
+      match r.C.rate with
+      | None -> Alcotest.fail (label ^ ": soft check reported no rate")
+      | Some rt ->
+        check (label ^ ": violations = naive") true (N.to_int_opt rt.C.violations = Some nv);
+        check (label ^ ": bindings = naive") true (N.to_int_opt rt.C.total = Some nt))
+    [ ("auto", C.Auto, C.Bdd); ("sql", C.Force_sql, C.Naive) ]
+
 (* -- acceptance: the noise family, bit-for-bit -------------------------- *)
 
 let noise_cfg =
@@ -371,6 +392,13 @@ let suite =
     Alcotest.test_case "holds-prefix parsing" `Quick test_spec_parsing;
     Gen.qcheck_case prop_hard_spec_is_check;
     Gen.qcheck_case prop_soft_differential;
+    (* a negated ∃ is a ∀-block only under negation normal form: no
+       binding space, so 0/1 semantics *)
+    Alcotest.test_case "soft counts: a negated exists has no forall-block" `Quick
+      (soft_counts_agree "holds >= 0.1 . not (exists x . r(x, 1))");
+    (* an ∃ under the ∀-block stays inside the counted matrix *)
+    Alcotest.test_case "soft counts: an exists under the forall-block is not counted" `Quick
+      (soft_counts_agree "holds >= 0.1 . forall x . not (exists y . r(x, y))");
     Alcotest.test_case "noise FD rate bit-for-bit vs naive" `Quick
       test_noise_fd_bit_for_bit;
     Alcotest.test_case "monitor soft flow" `Quick test_monitor_soft_flow;

@@ -1,7 +1,7 @@
 (** Logical-index store tests: registration, covering lookup, the
     §5.2 incremental maintenance (insert/delete) staying consistent
-    with a from-scratch rebuild, and the entry statistics the index
-    counts once per root. *)
+    with a from-scratch rebuild, and the entry statistics and
+    projections the index computes once per root. *)
 
 module R = Fcv_relation
 module I = Core.Index
@@ -141,14 +141,42 @@ let entry_levels (e : I.entry) =
   Array.sort compare levels;
   levels
 
+(* Projection keys over an entry's attributes: each attribute dropped
+   alone, all but the first dropped, the first fixed to a code (alone,
+   and with the last dropped). *)
+let projection_keys (e : I.entry) =
+  let attrs = Array.to_list e.I.attrs in
+  let first = List.hd attrs and last = List.nth attrs (List.length attrs - 1) in
+  let code = 2 mod e.I.blocks.(0).Fcv_bdd.Fd.dom_size in
+  List.map (fun p -> ([], [ p ])) attrs
+  @ [ ([], List.tl attrs); ([ (first, code) ], []) ]
+  @ if last <> first then [ ([ (first, code) ], [ last ]) ] else []
+
+(* The projection computed afresh from the root, restrict then ∃. *)
+let fresh_projection m (e : I.entry) (fix, drop) =
+  let block p = e.I.blocks.(I.slot_of e p) in
+  let literals =
+    List.concat_map
+      (fun (p, code) ->
+        let b = block p in
+        List.init (Fcv_bdd.Fd.width b) (fun j ->
+            (Fcv_bdd.Fd.level_of_bit b j, Fcv_util.Bits.test code j)))
+      fix
+  in
+  let levels = List.concat_map (fun p -> Array.to_list (block p).Fcv_bdd.Fd.levels) drop in
+  Fcv_bdd.Ops.exists m levels (Fcv_bdd.Ops.restrict m e.I.root literals)
+
+let cached (e : I.entry) = Hashtbl.length e.I.projections
+
 (* University data, the four structural constraints plus twelve
    department-area policies, rows moved between rounds (one deleted, a
    recombined one inserted, every value already in its dictionary so
    no entry rebuilds), one compaction per round, then one rebuild on
    domain growth and one level recycle.  At every check point each
-   entry's statistics equal a fresh count of its current root, and the
-   planner's estimate equals its value on a freshly loaded copy of the
-   index, which has nothing counted. *)
+   entry's statistics equal a fresh count of its current root, each
+   of its projections equals a fresh restrict and ∃ of that root, and
+   the planner's estimate equals its value on a freshly loaded copy of
+   the index, which has nothing counted. *)
 let test_entry_stats_follow_root () =
   let rng = Fcv_util.Rng.create 42 in
   let db, _, _, _ =
@@ -179,7 +207,13 @@ let test_entry_stats_follow_root () =
         Alcotest.(check (float 0.))
           (what ^ ": rows")
           (Fcv_bdd.Sat.count_over m e.I.root ~levels:(entry_levels e))
-          (I.entry_rows index e))
+          (I.entry_rows index e);
+        List.iter
+          (fun ((fix, drop) as key) ->
+            check_int (what ^ ": projection")
+              (fresh_projection m e key)
+              (I.projection index e ~fix ~drop))
+          (projection_keys e))
       (I.entries index);
     let copy = Core.Index_io.load_string db (Core.Index_io.save_string index) in
     List.iter
@@ -193,7 +227,8 @@ let test_entry_stats_follow_root () =
   let counted_nothing point =
     List.iter
       (fun e ->
-        check (point ^ ": nothing counted") true (e.I.size_at = -1 && e.I.rows_at = -1))
+        check (point ^ ": nothing counted") true (e.I.size_at = -1 && e.I.rows_at = -1);
+        check_int (point ^ ": nothing cached") 0 (cached e))
       (I.entries index)
   in
   let move round table_name =
@@ -213,13 +248,23 @@ let test_entry_stats_follow_root () =
   for round = 1 to 12 do
     List.iter (move round) [ "takes"; "takes"; "student"; "course" ];
     ignore (I.compact index);
-    (* compaction keeps every BDD: the counts follow the remapped roots *)
+    (* compaction keeps every BDD: the counts and the projections read
+       since the last compaction follow the remapped roots *)
     List.iter
       (fun e ->
         check
           (Printf.sprintf "round %d: counts carried over by compaction" round)
           true
-          (e.I.size_at = e.I.root && e.I.rows_at = e.I.root))
+          (e.I.size_at = e.I.root && e.I.rows_at = e.I.root);
+        List.iter
+          (fun key ->
+            check
+              (Printf.sprintf "round %d: projection carried over by compaction" round)
+              true
+              (match Hashtbl.find_opt e.I.projections key with
+              | Some p -> p.I.at = e.I.root && not p.I.read
+              | None -> false))
+          (projection_keys e))
       (I.entries index);
     expect (Printf.sprintf "round %d, compacted" round)
   done;
@@ -229,10 +274,76 @@ let test_entry_stats_follow_root () =
   let area = R.Dict.intern (R.Table.dict course 1) (R.Value.Int 1_000_000) in
   I.insert index ~table_name:"course" [| (R.Table.row course 0).(0); area |];
   check "domain growth rebuilt an entry" true (index.I.structure_version > version);
+  List.iter
+    (fun e -> check_int "a rebuilt entry starts with nothing cached" 0 (cached e))
+    (I.entries_for index "course");
   expect "rebuilt on domain growth";
   ignore (Core.Lifecycle.recycle index);
   counted_nothing "recycled";
   expect "recycled"
+
+(* Compaction keeps the projections a check read since the previous
+   compaction, drops the unread and the stale ones, and leaves the
+   store exactly as large as the live count; a recycle caches
+   nothing. *)
+let test_projections_through_compaction () =
+  let db, t, rng = make_db 8 ~rows:150 in
+  let idx = I.create db in
+  let e = I.add idx ~table_name:"t" ~strategy:Core.Ordering.Prob_converge () in
+  let m = I.mgr idx in
+  let read (fix, drop) = I.projection idx e ~fix ~drop in
+  let k1 = ([], [ 2 ]) and k2 = ([ (0, 3) ], [ 1 ]) and k3 = ([], [ 1; 2 ]) in
+  List.iter (fun k -> ignore (read k)) [ k1; k2; k3 ];
+  check_int "three keys cached" 3 (cached e);
+  let live_is_size what =
+    check_int (what ^ ": size = live") (M.size m) (I.live_nodes idx);
+    Alcotest.(check (float 0.)) (what ^ ": dead ratio") 0. (I.dead_ratio idx)
+  in
+  ignore (I.compact idx);
+  check_int "read projections carried over" 3 (cached e);
+  live_is_size "first compaction";
+  List.iter
+    (fun k -> check_int "carried projection is exact" (fresh_projection m e k) (read k))
+    [ k1; k3 ];
+  ignore (I.compact idx);
+  check "unread projection gone" false (Hashtbl.mem e.I.projections k2);
+  check "read projections kept" true
+    (Hashtbl.mem e.I.projections k1 && Hashtbl.mem e.I.projections k3);
+  live_is_size "second compaction";
+  (* a read at a root that then changes is stale at the next compaction *)
+  ignore (read k1);
+  let rec fresh_row () =
+    let row = [| Fcv_util.Rng.int rng 9; Fcv_util.Rng.int rng 6; Fcv_util.Rng.int rng 11 |] in
+    if R.Table.mem_coded t row then fresh_row () else row
+  in
+  I.insert idx ~table_name:"t" (fresh_row ());
+  ignore (I.compact idx);
+  check_int "stale projection dropped" 0 (cached e);
+  live_is_size "after a root change";
+  ignore (read k1);
+  ignore (Core.Lifecycle.recycle idx);
+  List.iter (fun e -> check_int "recycle caches nothing" 0 (cached e)) (I.entries idx)
+
+(* A budget that trips inside a projection caches nothing for its key,
+   and the check falls back to the naive verdict. *)
+let test_projection_budget_trip () =
+  let db, _, _ = make_db 9 ~rows:120 in
+  let f = Core.Fol_parser.of_string "forall a . t(a, _, _) -> (exists c . t(a, 4, c))" in
+  let idx = I.create db in
+  Core.Checker.ensure_indices idx [ f ];
+  let e = List.hd (I.entries_for idx "t") in
+  let m = I.mgr idx in
+  M.set_max_nodes m (M.size m);
+  check "the projection trips the budget" true
+    (match I.projection idx e ~fix:[] ~drop:[ 1; 2 ] with
+    | exception M.Node_limit _ -> true
+    | _ -> false);
+  check_int "nothing cached after the trip" 0 (cached e);
+  let r = Core.Checker.check idx f in
+  check "fell back" true (r.Core.Checker.method_used <> Core.Checker.Bdd);
+  let naive = if Core.Naive_eval.holds db f then Core.Checker.Satisfied else Core.Checker.Violated in
+  check "fallback verdict = naive" true (r.Core.Checker.outcome = naive);
+  check_int "still nothing cached" 0 (cached e)
 
 (* A cached size is a field read: uncached, each of these calls would
    walk more than 2^16 nodes. *)
@@ -277,6 +388,9 @@ let suite =
       test_out_of_domain_growth_rebuilds;
     Alcotest.test_case "entry size / build time" `Quick test_entry_size_and_build_time;
     Alcotest.test_case "entry statistics follow the root" `Quick test_entry_stats_follow_root;
+    Alcotest.test_case "projections through compaction" `Quick
+      test_projections_through_compaction;
+    Alcotest.test_case "a budget trip caches no projection" `Quick test_projection_budget_trip;
     Alcotest.test_case "a cached size is a lookup" `Quick test_cached_size_is_a_lookup;
   ]
 

@@ -337,6 +337,37 @@ let test_projected_vars () =
   check "rewrite event carries projected_vars" true
     (List.map (T.Json.member "projected_vars") (events_of "rewrite") = [ Some (T.Int 4) ])
 
+(* The second check of audit's orders → customers on an unchanged
+   index reads both atoms' projections from the index's cache: the
+   first check builds them, the second only hits, and neither
+   restricts nor projects an entry. *)
+let test_projection_cache_counters () =
+  let gen =
+    Fcv_datagen.Retail.generate (Fcv_util.Rng.create 3)
+      { Fcv_datagen.Retail.default with customers = 30; products = 10; orders = 60 }
+  in
+  let f =
+    Core.Fol_parser.of_string
+      (List.assoc "orders reference existing customers" Fcv_datagen.Retail.audit_constraints)
+  in
+  let index = Core.Index.create gen.Fcv_datagen.Retail.db in
+  Core.Checker.ensure_indices index [ f ];
+  let mgr = Core.Index.mgr index in
+  let op name = List.assoc name (Fcv_bdd.Manager.stats mgr).Fcv_bdd.Manager.op_calls in
+  let builds () = T.counter_value (T.counter "index.projection_builds") in
+  let hits () = T.counter_value (T.counter "index.projection_hits") in
+  let first = Core.Checker.check index f in
+  check "first check on BDD" true (first.Core.Checker.method_used = Core.Checker.Bdd);
+  check_int "first check builds both atoms' projections" 2 (builds ());
+  check_int "first check hits nothing" 0 (hits ());
+  let exists0 = op "exists" and restrict0 = op "restrict" in
+  let second = Core.Checker.check index f in
+  check "same verdict" true (second.Core.Checker.outcome = first.Core.Checker.outcome);
+  check_int "second check builds nothing" 2 (builds ());
+  check_int "second check hits both" 2 (hits ());
+  check_int "second check: no op_exists" exists0 (op "exists");
+  check_int "second check: no op_restrict" restrict0 (op "restrict")
+
 (* The planner's cache telemetry: every plan outcome ticks exactly one
    of planner.{hit,miss,probe,replans}, in step with Planner.stats. *)
 let test_planner_counters () =
@@ -396,6 +427,8 @@ let suite =
       (with_telemetry test_planner_counters);
     Alcotest.test_case "violation form counts projected variables" `Quick
       (with_telemetry test_projected_vars);
+    Alcotest.test_case "entry projections: built once, then hit" `Quick
+      (with_telemetry test_projection_cache_counters);
   ]
 
 let () = Registry.register "telemetry" suite
