@@ -1,6 +1,7 @@
 #!/bin/sh
 # CI gate: format check, full build, the test suite with a pinned
-# QCheck seed, the approx suite under QCheck seeds 1..40, a daemon
+# QCheck seed, the approx suite under QCheck seeds 1..40, the sql,
+# to_sql and differential suites under QCheck seeds 1..20, a daemon
 # smoke test, a node-budget smoke test (a
 # negative --max-nodes is a usage error; a budget the indices exceed
 # is one message and exit 2), a 200-schedule fault-injection
@@ -51,18 +52,29 @@ dune build
 echo "== dune runtest (QCHECK_SEED=$QCHECK_SEED)"
 dune runtest --force
 
+# sweep SUITES N: run the test suites SUITES names (a suite-name
+# regex) under QCHECK_SEED=1..N; fatal at the first failing seed, whose
+# output is then shown.
+sweep() {
+  echo "== suites $1 under QCHECK_SEED=1..$2"
+  seed=1
+  while [ "$seed" -le "$2" ]; do
+    if ! QCHECK_SEED=$seed dune exec test/test_main.exe -- test "$1" >/dev/null 2>&1; then
+      echo "FAIL: suites $1 fail under QCHECK_SEED=$seed:" >&2
+      QCHECK_SEED=$seed dune exec test/test_main.exe -- test "$1" >&2 || true
+      exit 1
+    fi
+    seed=$((seed + 1))
+  done
+}
+
 # The soft-constraint differential reaches rare formula shapes only
 # under some seeds, so the approx suite also runs under forty more.
-echo "== approx suite under QCHECK_SEED=1..40"
-seed=1
-while [ "$seed" -le 40 ]; do
-  if ! QCHECK_SEED=$seed dune exec test/test_main.exe -- test approx >/dev/null 2>&1; then
-    echo "FAIL: the approx suite fails under QCHECK_SEED=$seed:" >&2
-    QCHECK_SEED=$seed dune exec test/test_main.exe -- test approx >&2 || true
-    exit 1
-  fi
-  seed=$((seed + 1))
-done
+sweep approx 40
+# The SQL-facing property suites (the executor against its list-based
+# reference, the translation, and the three-way differential whose SQL
+# side runs the executor) sweep twenty more seeds, about 0.6 s each.
+sweep '^(sql|to_sql|differential)$' 20
 
 echo "== daemon smoke test (fcv serve / fcv client)"
 FCV=./_build/default/bin/fcv.exe

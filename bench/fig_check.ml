@@ -109,8 +109,9 @@ let fig5a () =
     (Lazy.force points);
   paper_note "BDD beats SQL by significant margins, both constraint types";
   paper_note
-    "our SQL baseline is an in-memory hash-join engine, far faster than a 2007 \
-     disk-based RDBMS; see EXPERIMENTS.md"
+    "our SQL baseline is an in-memory engine whose violation query stops at its \
+     first violating row, so its columns time the first violator, not the whole \
+     query; see EXPERIMENTS.md"
 
 let fig5b () =
   section "Fig 5(b): implication constraint areacode -> state, BDD vs SQL (ms)";

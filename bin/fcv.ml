@@ -682,9 +682,9 @@ let explain_cmd =
   in
   let warm_arg =
     let doc =
-      "Run $(docv) warm validation passes first, so the tree shows measured \
-       last-actual costs next to the estimates and the planner's learned history \
-       (0 = pure estimates)."
+      "Run $(docv) warm validation passes first, each re-checking every constraint, \
+       so the tree shows measured last-actual costs next to the estimates and the \
+       planner's learned history (0 = pure estimates)."
     in
     Arg.(value & opt int 1 & info [ "warm" ] ~docv:"PASSES" ~doc)
   in
@@ -696,7 +696,12 @@ let explain_cmd =
       (formulas_of constraints);
     let monitor = Core.Monitor.create index in
     let regs = List.map (fun (src, _) -> Core.Monitor.add monitor src) constraints in
+    (* each pass re-checks every constraint: a clean table would let
+       validate reuse the first pass's verdicts *)
     for _ = 1 to warm do
+      List.iter
+        (fun reg -> List.iter (Core.Monitor.mark_dirty monitor) reg.Core.Monitor.tables)
+        regs;
       ignore (Core.Monitor.validate monitor)
     done;
     let chosen =

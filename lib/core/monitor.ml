@@ -241,13 +241,17 @@ let gc t =
   if recycle then invalidate_replicas t;
   reclaimed
 
+(** Mark a table dirty, as a mutation of it would: the next
+    {!validate} re-checks every constraint over it. *)
+let mark_dirty t table_name = Hashtbl.replace t.dirty table_name ()
+
 (** Stream one row insertion through the base table and indices; marks
     the table dirty.  Replicas get a row-level delta note, not a full
     invalidation — the mutation epoch no longer costs workers a
     rehydration. *)
 let insert t ~table_name row =
   Index.insert t.index ~table_name row;
-  Hashtbl.replace t.dirty table_name ();
+  mark_dirty t table_name;
   (match t.par with
   | Some (_, r) -> Replica.note_insert r ~table_name row
   | None -> ());
@@ -258,7 +262,7 @@ let insert t ~table_name row =
 let delete t ~table_name row =
   let removed = Index.delete t.index ~table_name row in
   if removed then begin
-    Hashtbl.replace t.dirty table_name ();
+    mark_dirty t table_name;
     match t.par with
     | Some (_, r) -> Replica.note_delete r ~table_name row
     | None -> ()

@@ -91,6 +91,10 @@ val gc : t -> int
     is invisible to them).  Returns nodes reclaimed.  Backs the
     [compact] protocol op. *)
 
+val mark_dirty : t -> string -> unit
+(** Mark a table dirty, as a mutation of it would, without changing
+    it: the next {!validate} re-checks every constraint over it. *)
+
 val insert : t -> table_name:string -> int array -> unit
 (** Rows are coded [int array]s.  In parallel mode the mutation is
     delta-noted to the replica set ({!Replica.note_insert}) rather

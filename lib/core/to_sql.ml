@@ -226,30 +226,31 @@ and translate_conjunction db typing parts =
       | _ -> assert false)
     base rest
 
-(** Build the violation plan of a closed constraint: the plan's rows
-    are the bindings of the leading existential block of nnf(¬C) (the
-    violating witnesses); the constraint is violated iff the plan is
-    non-empty.  Returns the plan and the witness variables, or raises
-    {!Not_safe}. *)
-let violation_plan db typing constraint_ =
-  let v = Rewrite.nnf (Not constraint_) in
+(* nnf(¬C) as its leading existential block (the witness variables)
+   and the matrix under it. *)
+let violation_matrix constraint_ =
   let rec strip = function
     | Exists (xs, f) ->
       let xs', f' = strip f in
       (xs @ xs', f')
     | f -> ([], f)
   in
-  let witnesses, matrix = strip v in
+  strip (Rewrite.nnf (Not constraint_))
+
+(** Build the violation plan of a closed constraint: the plan's rows
+    are the bindings of the leading existential block of nnf(¬C) (the
+    violating witnesses); the constraint is violated iff the plan is
+    non-empty.  Returns the plan and the witness variables, or raises
+    {!Not_safe}. *)
+let violation_plan db typing constraint_ =
+  let witnesses, matrix = violation_matrix constraint_ in
   let t = translate db typing matrix in
   (t.plan, t.vars, witnesses)
 
-(** Is the constraint violated, per the SQL engine? *)
+(** Is the constraint violated, per the SQL engine?  A matrix that
+    normalised to a constant needs no query. *)
 let violated db typing constraint_ =
-  let v = Rewrite.nnf (Not constraint_) in
-  let rec strip = function Exists (_, f) -> strip f | f -> f in
-  match strip v with
+  match snd (violation_matrix constraint_) with
   | False -> false
   | True -> true
-  | _ ->
-    let plan, _, _ = violation_plan db typing constraint_ in
-    not (Fcv_sql.Exec.is_empty plan)
+  | matrix -> not (Fcv_sql.Exec.is_empty (translate db typing matrix).plan)

@@ -56,6 +56,23 @@ let test_monitor_detects_injected_violation () =
   check "violated list" true
     (List.exists (fun r -> r.Core.Monitor.id = reg.Core.Monitor.id) (Core.Monitor.violated mon))
 
+(* What fcv explain --warm does before each pass: marking every
+   constraint's tables dirty makes each of k passes check each
+   constraint once. *)
+let test_mark_dirty_rechecks () =
+  let _, index = setup () in
+  let mon = Core.Monitor.create index in
+  let regs = List.map (Core.Monitor.add mon) [ curriculum; enrolment; referential ] in
+  let passes = 3 in
+  for _ = 1 to passes do
+    List.iter (fun reg -> List.iter (Core.Monitor.mark_dirty mon) reg.Core.Monitor.tables) regs;
+    check "every report fresh" true
+      (List.for_all (fun r -> r.Core.Monitor.fresh) (Core.Monitor.validate mon))
+  done;
+  List.iter
+    (fun reg -> check_int reg.Core.Monitor.source passes reg.Core.Monitor.checks_run)
+    regs
+
 let test_monitor_dirty_scoping () =
   let _, index = setup () in
   let mon = Core.Monitor.create index in
@@ -228,6 +245,7 @@ let suite =
     Alcotest.test_case "monitor caches clean constraints" `Quick test_monitor_caches_clean_constraints;
     Alcotest.test_case "monitor detects injected violation" `Quick test_monitor_detects_injected_violation;
     Alcotest.test_case "monitor dirty scoping" `Quick test_monitor_dirty_scoping;
+    Alcotest.test_case "mark_dirty re-checks every pass" `Quick test_mark_dirty_rechecks;
     Alcotest.test_case "monitor delete path" `Quick test_monitor_delete_path;
     Alcotest.test_case "monitor remove" `Quick test_monitor_remove;
     Alcotest.test_case "remove frees index memory on next GC" `Quick test_remove_frees_index_memory;

@@ -28,6 +28,37 @@ let test_violation_plan_shape () =
   check "witness recorded" true (List.length witnesses = 1);
   check_int "two violating students" 2 (List.length (Fcv_sql.Exec.run plan))
 
+(* The violation query stops at its first witness: on a violated policy
+   [is_empty] reads fewer rows than the plan's tables hold, while
+   [count], which needs every witness, reads them all. *)
+let test_is_empty_stops_early () =
+  let module T = Fcv_util.Telemetry in
+  let db = university ~violators:3 in
+  let c =
+    parse "forall s . student(s, 0, _) -> (exists c . course(c, 0) and takes(s, c))"
+  in
+  let plan, _, _ = Core.To_sql.violation_plan db (Core.Typing.infer db c) c in
+  let held =
+    List.fold_left
+      (fun n name -> n + Fcv_relation.Table.cardinality (Fcv_relation.Database.table db name))
+      0 [ "student"; "course"; "takes" ]
+  in
+  let rows_read eval =
+    T.reset ();
+    T.enable ();
+    Fun.protect
+      ~finally:(fun () ->
+        T.disable ();
+        T.reset ())
+      (fun () ->
+        eval plan;
+        T.counter_value (T.counter "sql.rows_scanned"))
+  in
+  check "violated" false (Fcv_sql.Exec.is_empty plan);
+  let early = rows_read (fun p -> ignore (Fcv_sql.Exec.is_empty p)) in
+  check "is_empty reads fewer rows than the tables hold" true (early < held);
+  check_int "count reads every row" held (rows_read (fun p -> ignore (Fcv_sql.Exec.count p)))
+
 let test_violated_flag () =
   let dirty = university ~violators:3 in
   let clean = university ~violators:0 in
@@ -93,6 +124,7 @@ let suite =
   [
     Alcotest.test_case "violation plan shape" `Quick test_violation_plan_shape;
     Alcotest.test_case "violated flag" `Quick test_violated_flag;
+    Alcotest.test_case "is_empty stops at the first witness" `Quick test_is_empty_stops_early;
     Alcotest.test_case "fd constraint" `Quick test_fd_constraint_translation;
     Alcotest.test_case "membership constraint" `Quick test_membership_translation;
     Alcotest.test_case "disjunctive violation" `Quick test_union_translation;
