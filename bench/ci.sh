@@ -1,11 +1,14 @@
 #!/bin/sh
 # CI gate: format check, full build, the test suite with a pinned
 # QCheck seed, the approx suite under QCheck seeds 1..40, the sql,
-# to_sql and differential suites under QCheck seeds 1..20, a daemon
-# smoke test, a node-budget smoke test (a
+# to_sql, differential, parallel and parallel_delta suites under
+# QCheck seeds 1..20, a daemon smoke test, a node-budget smoke test (a
 # negative --max-nodes is a usage error; a budget the indices exceed
-# is one message and exit 2), a 200-schedule fault-injection
-# sweep (fcv sim), the parallel-validation scaling benchmark, the
+# is one message and exit 2), a bad-constraint smoke test (fcv check
+# reports each bad constraint in its input position, identically at
+# -j 1 and -j 2, and exits 2; a parse error names its line), a
+# 200-schedule fault-injection sweep (fcv sim), the
+# parallel-validation scaling benchmark, the
 # planner vs Forced Auto benchmark with its verdict-exactness and never-
 # slower gate, the memory-lifecycle churn benchmark with its peak-node
 # bound, the
@@ -73,8 +76,10 @@ sweep() {
 sweep approx 40
 # The SQL-facing property suites (the executor against its list-based
 # reference, the translation, and the three-way differential whose SQL
-# side runs the executor) sweep twenty more seeds, about 0.6 s each.
-sweep '^(sql|to_sql|differential)$' 20
+# side runs the executor) and the pooled batch's differentials against
+# the sequential run (parallel, parallel_delta) sweep twenty more
+# seeds, about 1.8 s each.
+sweep '^(sql|to_sql|differential|parallel|parallel_delta)$' 20
 
 echo "== daemon smoke test (fcv serve / fcv client)"
 FCV=./_build/default/bin/fcv.exe
@@ -167,8 +172,48 @@ if [ "$rc" != 2 ] || [ "$(wc -l <"$SMOKE/budget.err")" != 1 ] ||
   cat "$SMOKE/budget.err" >&2
   exit 1
 fi
-SMOKE_DONE=1
 echo "node-budget smoke test passed"
+
+echo "== bad-constraint smoke test (fcv check -j 1 and -j 2)"
+# One good constraint, then an unknown relation, a free variable and an
+# arity error: each bad one is an [ERROR line in its input position,
+# the good one still gets its verdict, and the run exits 2.
+printf '%s\n' 'forall s, c . takes(s, c) -> (exists a . course(c, a))' \
+  'forall x . nosuch(x) -> nosuch(x)' \
+  'forall s . takes(s, c)' \
+  'forall s, c . takes(s, c, s) -> takes(s, c)' >"$SMOKE/bad.txt"
+for j in 1 2; do
+  rc=0
+  "$FCV" check -d "$SMOKE/data" -c "$SMOKE/bad.txt" -j "$j" >"$SMOKE/bad.j$j" || rc=$?
+  grep '^\[' "$SMOKE/bad.j$j" | cut -c2-6 >"$SMOKE/bad.kinds"
+  grep '^\[ERROR' "$SMOKE/bad.j$j" | sed 's/: .*//' >"$SMOKE/bad.errors"
+  if [ "$rc" != 2 ] || [ "$(tr '\n' ' ' <"$SMOKE/bad.kinds")" != "SATIS ERROR ERROR ERROR " ] ||
+    ! sed 1d "$SMOKE/bad.txt" | sed 's/^/[ERROR    ] /' | cmp -s - "$SMOKE/bad.errors"; then
+    echo "FAIL: fcv check -j $j on bad constraints exited $rc, expected 2 with one verdict" >&2
+    echo "      and three [ERROR lines in input order:" >&2
+    cat "$SMOKE/bad.j$j" >&2
+    exit 1
+  fi
+  # timings differ run to run; nothing else may
+  sed -E 's/[0-9]+\.[0-9]+ ms/T ms/' "$SMOKE/bad.j$j" >"$SMOKE/bad.j$j.norm"
+done
+if ! cmp -s "$SMOKE/bad.j1.norm" "$SMOKE/bad.j2.norm"; then
+  echo "FAIL: fcv check prints differently at -j 1 and -j 2:" >&2
+  diff "$SMOKE/bad.j1.norm" "$SMOKE/bad.j2.norm" >&2 || true
+  exit 1
+fi
+printf '%s\n' 'forall s, c . takes(s, c) -> (exists a . course(c, a))' \
+  'forall s c . takes(s, c)' >"$SMOKE/parse.txt"
+rc=0
+"$FCV" check -d "$SMOKE/data" -c "$SMOKE/parse.txt" >/dev/null 2>"$SMOKE/parse.err" || rc=$?
+if [ "$rc" != 2 ] || [ "$(wc -l <"$SMOKE/parse.err")" != 1 ] ||
+  ! grep -q ':2:' "$SMOKE/parse.err"; then
+  echo "FAIL: a parse error on line 2 exited $rc, expected 2 and one line naming :2:" >&2
+  cat "$SMOKE/parse.err" >&2
+  exit 1
+fi
+SMOKE_DONE=1
+echo "bad-constraint smoke test passed"
 
 # gate FAIL WARN CMD...: run CMD; when it fails, print FAIL and exit 1
 # under FCV_CI=1, print WARN and carry on otherwise.  Exiting through

@@ -146,26 +146,56 @@ let print_lifecycle_stats oc index =
 
 (* -- fcv check --------------------------------------------------------------- *)
 
+(* The constraints of a file, one per line, as (source, spec) pairs;
+   blank lines and lines starting with # are skipped.  A parse error
+   is a [Failure] naming the file and line. *)
 let read_constraints path =
   let ic = open_in path in
   Fun.protect
     ~finally:(fun () -> close_in ic)
     (fun () ->
-      let lines = ref [] in
-      (try
-         while true do
-           lines := input_line ic :: !lines
-         done
-       with End_of_file -> ());
-      List.rev !lines
-      |> List.filter (fun l ->
-             let l = String.trim l in
-             l <> "" && not (String.length l >= 1 && l.[0] = '#'))
-      |> List.map (fun l -> (l, Core.Fol_parser.spec_of_string l)))
+      let rec go lineno acc =
+        match input_line ic with
+        | exception End_of_file -> List.rev acc
+        | l ->
+          let t = String.trim l in
+          if t = "" || t.[0] = '#' then go (lineno + 1) acc
+          else
+            match Core.Fol_parser.spec_of_string l with
+            | spec -> go (lineno + 1) ((l, spec) :: acc)
+            | exception Core.Fol_parser.Error msg ->
+              failwith (Printf.sprintf "%s:%d: %s" path lineno msg)
+      in
+      go 1 [])
 
 (* the bare formulas of a parsed constraints file (index building) *)
 let formulas_of constraints =
   List.map (fun (_, sp) -> sp.Core.Formula.formula) constraints
+
+(* Run on each constraint the static checks {!Core.Monitor.add} runs —
+   closed, and well typed against [db], which also names an unknown
+   relation — before any index is built: a constraint that fails them
+   keeps its error message in place of its spec. *)
+let statically_checked db constraints =
+  List.map
+    (fun (src, (sp : Core.Formula.spec)) ->
+      let free = Core.Formula.free_vars sp.formula in
+      if not (Core.Formula.Sset.is_empty free) then
+        ( src,
+          Error
+            ("constraint must be closed; free: "
+            ^ String.concat ", " (Core.Formula.Sset.elements free)) )
+      else
+        match Core.Typing.infer_spec db sp with
+        | _ -> (src, Ok sp)
+        | exception Core.Typing.Type_error msg -> (src, Error msg))
+    constraints
+
+(* the formulas of the constraints that passed {!statically_checked} *)
+let checked_formulas constraints =
+  List.filter_map
+    (function _, Ok sp -> Some sp.Core.Formula.formula | _, Error _ -> None)
+    constraints
 
 let constraints_arg =
   let doc =
@@ -175,72 +205,65 @@ let constraints_arg =
   in
   Arg.(required & opt (some file) None & info [ "c"; "constraints" ] ~docv:"FILE" ~doc)
 
-(* Check every constraint against [index], printing one verdict line
-   each (shared by [fcv check] and [fcv stats]); returns the number
-   violated.  [jobs > 1] fans the checks out over worker domains
-   holding index replicas; per-constraint errors are captured in the
-   workers and reported in order, exactly like the sequential path.
-   Witness enumeration always runs on the master index afterwards. *)
+(* Check the constraints that passed {!statically_checked} as one
+   batch ([Checker.check_all ~jobs]) and print one line per constraint
+   in input order — a verdict, or the static error (shared by [fcv
+   check] and [fcv stats]), then the summary line.  Witness
+   enumeration runs on [index] afterwards.  Returns the number violated
+   and the number errored. *)
 let run_checks ?(witnesses = 0) ?(jobs = 1) index constraints =
-  let checked idx sp =
-    match Core.Checker.check_spec idx sp with
-    | r -> Ok r
-    | exception (Core.Typing.Type_error msg | Core.Compile.Unsupported msg) -> Error msg
-  in
   let results =
-    if jobs <= 1 || List.length constraints <= 1 then
-      List.map (fun (_, sp) -> checked index sp) constraints
-    else begin
-      let pool =
-        Fcv_util.Pool.create ~name:"check" ~jobs:(min jobs (List.length constraints)) ()
-      in
-      let replica = Core.Replica.create index in
-      Fun.protect
-        ~finally:(fun () -> Fcv_util.Pool.shutdown pool)
-        (fun () ->
-          Core.Replica.prepare replica;
-          Fcv_util.Pool.run_list pool
-            (List.map (fun (_, sp) () -> checked (Core.Replica.get replica) sp) constraints))
+    Core.Checker.check_all ~jobs index
+      (List.filter_map (fun (_, c) -> Result.to_option c) constraints)
+  in
+  let violated = ref 0 and errored = ref 0 in
+  let report src (sp : Core.Formula.spec) r =
+    let verdict =
+      match r.Core.Checker.outcome with
+      | Core.Checker.Satisfied -> "SATISFIED"
+      | Core.Checker.Violated ->
+        incr violated;
+        "VIOLATED "
+    in
+    let rate =
+      match r.Core.Checker.rate with
+      | None -> ""
+      | Some rt ->
+        Printf.sprintf ", rate %.6g (allowed %.6g)" rt.Core.Checker.ratio
+          (1. -. rt.Core.Checker.threshold)
+    in
+    Printf.printf "[%s] (%6.2f ms, %s%s) %s\n" verdict r.Core.Checker.elapsed_ms
+      (Core.Checker.method_name r.Core.Checker.method_used)
+      rate src;
+    if witnesses > 0 && r.Core.Checker.outcome = Core.Checker.Violated then begin
+      match Core.Violations.enumerate ~limit:witnesses index sp.formula with
+      | Some ws ->
+        List.iter
+          (fun w ->
+            print_endline
+              ("    "
+              ^ String.concat ", "
+                  (List.map (fun (x, v) -> x ^ "=" ^ R.Value.to_string v) w)))
+          ws
+      | None -> print_endline "    (no finite witnesses)"
     end
   in
-  let violated = ref 0 in
-  List.iter2
-    (fun (src, sp) result ->
-      let c = sp.Core.Formula.formula in
-      match result with
-      | Ok r ->
-        let verdict =
-          match r.Core.Checker.outcome with
-          | Core.Checker.Satisfied -> "SATISFIED"
-          | Core.Checker.Violated ->
-            incr violated;
-            "VIOLATED "
-        in
-        let rate =
-          match r.Core.Checker.rate with
-          | None -> ""
-          | Some rt ->
-            Printf.sprintf ", rate %.6g (allowed %.6g)" rt.Core.Checker.ratio
-              (1. -. rt.Core.Checker.threshold)
-        in
-        Printf.printf "[%s] (%6.2f ms, %s%s) %s\n" verdict r.Core.Checker.elapsed_ms
-          (Core.Checker.method_name r.Core.Checker.method_used)
-          rate src;
-        if witnesses > 0 && r.Core.Checker.outcome = Core.Checker.Violated then begin
-          match Core.Violations.enumerate ~limit:witnesses index c with
-          | Some ws ->
-            List.iter
-              (fun w ->
-                print_endline
-                  ("    "
-                  ^ String.concat ", "
-                      (List.map (fun (x, v) -> x ^ "=" ^ R.Value.to_string v) w)))
-              ws
-          | None -> print_endline "    (no finite witnesses)"
-        end
-      | Error msg -> Printf.printf "[ERROR    ] %s: %s\n" src msg)
-    constraints results;
-  !violated
+  ignore
+    (List.fold_left
+       (fun results (src, c) ->
+         match (c, results) with
+         | Ok sp, r :: rest ->
+           report src sp r;
+           rest
+         | Error msg, _ ->
+           incr errored;
+           Printf.printf "[ERROR    ] %s: %s\n" src msg;
+           results
+         | Ok _, [] -> assert false (* one result per checked constraint *))
+       results constraints);
+  Printf.printf "\n%d/%d constraints violated%s\n" !violated (List.length constraints)
+    (if !errored > 0 then Printf.sprintf ", %d errored" !errored else "");
+  (!violated, !errored)
 
 let check_cmd =
   let witnesses_arg =
@@ -257,10 +280,10 @@ let check_cmd =
   in
   let run data constraints_file strategy max_nodes witnesses save_index load_index jobs
       telemetry =
-    let violated =
+    let violated, errored =
       with_telemetry telemetry @@ fun () ->
       let db, _ = load_dir data in
-      let constraints = read_constraints constraints_file in
+      let constraints = statically_checked db (read_constraints constraints_file) in
       let t0 = Fcv_util.Timer.now () in
       let index =
         Fcv_util.Telemetry.with_span "build_indices" @@ fun () ->
@@ -270,12 +293,12 @@ let check_cmd =
           Fcv_bdd.Manager.set_max_nodes (Core.Index.mgr index) max_nodes;
           (* any relation not covered by the snapshot still gets an index *)
           Core.Checker.ensure_indices ~strategy:(strategy_of_string strategy) index
-            (formulas_of constraints);
+            (checked_formulas constraints);
           index
         | None ->
           let index = Core.Index.create ~max_nodes db in
           Core.Checker.ensure_indices ~strategy:(strategy_of_string strategy) index
-            (formulas_of constraints);
+            (checked_formulas constraints);
           index
       in
       Option.iter (Core.Index_io.save_file index) save_index;
@@ -283,11 +306,9 @@ let check_cmd =
         (if load_index = None then "built" else "loaded")
         (List.length (Core.Index.entries index))
         ((Fcv_util.Timer.now () -. t0) *. 1000.);
-      let violated = run_checks ~witnesses ~jobs index constraints in
-      Printf.printf "\n%d/%d constraints violated\n" violated (List.length constraints);
-      violated
+      run_checks ~witnesses ~jobs index constraints
     in
-    if violated > 0 then exit 1
+    if errored > 0 then exit 2 else if violated > 0 then exit 1
   in
   let doc = "validate constraints against CSV tables using BDD logical indices" in
   Cmd.v
@@ -545,13 +566,13 @@ let stats_cmd =
     T.reset ();
     T.enable ();
     let db, _ = load_dir data in
-    let constraints = read_constraints constraints_file in
+    let constraints = statically_checked db (read_constraints constraints_file) in
     let index = Core.Index.create ~max_nodes db in
     T.with_span "build_indices" (fun () ->
         Core.Checker.ensure_indices ~strategy:(strategy_of_string strategy) index
-          (formulas_of constraints));
-    let violated = run_checks index constraints in
-    Printf.printf "\n%d/%d constraints violated\n\n" violated (List.length constraints);
+          (checked_formulas constraints));
+    let _, errored = run_checks index constraints in
+    print_newline ();
     print_manager_stats stdout (Core.Index.mgr index);
     print_newline ();
     print_lifecycle_stats stdout index;
@@ -562,7 +583,8 @@ let stats_cmd =
         T.write_jsonl path;
         Printf.eprintf "(telemetry written to %s)\n" path)
       telemetry;
-    T.disable ()
+    T.disable ();
+    if errored > 0 then exit 2
   in
   let doc =
     "run the checks with telemetry on and print kernel statistics (apply-cache \

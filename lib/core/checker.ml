@@ -306,79 +306,6 @@ let check_spec ?(pipeline = default_pipeline) ?(strategy = Auto) index
 let check ?pipeline ?strategy index constraint_ =
   check_spec ?pipeline ?strategy index (Formula.hard constraint_)
 
-(* -- parallel scheduling: cost estimates and task granularity --------------- *)
-
-type granularity = {
-  batch_under_ms : float;
-  max_batch : int;
-  split_over_ms : float;
-  max_parts : int;
-}
-
-let default_granularity =
-  { batch_under_ms = 5.0; max_batch = 8; split_over_ms = 250.0; max_parts = 8 }
-
-(** Estimate the cost of checking [f] against [index], in rough
-    milliseconds, from index statistics alone: BDD node counts of the
-    entries covering each mentioned relation plus a per-atom term.
-    Only the {e relative} order matters (expensive checks are
-    scheduled first); callers with run history (the monitor's
-    per-constraint telemetry) should prefer measured averages. *)
-let cost_estimate index f =
-  let nodes =
-    List.fold_left
-      (fun acc rel ->
-        List.fold_left (fun acc e -> acc + Index.entry_size index e) acc
-          (Index.entries_for index rel))
-      0 (Formula.relations f)
-  in
-  (0.001 *. float_of_int nodes) +. (0.05 *. float_of_int (Formula.atom_count f)) +. 0.01
-
-(** Split a constraint into independently checkable conjuncts:
-    [∀xs.(A ∧ B) ≡ (∀xs.A) ∧ (∀xs.B)].  Every part keeps the {e full}
-    quantifier prefix — dropping binders would change vacuous-truth
-    semantics over empty active domains — so a [Forall] splits only
-    when each conjunct still mentions every prefix variable (which
-    also keeps the parts typeable).  Returns [[f]] when nothing
-    splits. *)
-let rec split_conjuncts f =
-  match f with
-  | Formula.And (a, b) -> split_conjuncts a @ split_conjuncts b
-  | Formula.Forall (xs, body) ->
-    let parts = split_conjuncts body in
-    if
-      List.length parts > 1
-      && List.for_all
-           (fun p ->
-             let free = Formula.free_vars p in
-             List.for_all (fun x -> Formula.Sset.mem x free) xs)
-           parts
-    then List.map (fun p -> Formula.Forall (xs, p)) parts
-    else [ f ]
-  | _ -> [ f ]
-
-(* Merge the part results of a split constraint back into one result:
-   satisfied iff every conjunct is.  [rewritten] comes from the
-   first part (there is no single compiled formula for a merged
-   verdict); times are summed — the work actually done. *)
-let merge_parts = function
-  | [] -> invalid_arg "Checker.merge_parts: no parts"
-  | first :: _ as rs ->
-    {
-      outcome =
-        (if List.for_all (fun r -> r.outcome = Satisfied) rs then Satisfied else Violated);
-      method_used =
-        (if List.for_all (fun r -> r.method_used = Bdd) rs then Bdd
-         else if List.exists (fun r -> r.method_used = Naive) rs then Naive
-         else Sql);
-      elapsed_ms = List.fold_left (fun acc r -> acc +. r.elapsed_ms) 0. rs;
-      bdd_overhead_ms = List.fold_left (fun acc r -> acc +. r.bdd_overhead_ms) 0. rs;
-      fallback_ms = List.fold_left (fun acc r -> acc +. r.fallback_ms) 0. rs;
-      rewritten = first.rewritten;
-      (* only hard specs go through the conjunct splitter *)
-      rate = None;
-    }
-
 (** Check a batch against a live pool: every relation each constraint
     mentions must already be indexed in the replica set's master (the
     snapshot is what workers hydrate from, so indices built after
@@ -386,123 +313,32 @@ let merge_parts = function
     input order; a failing check fails the whole batch, like the
     sequential [List.map] would.
 
-    Scheduling: each constraint's cost is taken from [costs] (measured
-    history, milliseconds) or estimated from index statistics; tasks
-    execute expensive-first through the pool's claimed-batch scheduler
-    ({!Fcv_util.Pool.run_ordered}).  [granularity] adapts task size:
-    constraints cheaper than [batch_under_ms] are chunked ([max_batch]
-    at a time) so task bookkeeping stops dominating tiny checks, and a
-    hard spec over [split_over_ms] whose formula splits into
-    independent conjuncts ({!split_conjuncts}, up to [max_parts])
-    is checked as parallel subformula tasks and merged — same
-    outcome by [∀x.(A∧B) ≡ (∀x.A)∧(∀x.B)].  A soft spec is never
-    split: its rate is not the merge of its conjuncts' rates. *)
-let check_all_pooled ?pipeline ?(granularity = default_granularity) ?costs ?strategies
-    ~pool replica specs =
+    Each constraint is one task, claimed through the pool's atomic
+    cursor ({!Fcv_util.Pool.run_ordered}) most expensive first by
+    [costs] (the caller's milliseconds, planned or measured), so the
+    long poles start first.  A [None] cost is not measured: those
+    tasks run before every costed one, in input order. *)
+let check_all_pooled ?pipeline ?costs ?strategies ~pool replica specs =
   Replica.prepare replica;
-  if specs = [] then []
-  else begin
-    let fs = Array.of_list specs in
-    let n = Array.length fs in
-    let master = Replica.master replica in
-    let db = master.Index.db in
-    let strats =
-      match strategies with
-      | Some l when List.length l = n -> Array.of_list l
-      | Some _ -> invalid_arg "Checker.check_all_pooled: strategies length mismatch"
-      | None -> Array.make n Auto
-    in
-    let costs =
-      let given =
-        match costs with
-        | Some l when List.length l = n -> Array.of_list l
-        | Some _ -> invalid_arg "Checker.check_all_pooled: costs length mismatch"
-        | None -> Array.make n None
-      in
-      Array.mapi
-        (fun i (sp : Formula.spec) ->
-          match given.(i) with Some c -> c | None -> cost_estimate master sp.formula)
-        fs
-    in
-    (* split plan: parts.(i) has length > 1 only for huge conjunctive
-       hard specs whose every part still typechecks *)
-    let parts =
-      Array.mapi
-        (fun i (sp : Formula.spec) ->
-          if costs.(i) < granularity.split_over_ms || not (Formula.is_hard sp) then [| sp |]
-          else
-            let ps = split_conjuncts sp.formula in
-            let k = List.length ps in
-            let part_ok p =
-              Formula.is_closed p
-              && match Typing.infer db p with _ -> true | exception Typing.Type_error _ -> false
-            in
-            if k > 1 && k <= granularity.max_parts && List.for_all part_ok ps then
-              Array.of_list (List.map Formula.hard ps)
-            else [| sp |])
-        fs
-    in
-    (* task list: (cost, thunk) where a thunk returns per-(constraint,
-       part) results; tiny unsplit constraints are chunked greedily in
-       input order *)
-    let do_check i sp () =
-      check_spec ?pipeline ~strategy:strats.(i) (Replica.get replica) sp
-    in
-    let tasks = ref [] in
-    let chunk = ref [] and chunk_cost = ref 0. in
-    let flush_chunk () =
-      match !chunk with
-      | [] -> ()
-      | members ->
-        let members = List.rev members in
-        tasks :=
-          ( !chunk_cost,
-            fun () -> List.map (fun (i, f) -> (i, 0, do_check i f ())) members )
-          :: !tasks;
-        chunk := [];
-        chunk_cost := 0.
-    in
-    Array.iteri
-      (fun i f ->
-        let k = Array.length parts.(i) in
-        if k > 1 then begin
-          flush_chunk ();
-          Array.iteri
-            (fun p part ->
-              tasks :=
-                (costs.(i) /. float_of_int k, fun () -> [ (i, p, do_check i part ()) ])
-                :: !tasks)
-            parts.(i)
-        end
-        else if costs.(i) < granularity.batch_under_ms then begin
-          chunk := (i, f) :: !chunk;
-          chunk_cost := !chunk_cost +. costs.(i);
-          if List.length !chunk >= granularity.max_batch then flush_chunk ()
-        end
-        else begin
-          flush_chunk ();
-          tasks := (costs.(i), fun () -> [ (i, 0, do_check i f ()) ]) :: !tasks
-        end)
-      fs;
-    flush_chunk ();
-    let tasks = Array.of_list (List.rev !tasks) in
-    let thunks = Array.map snd tasks in
-    (* expensive-first execution order, index tiebreak for determinism *)
-    let order = Array.init (Array.length tasks) Fun.id in
-    Array.sort
-      (fun a b ->
-        match compare (fst tasks.(b)) (fst tasks.(a)) with 0 -> compare a b | c -> c)
-      order;
-    let outs = Fcv_util.Pool.run_ordered pool ~order thunks in
-    let per = Array.make n [] in
-    Array.iter (List.iter (fun (i, p, r) -> per.(i) <- (p, r) :: per.(i))) outs;
-    List.init n (fun i ->
-        match per.(i) with
-        | [ (_, r) ] -> r
-        | prs ->
-          merge_parts
-            (List.map snd (List.sort (fun (a, _) (b, _) -> compare a b) prs)))
-  end
+  let n = List.length specs in
+  let per_spec what default = function
+    | Some l when List.length l = n -> Array.of_list l
+    | Some _ -> invalid_arg ("Checker.check_all_pooled: " ^ what ^ " length mismatch")
+    | None -> Array.make n default
+  in
+  let strats = per_spec "strategies" Auto strategies in
+  let costs = per_spec "costs" None costs in
+  (* None sorts before Some, and negated costs put the dearest first;
+     the stable sort keeps input order among ties *)
+  let order = Array.init n Fun.id in
+  let key i = Option.map Float.neg costs.(i) in
+  Array.stable_sort (fun a b -> compare (key a) (key b)) order;
+  let tasks =
+    Array.mapi
+      (fun i sp () -> check_spec ?pipeline ~strategy:strats.(i) (Replica.get replica) sp)
+      (Array.of_list specs)
+  in
+  Array.to_list (Fcv_util.Pool.run_ordered pool ~order tasks)
 
 (** Check a batch of specs (the paper's setting: many
     user-defined constraints validated together); returns results in

@@ -126,43 +126,16 @@ val check_all :
   result list
 (** Check a batch, in order.  [jobs > 1] (default 1) fans out over a
     transient pool of worker domains, each with a private replica of
-    [index] ({!Replica}); verdicts are identical to the sequential
-    run.  Singleton and empty batches always run sequentially.
+    [index] ({!Replica}), one task per constraint claimed in input
+    order ({!check_all_pooled} with no costs); verdicts are identical
+    to the sequential run.  Singleton and empty batches always run
+    sequentially.
     [strategies] gives one {!strategy} per constraint (default all
     [Auto]).
     @raise Invalid_argument if [strategies] has the wrong length. *)
 
-type granularity = {
-  batch_under_ms : float;
-      (** constraints cheaper than this are chunked into one task *)
-  max_batch : int;  (** at most this many constraints per chunk *)
-  split_over_ms : float;
-      (** constraints dearer than this are split into conjunct tasks *)
-  max_parts : int;  (** split only into at most this many parts *)
-}
-(** Task-granularity policy for {!check_all_pooled}: batching keeps
-    task bookkeeping from dominating tiny checks; splitting keeps one
-    monster conjunction from serialising a pass. *)
-
-val default_granularity : granularity
-(** 5ms batch threshold × 8-wide chunks; 250ms split threshold ×
-    8 parts. *)
-
-val cost_estimate : Index.t -> Formula.t -> float
-(** Rough per-constraint check cost in milliseconds, from index node
-    counts and formula size.  Only the relative order matters; prefer
-    measured history when available. *)
-
-val split_conjuncts : Formula.t -> Formula.t list
-(** Independent conjunct parts of a constraint, by
-    [∀xs.(A ∧ B) ≡ (∀xs.A) ∧ (∀xs.B)] — each part keeps the full
-    quantifier prefix, and a [Forall] splits only when every part
-    still mentions every prefix variable.  [[f]] when nothing
-    splits. *)
-
 val check_all_pooled :
   ?pipeline:pipeline ->
-  ?granularity:granularity ->
   ?costs:float option list ->
   ?strategies:strategy list ->
   pool:Fcv_util.Pool.t ->
@@ -172,18 +145,19 @@ val check_all_pooled :
 (** [check_all] against a caller-owned pool and replica set — the
     long-running form (server, monitor) that amortises worker spawn
     and replica hydration across batches.  Every mentioned relation
-    must already be indexed in the replica master.
+    must already be indexed in the replica master; {!Replica.prepare}
+    runs first.
 
-    Tasks run expensive-first through the pool's claimed-batch
-    scheduler; per-constraint costs come from [costs] (measured
-    milliseconds, [None] entries estimated) or {!cost_estimate}, and
-    [granularity] (default {!default_granularity}) controls chunking
-    of tiny constraints and conjunct-splitting of huge hard ones (a
-    soft spec is never split).  A split
-    constraint's merged result is [Satisfied] iff every part is, with
-    summed times; verdicts are identical to the sequential run either
-    way.  [strategies] gives one {!strategy} per constraint (default
-    all [Auto]); a split or chunked constraint keeps its strategy.
+    Each constraint is one task, claimed through the pool's atomic
+    cursor ({!Fcv_util.Pool.run_ordered}) most expensive first by
+    [costs] (milliseconds, from the caller's planner or measured
+    history).  A [None] cost means "not measured": those tasks run
+    before every costed one, in input order, and ties keep input
+    order.  Costs only order the work; verdicts are identical to the
+    sequential run.  [strategies] gives one {!strategy} per
+    constraint (default all [Auto]).  Results come back in input
+    order; if a check raised, the first failure in input order is
+    re-raised after every task has settled.
     @raise Invalid_argument if [costs] or [strategies] is given with
     the wrong length. *)
 

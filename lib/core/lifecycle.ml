@@ -54,10 +54,6 @@ let default_policy =
     level_headroom = 64;
   }
 
-(** A policy that never fires (for [--no-gc] style opt-outs). *)
-let never =
-  { dead_ratio_hi = 0.; min_nodes = max_int; cache_hi = 0; level_slack = 0; level_headroom = 0 }
-
 let needs_gc policy index =
   M.size (I.mgr index) >= policy.min_nodes
   && ((policy.dead_ratio_hi > 0. && I.dead_ratio index >= policy.dead_ratio_hi)

@@ -23,9 +23,6 @@ val default_policy : policy
 (** GC at 50% dead / half-full caches (≥ 4096 nodes); recycle at 128
     abandoned levels or within 64 of the 511-level ceiling. *)
 
-val never : policy
-(** Never fires — for disabling automatic reclamation. *)
-
 val needs_gc : policy -> Index.t -> bool
 
 val needs_recycle : policy -> Index.t -> bool

@@ -52,7 +52,7 @@ type t = {
   mutable par : (Fcv_util.Pool.t * Replica.t) option;
       (** worker pool + replica set when [jobs > 1]; the pool outlives
           validations so workers and hydrated replicas are reused *)
-  mutable gc_policy : Lifecycle.policy option;
+  gc_policy : Lifecycle.policy option;
       (** [None] disables automatic reclamation; on by default *)
 }
 
@@ -75,8 +75,6 @@ let constraints t = List.rev t.constraints
 let planner t = t.planner
 let planning t = t.planning
 let set_planning t p = t.planning <- p
-let set_gc_policy t p = t.gc_policy <- p
-let gc_policy t = t.gc_policy
 let jobs t = match t.par with Some (p, _) -> Fcv_util.Pool.size p | None -> 1
 
 (** Set the validation parallelism.  [jobs <= 1] (the initial state)

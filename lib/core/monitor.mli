@@ -51,9 +51,6 @@ val planning : t -> planning
 
 val set_planning : t -> planning -> unit
 
-val gc_policy : t -> Lifecycle.policy option
-val set_gc_policy : t -> Lifecycle.policy option -> unit
-
 val jobs : t -> int
 (** Current validation parallelism (1 = sequential, the default). *)
 

@@ -135,9 +135,9 @@ let cardinality db rel =
   | Some tbl -> float_of_int (R.Table.cardinality tbl)
   | None -> 0.
 
-(* Coefficients are rough milliseconds calibrated to the same scale as
-   {!Checker.cost_estimate}; only the relative order of the two sides
-   matters initially, and the EWMA blend corrects both quickly. *)
+(* Coefficients are rough milliseconds; only the relative order of the
+   two sides matters initially, and the EWMA blend corrects both
+   quickly. *)
 let c_fixed = 0.02
 let c_node = 0.0012
 let c_atom = 0.04

@@ -14,20 +14,6 @@ module R = Fcv_relation
 module T = Fcv_util.Telemetry
 module P = Protocol
 
-(* Compatibility re-exports: the durable core used to live here. *)
-module Mutator = Mutator
-
-let apply_logged = Mutator.apply_logged
-
-type recovered = Shard.recovered = {
-  monitor : Core.Monitor.t;
-  replayed : int;
-  from_snapshot : bool;
-  unregistered : string list;
-}
-
-let recover = Shard.recover
-
 (* -- daemon ---------------------------------------------------------------- *)
 
 type config = {

@@ -41,10 +41,6 @@
     directly, so its crash points exercise the daemon's real
     durability code at every per-shard effect. *)
 
-(** Compatibility re-export of {!Mutator} (the apply-then-journal
-    engine lived here before the tier was sharded). *)
-module Mutator = Mutator
-
 type config = {
   addr : string;  (** Unix socket path or "host:port" ({!Protocol.sockaddr_of_string}) *)
   state_dir : string option;  (** durability root; [None] = in-memory only *)
@@ -88,7 +84,7 @@ val create : ?unregistered:string list -> config -> Core.Monitor.t -> t
 (** Single-shard convenience: wrap [monitor] in a 1-shard tier over
     [config.state_dir] (flat legacy layout, [SHARDS] lineage recorded)
     and listen.  [unregistered] seeds the tombstone list (from
-    {!recover}). *)
+    {!Shard.recover}). *)
 
 val tier : t -> Tier.t
 
@@ -137,26 +133,3 @@ val run : t -> unit
 (** Daemon entry point: install SIGTERM/SIGINT drain handlers and
     {!poll} until stopped. *)
 
-val apply_logged : Core.Monitor.t -> Protocol.request -> unit
-(** Compatibility re-export of {!Mutator.apply_logged} (the WAL
-    replay semantics). *)
-
-type recovered = Shard.recovered = {
-  monitor : Core.Monitor.t;
-  replayed : int;  (** WAL records replayed over the snapshot *)
-  from_snapshot : bool;
-  unregistered : string list;
-      (** tombstones: sources explicitly unregistered (from the
-          snapshot, updated through the replay) — pass to {!create}
-          and do not re-register these from startup files *)
-}
-
-val recover :
-  ?max_nodes:int ->
-  state_dir:string ->
-  load_base:(unit -> Fcv_relation.Database.t) ->
-  unit ->
-  recovered
-(** Compatibility re-export of {!Shard.recover}: rebuild the monitor
-    a single-shard daemon should resume from (snapshot + WAL replay
-    with torn-tail truncation).  Sharded daemons use {!Tier.recover}. *)

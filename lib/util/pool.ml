@@ -112,12 +112,6 @@ let await fut =
   | Failed (e, bt) -> Printexc.raise_with_backtrace e bt
   | Pending -> assert false
 
-let peek fut =
-  Mutex.lock fut.f_mutex;
-  let state = fut.state in
-  Mutex.unlock fut.f_mutex;
-  match state with Done v -> Some v | Pending | Failed _ -> None
-
 (* Claimed-batch scheduler: the batch is an array of tasks plus one
    atomic claim cursor walking a caller-chosen execution order.  Every
    drainer (min(workers, tasks) of them are enqueued) loops
@@ -196,8 +190,6 @@ let run_ordered t ?order tasks =
     | Some (e, bt) -> Printexc.raise_with_backtrace e bt
     | None -> Array.map Option.get out
   end
-
-let run_list t fs = Array.to_list (run_ordered t (Array.of_list fs))
 
 let shutdown t =
   Mutex.lock t.mutex;

@@ -2,10 +2,11 @@
     futures and graceful shutdown.
 
     The pool is the substrate of parallel constraint validation: the
-    checker partitions a batch of constraints across workers, each of
-    which owns a private BDD manager + index replica (managers are
-    single-threaded by design — see DESIGN.md §Parallelism).  The pool
-    itself is workload-agnostic: it runs closures.
+    checker runs a batch as one task per constraint through
+    {!run_ordered}, on workers that each own a private BDD manager +
+    index replica (managers are single-threaded by design — see
+    DESIGN.md §Parallelism).  The pool itself is workload-agnostic: it
+    runs closures.
 
     Thread-safety: every operation may be called from any domain.
     Tasks run on worker domains; a task's exception is captured with
@@ -33,11 +34,6 @@ val await : 'a future -> 'a
 (** Block until the task finished; returns its value or re-raises its
     exception (with the worker-side backtrace attached). *)
 
-val peek : 'a future -> 'a option
-(** [Some v] if the task already finished with [v]; [None] while
-    pending.  Does not re-raise — a failed task stays [None] (use
-    {!await} to observe the exception). *)
-
 val run_ordered : t -> ?order:int array -> (unit -> 'a) array -> 'a array
 (** Run a batch through the claimed-batch scheduler: workers share one
     atomic claim cursor over [order] (a permutation of the task
@@ -50,11 +46,6 @@ val run_ordered : t -> ?order:int array -> (unit -> 'a) array -> 'a array
     {e in input order} is re-raised — after every task has settled, so
     no task is left running against state the caller tears down next.
     @raise Invalid_argument if [order] is not a permutation. *)
-
-val run_list : t -> (unit -> 'a) list -> 'a list
-(** {!run_ordered} in input order, on lists: submit every thunk, await
-    them all, results keep the input order, first input-order failure
-    re-raised after all settle. *)
 
 val shutdown : t -> unit
 (** Graceful shutdown: already-queued tasks are drained and completed,

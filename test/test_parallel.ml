@@ -25,12 +25,12 @@ let with_pool ~jobs f =
 let test_order_independence () =
   with_pool ~jobs:4 @@ fun pool ->
   let results =
-    Pool.run_list pool
-      (List.init 16 (fun i () ->
+    Pool.run_ordered pool
+      (Array.init 16 (fun i () ->
            Unix.sleepf (float_of_int (16 - i) /. 2_000.);
            i * i))
   in
-  Alcotest.(check (list int)) "input order" (List.init 16 (fun i -> i * i)) results
+  Alcotest.(check (array int)) "input order" (Array.init 16 (fun i -> i * i)) results
 
 exception Boom of int
 
@@ -42,19 +42,18 @@ let test_exception_propagation () =
   (match Pool.await bad with
   | _ -> Alcotest.fail "await should re-raise the worker exception"
   | exception Boom 7 -> ());
-  Alcotest.(check bool) "peek never raises" true (Pool.peek bad = None);
-  (* run_list: first failure in INPUT order wins, after all settle *)
+  (* run_ordered: first failure in INPUT order wins, after all settle *)
   let witness = Atomic.make 0 in
   (match
-     Pool.run_list pool
-       [
+     Pool.run_ordered pool
+       [|
          (fun () -> Atomic.incr witness);
          (fun () -> raise (Boom 1));
          (fun () -> raise (Boom 2));
          (fun () -> Atomic.incr witness);
-       ]
+       |]
    with
-  | _ -> Alcotest.fail "run_list should re-raise"
+  | _ -> Alcotest.fail "run_ordered should re-raise"
   | exception Boom n ->
     Alcotest.(check int) "first failure in input order" 1 n;
     Alcotest.(check int) "all tasks settled before the raise" 2 (Atomic.get witness))
@@ -181,7 +180,7 @@ let test_check_all_parallel_matches_sequential () =
       "forall s, d1, k1, d2, k2 . student(s, d1, k1) and student(s, d2, k2) -> d1 = d2";
       "forall c, a1, a2 . course(c, a1) and course(c, a2) -> a1 = a2";
       "forall s, k . student(s, 1, k) -> (exists c . takes(s, c) and course(c, 1))";
-      (* soft specs: chunked like any other, never conjunct-split *)
+      (* soft specs: one task each, like the hard ones *)
       "holds >= 0.9 . forall s, k . student(s, 0, k) -> \
        (exists c . takes(s, c) and course(c, 0))";
       "holds >= 0.5 . forall s, d1, k1, d2, k2 . \
@@ -496,53 +495,21 @@ let test_monitor_delta_hydration () =
     (* which worker domain claims which task is the scheduler's
        business, so assert the scheduling-independent shape: full
        hydrations are bounded by the worker count (never paid per
-       epoch), a delta was published, and its 4 row ops were replayed
-       by whoever caught up *)
+       epoch), a delta was published, and every worker that caught up
+       replayed its 4 row ops — each constraint is its own task, so
+       one worker or both may have caught up *)
     Alcotest.(check bool) "full hydrations bounded by workers" true
       (st.Core.Replica.full <= 2);
     Alcotest.(check bool) "a delta window was published" true
       (st.Core.Replica.delta_bytes > 0);
-    Alcotest.(check int) "the row epoch was replayed, not rehydrated" 4
-      st.Core.Replica.delta_ops
+    Alcotest.(check bool) "the row epoch was replayed, not rehydrated" true
+      (st.Core.Replica.delta_ops > 0 && st.Core.Replica.delta_ops mod 4 = 0)
   | None -> Alcotest.fail "parallel monitor should expose replica stats");
   Core.Monitor.stop monitor;
   Alcotest.(check bool) "verdicts match the sequential monitor" true
     (par_verdicts = seq_verdicts)
 
-(* -- granularity: batching and splitting ------------------------------------ *)
-
-let test_split_conjuncts () =
-  let r x y = F.Atom ("r", [ F.Var x; F.Var y ]) in
-  let splits =
-    C.split_conjuncts (F.Forall ([ "x"; "y" ], F.And (r "x" "y", r "y" "x")))
-  in
-  Alcotest.(check int) "conjunction under forall splits" 2 (List.length splits);
-  List.iter
-    (fun p ->
-      match p with
-      | F.Forall ([ "x"; "y" ], _) -> ()
-      | _ -> Alcotest.fail "every part keeps the full prefix")
-    splits;
-  (* a part that drops a prefix variable blocks the split: x is not
-     free in t(y), so ∀x,y is not distributable without changing
-     vacuous-truth semantics *)
-  let blocked =
-    C.split_conjuncts
-      (F.Forall ([ "x"; "y" ], F.And (r "x" "y", F.Atom ("t", [ F.Var "y" ]))))
-  in
-  Alcotest.(check int) "partial-prefix conjunction does not split" 1
-    (List.length blocked);
-  (* top-level conjunctions always split *)
-  Alcotest.(check int) "top-level conjunction splits" 2
-    (List.length (C.split_conjuncts (F.And (Gen.close (r "x" "y"), F.True))))
-
-let batches_granularity =
-  (* chunk everything, split nothing *)
-  { C.batch_under_ms = infinity; max_batch = 2; split_over_ms = infinity; max_parts = 8 }
-
-let splits_granularity =
-  (* split everything splittable, batch nothing *)
-  { C.batch_under_ms = 0.; max_batch = 1; split_over_ms = 0.; max_parts = 8 }
+(* -- one task per constraint: costs and strategies -------------------------- *)
 
 let well_typed_batch db fs =
   List.filter_map
@@ -553,51 +520,47 @@ let well_typed_batch db fs =
       | exception Core.Typing.Type_error _ -> None)
     fs
 
-(* Chunking tiny constraints into shared tasks must not change any
-   verdict OR any method: same checks run, just fewer task envelopes. *)
+(* A cost per spec: unmeasured, tied, ordinary or wild (zero,
+   negative, infinite, nan). *)
+let cost_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (2, return None);
+        (2, return (Some 1.));
+        (2, map Option.some (float_range 0. 1_000.));
+        (1, oneofl [ Some 0.; Some (-1.); Some infinity; Some neg_infinity; Some nan ]);
+      ])
+
+let strategy_gen = QCheck.Gen.oneofl [ C.Auto; C.Force_sql ]
+
+let schedule_arbitrary =
+  QCheck.make
+    ~print:QCheck.Print.(list (pair (option float) C.strategy_name))
+    QCheck.Gen.(list_repeat 5 (pair cost_gen strategy_gen))
+
+(* The pool's order follows the drawn costs, whatever they are, and
+   each spec keeps its drawn strategy: verdicts AND methods equal the
+   sequential run under the same strategies. *)
 let prop_batching_differential =
   QCheck.Test.make ~count:50
-    ~name:"batched check_all_pooled verdicts+methods = sequential (50 batches)"
-    (QCheck.pair
+    ~name:"batched check_all_pooled verdicts+methods = sequential, any costs (50 batches)"
+    (QCheck.triple
        (QCheck.triple Gen.formula_arbitrary Gen.formula_arbitrary Gen.formula_arbitrary)
-       (QCheck.int_range 0 1_000))
-    (fun ((f1, f2, f3), seed) ->
+       (QCheck.int_range 0 1_000) schedule_arbitrary)
+    (fun ((f1, f2, f3), seed, schedule) ->
       let db = Gen.random_db seed in
       let fs = well_typed_batch db [ f1; f2; f3; f1; f2 ] in
-      let index = Core.Index.create db in
-      C.ensure_indices index fs;
-      let sequential = verdicts (C.check_all index (hard fs)) in
-      with_pool ~jobs:3 @@ fun pool ->
-      let replica = Core.Replica.create index in
-      sequential
-      = verdicts
-          (C.check_all_pooled ~granularity:batches_granularity ~pool replica (hard fs)))
-
-(* Splitting a conjunction into part tasks preserves the OUTCOME (the
-   method may legitimately differ per part — merged as the weakest,
-   so only the verdict is the invariant). *)
-let prop_splitting_differential =
-  QCheck.Test.make ~count:50
-    ~name:"split check_all_pooled outcomes = sequential (50 batches)"
-    (QCheck.pair
-       (QCheck.triple Gen.formula_arbitrary Gen.formula_arbitrary Gen.formula_arbitrary)
-       (QCheck.int_range 0 1_000))
-    (fun ((f1, f2, f3), seed) ->
-      let db = Gen.random_db seed in
-      (* conjoin pairs so there is usually something to split *)
-      let fs =
-        well_typed_batch db
-          [ F.And (f1, f2); F.And (f2, f3); f1; F.And (f3, F.And (f1, f2)) ]
+      let costs, strategies =
+        List.split (List.filteri (fun i _ -> i < List.length fs) schedule)
       in
       let index = Core.Index.create db in
       C.ensure_indices index fs;
-      let outcomes rs = List.map (fun r -> r.C.outcome) rs in
-      let sequential = outcomes (C.check_all index (hard fs)) in
+      let sequential = verdicts (C.check_all ~strategies index (hard fs)) in
       with_pool ~jobs:3 @@ fun pool ->
       let replica = Core.Replica.create index in
       sequential
-      = outcomes
-          (C.check_all_pooled ~granularity:splits_granularity ~pool replica (hard fs)))
+      = verdicts (C.check_all_pooled ~costs ~strategies ~pool replica (hard fs)))
 
 (* Measured costs are a scheduling hint only: wildly wrong ones must
    not change anything. *)
@@ -656,10 +619,7 @@ let () =
         test_replica_structural_fallback;
       Alcotest.test_case "monitor: row epochs hydrate via delta" `Quick
         test_monitor_delta_hydration;
-      Alcotest.test_case "checker: split_conjuncts keeps full prefixes" `Quick
-        test_split_conjuncts;
       Alcotest.test_case "checker: costs are only a scheduling hint" `Quick
         test_costs_are_only_a_hint;
       Gen.qcheck_case prop_batching_differential;
-      Gen.qcheck_case prop_splitting_differential;
     ]

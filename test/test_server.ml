@@ -13,6 +13,8 @@ module P = Fcv_server.Protocol
 module W = Fcv_server.Wal
 module St = Fcv_server.State
 module S = Fcv_server.Server
+module Sh = Fcv_server.Shard
+module Mu = Fcv_server.Mutator
 module C = Fcv_server.Client
 module T = Fcv_util.Telemetry
 module R = Fcv_relation
@@ -248,10 +250,10 @@ let test_db_dump_roundtrip () =
    the snapshot exercises the variable renumbering in Index_io. *)
 let test_crash_recovery_matches_uninterrupted_run () =
   let dir = tmpdir () in
-  let r0 = S.recover ~state_dir:dir ~load_base:make_base () in
-  let monitor = r0.S.monitor in
-  check "fresh directory: no snapshot" false r0.S.from_snapshot;
-  check_int "fresh directory: empty wal" 0 r0.S.replayed;
+  let r0 = Sh.recover ~state_dir:dir ~load_base:make_base () in
+  let monitor = r0.Sh.monitor in
+  check "fresh directory: no snapshot" false r0.Sh.from_snapshot;
+  check_int "fresh directory: empty wal" 0 r0.Sh.replayed;
   let upd i =
     if i = 60 then P.Insert ("student", [ "777"; "0"; "3" ]) (* domain growth: rebuild *)
     else if i = 61 then P.Insert ("takes", [ "777"; "0" ])
@@ -267,7 +269,7 @@ let test_crash_recovery_matches_uninterrupted_run () =
   let wal = ref (W.open_ (St.wal_path ~dir ~gen:0)) in
   List.iteri
     (fun i req ->
-      S.apply_logged monitor req;
+      Mu.apply_logged monitor req;
       W.append !wal req;
       if i = 80 then begin
         (* a check ran before the snapshot: scratch blocks are live *)
@@ -281,14 +283,14 @@ let test_crash_recovery_matches_uninterrupted_run () =
     reqs;
   W.close !wal;
   (* the kill: [monitor] is dropped, only dir survives *)
-  let r = S.recover ~state_dir:dir ~load_base:make_base () in
-  let recovered = r.S.monitor in
-  check "recovered from snapshot" true r.S.from_snapshot;
-  check_int "replayed exactly the post-snapshot records" (List.length reqs - 81) r.S.replayed;
+  let r = Sh.recover ~state_dir:dir ~load_base:make_base () in
+  let recovered = r.Sh.monitor in
+  check "recovered from snapshot" true r.Sh.from_snapshot;
+  check_int "replayed exactly the post-snapshot records" (List.length reqs - 81) r.Sh.replayed;
   check_int "constraints recovered under their ids" 3
     (List.length (Core.Monitor.constraints recovered));
-  let reference = (S.recover ~state_dir:(tmpdir ()) ~load_base:make_base ()).S.monitor in
-  List.iter (S.apply_logged reference) reqs;
+  let reference = (Sh.recover ~state_dir:(tmpdir ()) ~load_base:make_base ()).Sh.monitor in
+  List.iter (Mu.apply_logged reference) reqs;
   let expected = verdicts_of_monitor reference in
   check_verdicts "recovered verdicts match the uninterrupted run" expected
     (verdicts_of_monitor recovered);
@@ -302,7 +304,7 @@ let test_crash_recovery_matches_uninterrupted_run () =
    names, recovery reads that generation's log and no other. *)
 let test_snapshot_commits_atomically_with_wal () =
   let dir = tmpdir () in
-  let monitor = (S.recover ~state_dir:dir ~load_base:make_base ()).S.monitor in
+  let monitor = (Sh.recover ~state_dir:dir ~load_base:make_base ()).Sh.monitor in
   let reqs =
     List.map (fun s -> P.Register { source = s; id = None }) sources
     @ List.init 40 (fun i ->
@@ -312,7 +314,7 @@ let test_snapshot_commits_atomically_with_wal () =
   let wal = W.open_ wal0 in
   List.iter
     (fun req ->
-      S.apply_logged monitor req;
+      Mu.apply_logged monitor req;
       W.append wal req)
     reqs;
   W.close wal;
@@ -326,14 +328,14 @@ let test_snapshot_commits_atomically_with_wal () =
   (* resurrect the pre-snapshot log exactly as an unfinished sweep
      would leave it *)
   Out_channel.with_open_bin wal0 (fun oc -> Out_channel.output_string oc old_log);
-  let r = S.recover ~state_dir:dir ~load_base:make_base () in
-  check "recovered from the snapshot" true r.S.from_snapshot;
-  check_int "stale pre-snapshot log not replayed" 0 r.S.replayed;
-  check_int "constraints intact" 3 (List.length (Core.Monitor.constraints r.S.monitor));
+  let r = Sh.recover ~state_dir:dir ~load_base:make_base () in
+  check "recovered from the snapshot" true r.Sh.from_snapshot;
+  check_int "stale pre-snapshot log not replayed" 0 r.Sh.replayed;
+  check_int "constraints intact" 3 (List.length (Core.Monitor.constraints r.Sh.monitor));
   check_verdicts "verdicts preserved" (verdicts_of_monitor monitor)
-    (verdicts_of_monitor r.S.monitor);
+    (verdicts_of_monitor r.Sh.monitor);
   (* the next snapshot sweeps every stale generation's files *)
-  ignore (St.save ~dir r.S.monitor);
+  ignore (St.save ~dir r.Sh.monitor);
   check "stale logs swept" false (Sys.file_exists wal0)
 
 (* Unregistering must stick across restarts, even for constraints that
@@ -341,12 +343,12 @@ let test_snapshot_commits_atomically_with_wal () =
    carried through WAL replay and persisted in snapshots. *)
 let test_unregister_tombstones_survive_recovery () =
   let dir = tmpdir () in
-  let monitor = (S.recover ~state_dir:dir ~load_base:make_base ()).S.monitor in
+  let monitor = (Sh.recover ~state_dir:dir ~load_base:make_base ()).Sh.monitor in
   let append_all gen reqs =
     let wal = W.open_ (St.wal_path ~dir ~gen) in
     List.iter
       (fun req ->
-        S.apply_logged monitor req;
+        Mu.apply_logged monitor req;
         W.append wal req)
       reqs;
     W.close wal
@@ -359,21 +361,21 @@ let test_unregister_tombstones_survive_recovery () =
   let gen = St.save ~dir monitor in
   (* the unregister arrives after the snapshot, so only the WAL has it *)
   append_all gen [ P.Unregister 0 ];
-  let r = S.recover ~state_dir:dir ~load_base:make_base () in
-  check_int "one constraint left" 1 (List.length (Core.Monitor.constraints r.S.monitor));
-  check "unregistered source tombstoned" true (List.mem curriculum r.S.unregistered);
-  check "live source not tombstoned" false (List.mem enrolment r.S.unregistered);
+  let r = Sh.recover ~state_dir:dir ~load_base:make_base () in
+  check_int "one constraint left" 1 (List.length (Core.Monitor.constraints r.Sh.monitor));
+  check "unregistered source tombstoned" true (List.mem curriculum r.Sh.unregistered);
+  check "live source not tombstoned" false (List.mem enrolment r.Sh.unregistered);
   (* a snapshot absorbs the unregister; the tombstone must survive it *)
-  ignore (St.save ~dir ~unregistered:r.S.unregistered r.S.monitor);
-  let r2 = S.recover ~state_dir:dir ~load_base:make_base () in
+  ignore (St.save ~dir ~unregistered:r.Sh.unregistered r.Sh.monitor);
+  let r2 = Sh.recover ~state_dir:dir ~load_base:make_base () in
   check "tombstone persisted through the snapshot" true
-    (List.mem curriculum r2.S.unregistered);
+    (List.mem curriculum r2.Sh.unregistered);
   (* re-registering digs the source up again *)
   append_all (St.current_gen ~dir) [ P.Register { source = curriculum; id = Some 5 } ];
-  let r3 = S.recover ~state_dir:dir ~load_base:make_base () in
-  check "re-register clears the tombstone" false (List.mem curriculum r3.S.unregistered);
+  let r3 = Sh.recover ~state_dir:dir ~load_base:make_base () in
+  check "re-register clears the tombstone" false (List.mem curriculum r3.Sh.unregistered);
   check_int "both constraints live again" 2
-    (List.length (Core.Monitor.constraints r3.S.monitor))
+    (List.length (Core.Monitor.constraints r3.Sh.monitor))
 
 (* -- driving the daemon and raw clients from one thread -------------------- *)
 
@@ -554,7 +556,7 @@ let test_e2e_crash_restart_parity () =
         else P.U_insert ("takes", [ string_of_int (i mod 80); string_of_int (i mod 20) ]))
   in
   let start () =
-    let r = S.recover ~state_dir:dir ~load_base:make_base () in
+    let r = Sh.recover ~state_dir:dir ~load_base:make_base () in
     let config =
       {
         (S.default_config ~addr:sock) with
@@ -564,7 +566,7 @@ let test_e2e_crash_restart_parity () =
         partial_timeout = 0.;
       }
     in
-    let srv = S.create ~unregistered:r.S.unregistered config r.S.monitor in
+    let srv = S.create ~unregistered:r.Sh.unregistered config r.Sh.monitor in
     let th = Thread.create (fun () -> while S.poll ~timeout:0.02 srv do () done) () in
     (srv, th)
   in
@@ -617,20 +619,20 @@ let test_e2e_crash_restart_parity () =
   C.close c3;
   C.close c4;
   (* the reference: one Monitor, same stream, single process *)
-  let reference = (S.recover ~state_dir:(tmpdir ()) ~load_base:make_base ()).S.monitor in
+  let reference = (Sh.recover ~state_dir:(tmpdir ()) ~load_base:make_base ()).Sh.monitor in
   List.iter (fun s -> ignore (Core.Monitor.add reference s)) sources;
-  List.iter (fun u -> S.apply_logged reference (P.request_of_update u)) (take 600 ops);
+  List.iter (fun u -> Mu.apply_logged reference (P.request_of_update u)) (take 600 ops);
   check_verdicts "mid-stream parity with single-process replay"
     (verdicts_of_monitor reference) mid;
-  List.iter (fun u -> S.apply_logged reference (P.request_of_update u)) (drop 600 ops);
+  List.iter (fun u -> Mu.apply_logged reference (P.request_of_update u)) (drop 600 ops);
   check_verdicts "final parity with single-process replay"
     (verdicts_of_monitor reference) final;
   (* and the post-shutdown snapshot alone reproduces them once more *)
-  let r = S.recover ~state_dir:dir ~load_base:make_base () in
-  check "final snapshot present" true r.S.from_snapshot;
-  check_int "wal empty after graceful shutdown" 0 r.S.replayed;
+  let r = Sh.recover ~state_dir:dir ~load_base:make_base () in
+  check "final snapshot present" true r.Sh.from_snapshot;
+  check_int "wal empty after graceful shutdown" 0 r.Sh.replayed;
   check_verdicts "snapshot-only recovery reproduces the final verdicts" final
-    (verdicts_of_monitor r.S.monitor)
+    (verdicts_of_monitor r.Sh.monitor)
 
 (* Pipelining e2e: one client writes K requests — client-chosen ids
    0..K-1 on a mix of register / insert / delete / ping / validate —
