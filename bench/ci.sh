@@ -6,7 +6,8 @@
 # negative --max-nodes is a usage error; a budget the indices exceed
 # is one message and exit 2), a bad-constraint smoke test (fcv check
 # reports each bad constraint in its input position, identically at
-# -j 1 and -j 2, and exits 2; a parse error names its line), a
+# -j 1 and -j 2, and exits 2, as do fcv monitor, explain and bench; a
+# parse error names its line), a
 # 200-schedule fault-injection sweep (fcv sim), the
 # parallel-validation scaling benchmark, the
 # planner vs Forced Auto benchmark with its verdict-exactness and never-
@@ -174,7 +175,7 @@ if [ "$rc" != 2 ] || [ "$(wc -l <"$SMOKE/budget.err")" != 1 ] ||
 fi
 echo "node-budget smoke test passed"
 
-echo "== bad-constraint smoke test (fcv check -j 1 and -j 2)"
+echo "== bad-constraint smoke test (fcv check -j 1 and -j 2, monitor, explain, bench)"
 # One good constraint, then an unknown relation, a free variable and an
 # arity error: each bad one is an [ERROR line in its input position,
 # the good one still gets its verdict, and the run exits 2.
@@ -202,6 +203,39 @@ if ! cmp -s "$SMOKE/bad.j1.norm" "$SMOKE/bad.j2.norm"; then
   diff "$SMOKE/bad.j1.norm" "$SMOKE/bad.j2.norm" >&2 || true
   exit 1
 fi
+# bad_run NAME ARGS...: fcv ARGS on bad.txt must exit 2 and print the
+# three [ERROR lines in input order, as fcv check does; its output is
+# left in bad.NAME.
+bad_run() {
+  name=$1
+  shift
+  rc=0
+  "$FCV" "$@" -d "$SMOKE/data" -c "$SMOKE/bad.txt" >"$SMOKE/bad.$name" || rc=$?
+  grep '^\[ERROR' "$SMOKE/bad.$name" | sed 's/: .*//' >"$SMOKE/bad.errors"
+  if [ "$rc" != 2 ] ||
+    ! sed 1d "$SMOKE/bad.txt" | sed 's/^/[ERROR    ] /' | cmp -s - "$SMOKE/bad.errors"; then
+    echo "FAIL: fcv $name on bad constraints exited $rc, expected 2 and three" >&2
+    echo "      [ERROR lines in input order:" >&2
+    cat "$SMOKE/bad.$name" >&2
+    exit 1
+  fi
+}
+# monitor, explain and bench load constraints as check does; monitor
+# and explain still report the good constraint
+echo validate >"$SMOKE/validate.txt"
+bad_run monitor monitor -u "$SMOKE/validate.txt"
+if ! grep -q '^  \[SATISFIED\] (fresh' "$SMOKE/bad.monitor"; then
+  echo "FAIL: fcv monitor did not validate the good constraint:" >&2
+  cat "$SMOKE/bad.monitor" >&2
+  exit 1
+fi
+bad_run explain explain --warm 0
+if [ "$(grep -c '^Plan: ' "$SMOKE/bad.explain")" != 1 ]; then
+  echo "FAIL: fcv explain did not explain the good constraint:" >&2
+  cat "$SMOKE/bad.explain" >&2
+  exit 1
+fi
+bad_run bench bench -r 1
 printf '%s\n' 'forall s, c . takes(s, c) -> (exists a . course(c, a))' \
   'forall s c . takes(s, c)' >"$SMOKE/parse.txt"
 rc=0

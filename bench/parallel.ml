@@ -24,8 +24,8 @@
    - best-of-R wall-clock per j and the speedup over j=1 — only
      meaningful up to the machine's core count, which is recorded
      under env.cores so the gate can skip oversubscribed points;
-   - hydration-mode telemetry per parallel point (full vs delta
-     refreshes, ops replayed, bytes) — the delta machinery's
+   - hydration-mode telemetry per parallel point (copies of the
+     master, delta catch-ups, ops replayed) — the delta machinery's
      observable, also written to BENCH_hydration.json. *)
 
 module R = Fcv_relation
@@ -208,8 +208,6 @@ let json_of_hydration h =
       ("full", T.Int h.Core.Replica.full);
       ("delta", T.Int h.Core.Replica.delta);
       ("delta_ops", T.Int h.Core.Replica.delta_ops);
-      ("snapshot_bytes", T.Int h.Core.Replica.snapshot_bytes);
-      ("delta_bytes", T.Int h.Core.Replica.delta_bytes);
     ]
 
 let json_of_point p =

@@ -168,10 +168,6 @@ let read_constraints path =
       in
       go 1 [])
 
-(* the bare formulas of a parsed constraints file (index building) *)
-let formulas_of constraints =
-  List.map (fun (_, sp) -> sp.Core.Formula.formula) constraints
-
 (* Run on each constraint the static checks {!Core.Monitor.add} runs —
    closed, and well typed against [db], which also names an unknown
    relation — before any index is built: a constraint that fails them
@@ -191,11 +187,41 @@ let statically_checked db constraints =
         | exception Core.Typing.Type_error msg -> (src, Error msg))
     constraints
 
-(* the formulas of the constraints that passed {!statically_checked} *)
-let checked_formulas constraints =
-  List.filter_map
-    (function _, Ok sp -> Some sp.Core.Formula.formula | _, Error _ -> None)
-    constraints
+(* the specs of the constraints that passed {!statically_checked} *)
+let checked_specs constraints = List.filter_map (fun (_, c) -> Result.to_option c) constraints
+
+let errored constraints =
+  List.length (List.filter (fun (_, c) -> Result.is_error c) constraints)
+
+(* The line that reports a constraint {!statically_checked} set aside. *)
+let print_error src msg = Printf.printf "[ERROR    ] %s: %s\n" src msg
+
+(* The setup [fcv check], [stats], [monitor], [explain] and [bench]
+   share: load the tables, parse the constraints file and run its
+   static checks, then build the logical indices the constraints that
+   passed mention (after restoring [load_index], when given, under the
+   [max_nodes] budget).  Returns the index, the checked constraints
+   and the index build time in ms. *)
+let load_checked ?load_index ~data ~constraints_file ~strategy ~max_nodes () =
+  let db, _ = load_dir data in
+  let constraints = statically_checked db (read_constraints constraints_file) in
+  let t0 = Fcv_util.Timer.now () in
+  let index =
+    Fcv_util.Telemetry.with_span "build_indices" @@ fun () ->
+    let index =
+      match load_index with
+      | Some path ->
+        let index = Core.Index_io.load_file db path in
+        Fcv_bdd.Manager.set_max_nodes (Core.Index.mgr index) max_nodes;
+        index
+      | None -> Core.Index.create ~max_nodes db
+    in
+    (* any relation not covered by a restored index still gets one *)
+    Core.Checker.ensure_indices ~strategy:(strategy_of_string strategy) index
+      (List.map (fun sp -> sp.Core.Formula.formula) (checked_specs constraints));
+    index
+  in
+  (index, constraints, (Fcv_util.Timer.now () -. t0) *. 1000.)
 
 let constraints_arg =
   let doc =
@@ -212,11 +238,8 @@ let constraints_arg =
    enumeration runs on [index] afterwards.  Returns the number violated
    and the number errored. *)
 let run_checks ?(witnesses = 0) ?(jobs = 1) index constraints =
-  let results =
-    Core.Checker.check_all ~jobs index
-      (List.filter_map (fun (_, c) -> Result.to_option c) constraints)
-  in
-  let violated = ref 0 and errored = ref 0 in
+  let results = Core.Checker.check_all ~jobs index (checked_specs constraints) in
+  let violated = ref 0 in
   let report src (sp : Core.Formula.spec) r =
     let verdict =
       match r.Core.Checker.outcome with
@@ -256,14 +279,14 @@ let run_checks ?(witnesses = 0) ?(jobs = 1) index constraints =
            report src sp r;
            rest
          | Error msg, _ ->
-           incr errored;
-           Printf.printf "[ERROR    ] %s: %s\n" src msg;
+           print_error src msg;
            results
          | Ok _, [] -> assert false (* one result per checked constraint *))
        results constraints);
+  let errored = errored constraints in
   Printf.printf "\n%d/%d constraints violated%s\n" !violated (List.length constraints)
-    (if !errored > 0 then Printf.sprintf ", %d errored" !errored else "");
-  (!violated, !errored)
+    (if errored > 0 then Printf.sprintf ", %d errored" errored else "");
+  (!violated, errored)
 
 let check_cmd =
   let witnesses_arg =
@@ -282,30 +305,14 @@ let check_cmd =
       telemetry =
     let violated, errored =
       with_telemetry telemetry @@ fun () ->
-      let db, _ = load_dir data in
-      let constraints = statically_checked db (read_constraints constraints_file) in
-      let t0 = Fcv_util.Timer.now () in
-      let index =
-        Fcv_util.Telemetry.with_span "build_indices" @@ fun () ->
-        match load_index with
-        | Some path ->
-          let index = Core.Index_io.load_file db path in
-          Fcv_bdd.Manager.set_max_nodes (Core.Index.mgr index) max_nodes;
-          (* any relation not covered by the snapshot still gets an index *)
-          Core.Checker.ensure_indices ~strategy:(strategy_of_string strategy) index
-            (checked_formulas constraints);
-          index
-        | None ->
-          let index = Core.Index.create ~max_nodes db in
-          Core.Checker.ensure_indices ~strategy:(strategy_of_string strategy) index
-            (checked_formulas constraints);
-          index
+      let index, constraints, build_ms =
+        load_checked ?load_index ~data ~constraints_file ~strategy ~max_nodes ()
       in
       Option.iter (Core.Index_io.save_file index) save_index;
       Printf.printf "%s %d logical indices in %.1f ms\n\n"
         (if load_index = None then "built" else "loaded")
         (List.length (Core.Index.entries index))
-        ((Fcv_util.Timer.now () -. t0) *. 1000.);
+        build_ms;
       run_checks ~witnesses ~jobs index constraints
     in
     if errored > 0 then exit 2 else if violated > 0 then exit 1
@@ -565,12 +572,9 @@ let stats_cmd =
     let module T = Fcv_util.Telemetry in
     T.reset ();
     T.enable ();
-    let db, _ = load_dir data in
-    let constraints = statically_checked db (read_constraints constraints_file) in
-    let index = Core.Index.create ~max_nodes db in
-    T.with_span "build_indices" (fun () ->
-        Core.Checker.ensure_indices ~strategy:(strategy_of_string strategy) index
-          (checked_formulas constraints));
+    let index, constraints, _ =
+      load_checked ~data ~constraints_file ~strategy ~max_nodes ()
+    in
     let _, errored = run_checks index constraints in
     print_newline ();
     print_manager_stats stdout (Core.Index.mgr index);
@@ -631,15 +635,18 @@ let monitor_cmd =
       reports
   in
   let run data constraints_file strategy max_nodes updates_file telemetry =
-    let any_violated =
+    let any_violated, errored =
       with_telemetry telemetry @@ fun () ->
-      let db, _ = load_dir data in
-      let constraints = read_constraints constraints_file in
-      let index = Core.Index.create ~max_nodes db in
-      Core.Checker.ensure_indices ~strategy:(strategy_of_string strategy) index
-        (formulas_of constraints);
+      let index, constraints, _ =
+        load_checked ~data ~constraints_file ~strategy ~max_nodes ()
+      in
+      let db = index.Core.Index.db in
       let monitor = Core.Monitor.create index in
-      List.iter (fun (src, _) -> ignore (Core.Monitor.add monitor src)) constraints;
+      List.iter
+        (function
+          | src, Ok _ -> ignore (Core.Monitor.add monitor src)
+          | src, Error msg -> print_error src msg)
+        constraints;
       let any_violated = ref false in
       let validate label =
         Printf.printf "%s:\n" label;
@@ -678,9 +685,9 @@ let monitor_cmd =
             done
           with End_of_file -> ());
       validate "final validation";
-      !any_violated
+      (!any_violated, errored constraints)
     in
-    if any_violated then exit 1
+    if errored > 0 then exit 2 else if any_violated then exit 1
   in
   let doc =
     "replay a stream of inserts/deletes through the logical indices and lazily \
@@ -711,18 +718,25 @@ let explain_cmd =
     Arg.(value & opt int 1 & info [ "warm" ] ~docv:"PASSES" ~doc)
   in
   let run data constraints_file strategy max_nodes id warm =
-    let db, _ = load_dir data in
-    let constraints = read_constraints constraints_file in
-    let index = Core.Index.create ~max_nodes db in
-    Core.Checker.ensure_indices ~strategy:(strategy_of_string strategy) index
-      (formulas_of constraints);
+    let index, constraints, _ =
+      load_checked ~data ~constraints_file ~strategy ~max_nodes ()
+    in
     let monitor = Core.Monitor.create index in
-    let regs = List.map (fun (src, _) -> Core.Monitor.add monitor src) constraints in
+    (* registered in file order, so [-n] numbers errored constraints too *)
+    let regs =
+      List.map
+        (function
+          | src, Ok _ -> Ok (Core.Monitor.add monitor src)
+          | src, Error msg -> Error (src, msg))
+        constraints
+    in
     (* each pass re-checks every constraint: a clean table would let
        validate reuse the first pass's verdicts *)
     for _ = 1 to warm do
       List.iter
-        (fun reg -> List.iter (Core.Monitor.mark_dirty monitor) reg.Core.Monitor.tables)
+        (function
+          | Ok reg -> List.iter (Core.Monitor.mark_dirty monitor) reg.Core.Monitor.tables
+          | Error _ -> ())
         regs;
       ignore (Core.Monitor.validate monitor)
     done;
@@ -736,34 +750,38 @@ let explain_cmd =
           failwith
             (Printf.sprintf "no constraint %d (file has %d)" n (List.length regs)))
     in
+    let explain reg =
+      match Core.Monitor.explain monitor reg.Core.Monitor.id with
+      | Some (r, plan) ->
+        print_string (Core.Planner.render plan);
+        (* soft constraints: the threshold the verdict is taken
+           against, and the last measured rate next to it *)
+        if r.Core.Monitor.threshold < 1.0 then (
+          match r.Core.Monitor.last_rate with
+          | Some rt ->
+            Printf.printf
+              "  soft: threshold ≥ %g satisfied; measured rate %.6g (%s of %s \
+               bindings violated) -> %s\n"
+              r.Core.Monitor.threshold rt.Core.Checker.ratio
+              (Fcv_bdd.Nat.to_string rt.Core.Checker.violations)
+              (Fcv_bdd.Nat.to_string rt.Core.Checker.total)
+              (if
+                 Core.Checker.clears ~threshold:rt.Core.Checker.threshold
+                   ~violations:rt.Core.Checker.violations
+                   ~total:rt.Core.Checker.total
+               then "satisfied"
+               else "violated")
+          | None ->
+            Printf.printf "  soft: threshold ≥ %g satisfied; rate not yet measured\n"
+              r.Core.Monitor.threshold)
+      | None -> Printf.printf "constraint %d: no plan\n" reg.Core.Monitor.id
+    in
     List.iteri
       (fun i reg ->
         if i > 0 then print_newline ();
-        match Core.Monitor.explain monitor reg.Core.Monitor.id with
-        | Some (r, plan) ->
-          print_string (Core.Planner.render plan);
-          (* soft constraints: the threshold the verdict is taken
-             against, and the last measured rate next to it *)
-          if r.Core.Monitor.threshold < 1.0 then (
-            match r.Core.Monitor.last_rate with
-            | Some rt ->
-              Printf.printf
-                "  soft: threshold ≥ %g satisfied; measured rate %.6g (%s of %s \
-                 bindings violated) -> %s\n"
-                r.Core.Monitor.threshold rt.Core.Checker.ratio
-                (Fcv_bdd.Nat.to_string rt.Core.Checker.violations)
-                (Fcv_bdd.Nat.to_string rt.Core.Checker.total)
-                (if
-                   Core.Checker.clears ~threshold:rt.Core.Checker.threshold
-                     ~violations:rt.Core.Checker.violations
-                     ~total:rt.Core.Checker.total
-                 then "satisfied"
-                 else "violated")
-            | None ->
-              Printf.printf "  soft: threshold ≥ %g satisfied; rate not yet measured\n"
-                r.Core.Monitor.threshold)
-        | None -> Printf.printf "constraint %d: no plan\n" reg.Core.Monitor.id)
-      chosen
+        match reg with Error (src, msg) -> print_error src msg | Ok reg -> explain reg)
+      chosen;
+    if List.exists Result.is_error chosen then exit 2
   in
   let doc =
     "print the cost-based planner's costed plan tree per constraint (EXPLAIN \
@@ -1026,14 +1044,14 @@ let bench_cmd =
     Arg.(value & opt int 3 & info [ "r"; "repeat" ] ~docv:"R" ~doc)
   in
   let run data constraints_file strategy max_nodes jobs repeat =
-    let db, _ = load_dir data in
-    let constraints = read_constraints constraints_file in
-    let index = Core.Index.create ~max_nodes db in
-    Core.Checker.ensure_indices ~strategy:(strategy_of_string strategy) index
-      (formulas_of constraints);
+    let index, constraints, _ =
+      load_checked ~data ~constraints_file ~strategy ~max_nodes ()
+    in
+    List.iter (function src, Error msg -> print_error src msg | _, Ok _ -> ()) constraints;
+    let specs = checked_specs constraints in
     let time () =
       let t0 = Fcv_util.Timer.now () in
-      let results = Core.Checker.check_all ~jobs index (List.map snd constraints) in
+      let results = Core.Checker.check_all ~jobs index specs in
       let ms = (Fcv_util.Timer.now () -. t0) *. 1000. in
       let violated =
         List.length
@@ -1048,7 +1066,8 @@ let bench_cmd =
     let mean = List.fold_left ( +. ) 0. times /. float_of_int (List.length times) in
     Printf.printf
       "jobs=%d constraints=%d violated=%d runs=%d best_ms=%.2f mean_ms=%.2f\n" jobs
-      (List.length constraints) violated (List.length runs) best mean
+      (List.length specs) violated (List.length runs) best mean;
+    if errored constraints > 0 then exit 2
   in
   let doc =
     "time one parallel validation batch (all constraints, -j worker domains); \

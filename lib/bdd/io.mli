@@ -12,9 +12,7 @@ val save :
     own variables. *)
 
 val save_string : ?rename:(int -> int) -> ?nvars:int -> Manager.t -> roots:int list -> string
-(** {!save} into an in-memory string — the replica-hydration path of
-    parallel validation serialises once and lets every worker load
-    from the same bytes. *)
+(** {!save} into an in-memory string. *)
 
 val load : Manager.t -> in_channel -> int list
 (** Load into a manager with at least as many variables (same intended

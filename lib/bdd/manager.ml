@@ -123,11 +123,10 @@ let new_cache ~max_cache width bits =
 
 let check_limit name n = if n < 0 then invalid_arg ("Manager." ^ name ^ ": negative")
 
-let create ?(max_nodes = 0) ?(max_cache = default_max_cache) ~nvars () =
-  if nvars < 0 || nvars > max_level then invalid_arg "Manager.create: nvars";
-  check_limit "create: max_nodes" max_nodes;
-  check_limit "create: max_cache" max_cache;
-  let cap = 1 lsl store_bits in
+(* A manager whose node store and bucket array start at [2^bits]
+   slots. *)
+let make ~bits ~max_nodes ~max_cache ~nvars =
+  let cap = 1 lsl bits in
   let var_ = Array.make cap terminal_level in
   let low_ = Array.make cap (-1) in
   let high_ = Array.make cap (-1) in
@@ -144,7 +143,7 @@ let create ?(max_nodes = 0) ?(max_cache = default_max_cache) ~nvars () =
     high_;
     next_ = Array.make cap (-1);
     buckets = Array.make cap (-1);
-    ushift = 63 - store_bits;
+    ushift = 63 - bits;
     mark_ = Array.make cap 0;
     stamp = 0;
     size = 2;
@@ -163,6 +162,12 @@ let create ?(max_nodes = 0) ?(max_cache = default_max_cache) ~nvars () =
     compact_reclaimed = 0;
     op_calls = Array.make (Array.length op_slot_names) 0;
   }
+
+let create ?(max_nodes = 0) ?(max_cache = default_max_cache) ~nvars () =
+  if nvars < 0 || nvars > max_level then invalid_arg "Manager.create: nvars";
+  check_limit "create: max_nodes" max_nodes;
+  check_limit "create: max_cache" max_cache;
+  make ~bits:store_bits ~max_nodes ~max_cache ~nvars
 
 let nvars t = t.nvars
 let size t = t.size
@@ -483,6 +488,43 @@ let node_count_shared t roots =
   let s = fresh_stamp t in
   List.fold_left (fun n root -> count_unmarked t s root n) 0 roots
 
+(* Mark-and-rebuild, the loop {!compact} and {!copy} share.  [reach]
+   marks the nodes of [src] reachable from [roots] in a remap array of
+   its own (-1 = unreached, -2 = reached; terminals map to themselves)
+   and counts them, terminals included, reading [src]'s arrays and
+   writing nothing of it.  [rebuild] re-creates every marked node in
+   [dst] through [mk] and records its new id in the remap.  [mk] only
+   ever links a node above its children, so ascending ids are
+   children-first; when [dst] is [src], a kept node's new id never
+   exceeds its old one, so [mk] overwrites only slots whose nodes were
+   already read.  The budget is lifted meanwhile: a rebuild keeps only
+   nodes [src] already holds. *)
+let reach src roots =
+  let remap = Array.make src.size (-1) in
+  remap.(zero) <- zero;
+  remap.(one) <- one;
+  let reached = ref 2 in
+  let rec mark id =
+    if remap.(id) = -1 then begin
+      remap.(id) <- -2;
+      incr reached;
+      mark src.low_.(id);
+      mark src.high_.(id)
+    end
+  in
+  List.iter mark roots;
+  (remap, !reached)
+
+let rebuild src remap dst roots =
+  let budget = dst.max_nodes in
+  dst.max_nodes <- 0;
+  for id = 2 to Array.length remap - 1 do
+    if remap.(id) = -2 then
+      remap.(id) <- mk dst src.var_.(id) remap.(src.low_.(id)) remap.(src.high_.(id))
+  done;
+  dst.max_nodes <- budget;
+  List.map (fun r -> remap.(r)) roots
+
 (** Garbage collection: rebuild the node store keeping only the nodes
     reachable from [roots], and return the remapping of the given
     roots.  Every other node id becomes invalid, and all operation
@@ -493,35 +535,27 @@ let node_count_shared t roots =
     periodically. *)
 let compact t roots =
   let size_before = t.size in
-  (* -1 = unreached, -2 = reached, else the node's new id *)
-  let remap = Array.make size_before (-1) in
-  remap.(zero) <- zero;
-  remap.(one) <- one;
-  let rec mark id =
-    if remap.(id) = -1 then begin
-      remap.(id) <- -2;
-      mark t.low_.(id);
-      mark t.high_.(id)
-    end
-  in
-  List.iter mark roots;
-  (* reset the store and re-create nodes through mk (budget is
-     temporarily lifted: compaction can only shrink) *)
-  let saved_budget = t.max_nodes in
-  t.max_nodes <- 0;
+  let remap, _ = reach t roots in
   t.size <- 2;
   Array.fill t.buckets 0 (Array.length t.buckets) (-1);
   clear_caches t;
-  (* mk only ever links a node above its children, so ascending ids are
-     children-first, and a kept node's new id never exceeds its old
-     one: mk overwrites only slots whose nodes were already read *)
-  for id = 2 to size_before - 1 do
-    if remap.(id) = -2 then
-      remap.(id) <- mk t t.var_.(id) remap.(t.low_.(id)) remap.(t.high_.(id))
-  done;
-  t.max_nodes <- saved_budget;
+  let roots = rebuild t remap t roots in
   t.compact_reclaimed <- t.compact_reclaimed + (size_before - t.size);
-  List.map (fun r -> remap.(r)) roots
+  roots
+
+(** The nodes reachable from [roots] rebuilt into a fresh manager with
+    the same levels and budgets, and the roots' ids there.  [t] is only
+    read, so several domains may copy one manager at once while no
+    domain changes or walks it. *)
+let copy t roots =
+  let remap, reached = reach t roots in
+  (* a store sized for the copy up front: growing into it would relink
+     the nodes at every doubling *)
+  let rec bits b = if 1 lsl b >= reached then b else bits (b + 1) in
+  let dst =
+    make ~bits:(bits store_bits) ~max_nodes:t.max_nodes ~max_cache:t.max_cache ~nvars:t.nvars
+  in
+  (dst, rebuild t remap dst roots)
 
 (** Set of levels occurring in [root], sorted ascending. *)
 let support t root =

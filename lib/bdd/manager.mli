@@ -33,10 +33,14 @@
 
     {b Domains.}  A manager is not thread-safe, and the walks write its
     stamp array even though they only read the BDD: one domain uses a
-    manager at a time.  The parallel checker keeps to this by giving
-    every worker domain its own replica of the index store, with its
-    own manager ([Core.Replica.get], domain-local); the master's
-    manager is walked only by the domain that owns it. *)
+    manager at a time.  The one exception is {!copy}, which only reads:
+    several domains may copy one manager at once while its owner
+    neither changes nor walks it.  The parallel checker relies on that.
+    Every worker domain checks against its own replica of the index
+    store, with its own manager ([Core.Replica.get], domain-local), and
+    builds it by copying the master's store.  From
+    [Core.Replica.prepare] until the batch settles, the main domain
+    blocks in the pool and neither mutates nor walks the master. *)
 
 type t
 
@@ -192,6 +196,17 @@ val compact : t -> int list -> int list
 (** Garbage-collect: keep only nodes reachable from the given roots
     and return their remapped ids.  All other node ids become invalid
     and every operation cache is flushed. *)
+
+val copy : t -> int list -> t * int list
+(** [copy t roots] rebuilds the nodes reachable from [roots] into a
+    fresh manager, with {!compact}'s mark-and-rebuild loop, and returns
+    it with the roots' ids there.  The copy has [t]'s levels,
+    {!max_nodes} and {!max_cache}, and a store sized to the copied
+    nodes; its operation caches start empty at their initial size, and
+    its counters start at 0 and count the rebuild, as {!compact}'s do.
+    [t] is only read (the marks go to an array of the copy's own, not
+    to [t]'s stamps), so several domains may copy one manager at once
+    while no domain changes or walks it. *)
 
 val node_count : t -> int -> int
 (** Reachable nodes from a root, terminals included — the "BDD size"

@@ -307,11 +307,11 @@ let check ?pipeline ?strategy index constraint_ =
   check_spec ?pipeline ?strategy index (Formula.hard constraint_)
 
 (** Check a batch against a live pool: every relation each constraint
-    mentions must already be indexed in the replica set's master (the
-    snapshot is what workers hydrate from, so indices built after
-    {!Replica.prepare} would be invisible).  Results come back in
-    input order; a failing check fails the whole batch, like the
-    sequential [List.map] would.
+    mentions must already be indexed in the replica set's master, which
+    workers copy.  From {!Replica.prepare} until every task settles,
+    this domain blocks in the pool and neither mutates nor walks the
+    master.  Results come back in input order; a failing check fails
+    the whole batch, like the sequential [List.map] would.
 
     Each constraint is one task, claimed through the pool's atomic
     cursor ({!Fcv_util.Pool.run_ordered}) most expensive first by
@@ -343,12 +343,11 @@ let check_all_pooled ?pipeline ?costs ?strategies ~pool replica specs =
 (** Check a batch of specs (the paper's setting: many
     user-defined constraints validated together); returns results in
     order.  [jobs > 1] fans the batch out over that many worker
-    domains, each checking against a private replica of [index]
-    hydrated from one snapshot — worth it for batches whose combined
-    check time dwarfs the snapshot + hydration cost; singleton or
-    empty batches always run sequentially.  Verdicts are identical to
-    the sequential run (same pipeline, same node budget, same
-    fallbacks), only wall-clock differs. *)
+    domains, each checking against a private copy of [index] — worth
+    it for batches whose combined check time dwarfs the copies;
+    singleton or empty batches always run sequentially.  Verdicts are
+    identical to the sequential run (same pipeline, same node budget,
+    same fallbacks), only wall-clock differs. *)
 let check_all ?pipeline ?(jobs = 1) ?strategies index specs =
   let n = List.length specs in
   (match strategies with

@@ -146,7 +146,10 @@ val check_all_pooled :
     long-running form (server, monitor) that amortises worker spawn
     and replica hydration across batches.  Every mentioned relation
     must already be indexed in the replica master; {!Replica.prepare}
-    runs first.
+    runs first.  Workers copy the master or replay its row journal
+    while the batch runs: from {!Replica.prepare} until every task has
+    settled, the calling domain blocks in the pool and neither mutates
+    nor walks the master.
 
     Each constraint is one task, claimed through the pool's atomic
     cursor ({!Fcv_util.Pool.run_ordered}) most expensive first by

@@ -439,6 +439,60 @@ let compact t =
     Fcv_util.Telemetry.incr (Fcv_util.Telemetry.counter "index.gc_runs");
   reclaimed
 
+(** The store copied into a fresh manager (see the interface).  [t] is
+    only read: no walk (walks write the stamp array), no
+    {!entry_size}/{!entry_rows} (they write the cached counts), and no
+    traversal of [t]'s hash tables (a traversal flips a flag in the
+    table), only [Hashtbl.copy]. *)
+let copy t =
+  let cached =
+    List.map
+      (fun e ->
+        Hashtbl.fold
+          (fun key p acc -> if p.at = e.root then (key, p) :: acc else acc)
+          (Hashtbl.copy e.projections) [])
+      t.entries
+  in
+  let old =
+    List.concat
+      (List.map2 (fun e ps -> e.root :: List.map (fun (_, p) -> p.bdd) ps) t.entries cached)
+  in
+  let mgr, fresh = M.copy t.mgr old in
+  let id = Hashtbl.create 64 in
+  List.iter2 (Hashtbl.replace id) old fresh;
+  let id = Hashtbl.find id in
+  let entries =
+    List.map2
+      (fun e ps ->
+        let root = id e.root in
+        let projections = Hashtbl.create 8 in
+        List.iter
+          (fun (key, p) -> Hashtbl.replace projections key { p with at = root; bdd = id p.bdd })
+          ps;
+        let carry at = if at = e.root then root else -1 in
+        {
+          e with
+          root;
+          counts = Hashtbl.copy e.counts;
+          size_at = carry e.size_at;
+          rows_at = carry e.rows_at;
+          projections;
+        })
+      t.entries cached
+  in
+  {
+    db = t.db;
+    mgr;
+    entries;
+    scratch_pool = Hashtbl.copy t.scratch_pool;
+    deferred = t.deferred;
+    structure_version = t.structure_version;
+    gc_runs = 0;
+    gc_reclaimed = 0;
+    level_recycles = 0;
+    peak_nodes = 2;
+  }
+
 (** Delete one occurrence of a full coded row from the base table and
     every index on it; entries that cannot maintain the deletion
     incrementally are rebuilt in place (see {!insert}). *)

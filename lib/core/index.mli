@@ -129,11 +129,12 @@ val slot_of : entry -> int -> int
     remaps the projections a check read since the previous
     compaction, and drops the ones computed at a stale root (ids are
     reused after compaction) or not read since, so the cache holds
-    only the keys checks read between two compactions.  Entries built
-    by {!add} (and so by {!rebuild_entry}), by [Index_io] (and so by
-    a level recycle and replica hydration) start with nothing
-    counted and nothing cached; [Index_io.save] writes entry roots
-    only. *)
+    only the keys checks read between two compactions.  {!copy} (and
+    so a worker's replica) carries the counts and the projections
+    cached at the current roots.  Entries built by {!add} (and so by
+    {!rebuild_entry}), or by [Index_io] (and so by a level recycle)
+    start with nothing counted and nothing cached; [Index_io.save]
+    writes entry roots only. *)
 
 val entry_size : t -> entry -> int
 (** Nodes reachable from the entry's root, terminals included. *)
@@ -189,6 +190,18 @@ val compact : t -> int
     {!val-projection}); returns the number of nodes reclaimed.  Call
     between checks, never while holding node ids from an ongoing
     compilation. *)
+
+val copy : t -> t
+(** The store rebuilt into a fresh manager ({!Fcv_bdd.Manager.copy}):
+    the nodes reachable from the entries' roots and from the
+    projections cached at those roots, with the same levels and
+    budgets.  Each entry is a new record with its [counts] copied and
+    its cached statistics and projections carried to the new ids; the
+    scratch pool is copied.  The copy shares the database and the
+    entries' table, attributes, order and blocks, which nothing
+    changes after {!add}, and nothing mutable.  [t] is only read, so
+    several domains may copy one store at once while no domain changes
+    or walks it; {!Replica} builds each worker's replica this way. *)
 
 (** {2 Memory accounting} — the inputs to the {!Lifecycle} GC policy. *)
 

@@ -185,8 +185,8 @@ let load_lines db next_line =
 let load db ic =
   load_lines db (fun () -> try Some (input_line ic) with End_of_file -> None)
 
-(* Split on '\n' lazily: replica hydration parses the same snapshot
-   string once per worker, so avoid materialising a line list. *)
+(* Split on '\n' lazily: a level recycle or a state snapshot can be
+   megabytes, so avoid materialising a line list. *)
 let load_string db s =
   let pos = ref 0 in
   let n = String.length s in
@@ -200,94 +200,6 @@ let load_string db s =
     end
   in
   load_lines db next_line
-
-(* -- deltas ----------------------------------------------------------------- *)
-
-(* The incremental companion to the snapshot format: the row-level
-   mutations applied to the master since a base snapshot epoch.  A
-   replica hydrated from the base snapshot (or already caught up to
-   some epoch inside the window) replays the suffix of ops against its
-   own private entries instead of re-parsing a whole snapshot — see
-   {!Replica}.  Deltas carry only row traffic: any structural change
-   (entry add/remove/rebuild/defer, level recycle) invalidates the
-   window and forces a full snapshot, which is what keeps replay
-   trivially equivalent to full hydration. *)
-
-type delta_op =
-  | Delta_insert of string * int array
-  | Delta_delete of string * int array
-
-let delta_magic = "fcv-delta 1"
-
-let save_delta ~base ~to_ ops =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf delta_magic;
-  Buffer.add_char buf '\n';
-  Buffer.add_string buf (Printf.sprintf "window %d %d %d\n" base to_ (List.length ops));
-  List.iter
-    (fun op ->
-      let tag, table, row =
-        match op with
-        | Delta_insert (t, r) -> ("i", t, r)
-        | Delta_delete (t, r) -> ("d", t, r)
-      in
-      Buffer.add_string buf tag;
-      Buffer.add_char buf ' ';
-      Buffer.add_string buf table;
-      Array.iter
-        (fun c ->
-          Buffer.add_char buf ' ';
-          Buffer.add_string buf (string_of_int c))
-        row;
-      Buffer.add_char buf '\n')
-    ops;
-  Buffer.contents buf
-
-let load_delta s =
-  let lines = String.split_on_char '\n' s in
-  let words l = String.split_on_char ' ' (String.trim l) |> List.filter (( <> ) "") in
-  match lines with
-  | magic :: header :: rest ->
-    if String.trim magic <> delta_magic then fail "bad delta magic";
-    let base, to_, count =
-      match words header with
-      | [ "window"; b; t; n ] -> (int_of_string b, int_of_string t, int_of_string n)
-      | _ -> fail "expected delta window"
-    in
-    let ops =
-      List.filter_map
-        (fun l ->
-          match words l with
-          | [] -> None
-          | tag :: table :: codes ->
-            let row = Array.of_list (List.map int_of_string codes) in
-            (match tag with
-            | "i" -> Some (Delta_insert (table, row))
-            | "d" -> Some (Delta_delete (table, row))
-            | _ -> fail "unknown delta op %S" tag)
-          | _ -> fail "malformed delta line %S" l)
-        rest
-    in
-    if List.length ops <> count then fail "delta op count mismatch";
-    (base, to_, ops)
-  | _ -> fail "truncated delta"
-
-(** Replay row ops against [index]'s entries only — never the base
-    tables, which a replica shares with the (already-updated) master.
-    @raise Index.Needs_rebuild when an op falls outside an entry's
-    frozen capacity; callers fall back to full hydration. *)
-let apply_delta index ops =
-  List.iter
-    (fun op ->
-      let insert, table_name, row =
-        match op with
-        | Delta_insert (t, r) -> (true, t, r)
-        | Delta_delete (t, r) -> (false, t, r)
-      in
-      List.iter
-        (fun e -> Index.update_entry index e ~insert row)
-        (Index.entries_for index table_name))
-    ops
 
 let save_file index path =
   let oc = open_out path in

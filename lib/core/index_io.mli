@@ -3,15 +3,20 @@
     saved level order with their saved domain sizes (grown
     dictionaries are fine — the entry rebuilds on its first
     out-of-capacity update, as it would have live); a dictionary
-    smaller than a saved domain is rejected as drift. *)
+    smaller than a saved domain is rejected as drift.
+
+    This is the disk format (the daemon's state snapshots,
+    [fcv check --save-index]/[--load-index]) and the level renumbering
+    of [Lifecycle.recycle]: a save numbers the entries' levels densely,
+    so a load drops every abandoned level.  Worker replicas do not go
+    through it; they copy the master ({!Index.copy}). *)
 
 exception Format_error of string
 
 val save : Index.t -> out_channel -> unit
 
 val save_string : Index.t -> string
-(** {!save} into an in-memory snapshot string — what parallel
-    validation hydrates per-worker index replicas from. *)
+(** {!save} into an in-memory string. *)
 
 val load : Fcv_relation.Database.t -> in_channel -> Index.t
 (** @raise Format_error on malformed input or a shrunken domain. *)
@@ -22,29 +27,3 @@ val load_string : Fcv_relation.Database.t -> string -> Index.t
 
 val save_file : Index.t -> string -> unit
 val load_file : Fcv_relation.Database.t -> string -> Index.t
-
-(** {2 Deltas} — the incremental companion to full snapshots: the
-    row-level mutations applied to the master inside an epoch window
-    [(base, to_]], serialisable so replicas can replay a suffix
-    against an already-hydrated private index instead of re-parsing a
-    whole snapshot.  Structural changes (entry add/remove/rebuild,
-    level recycle) are never expressible as deltas — producers must
-    fall back to a full snapshot (see {!Replica}). *)
-
-type delta_op =
-  | Delta_insert of string * int array  (** table name, full coded row *)
-  | Delta_delete of string * int array
-
-val save_delta : base:int -> to_:int -> delta_op list -> string
-(** Render the ops covering epochs [(base, to_]], oldest first. *)
-
-val load_delta : string -> int * int * delta_op list
-(** [(base, to_, ops)] back from {!save_delta} bytes.
-    @raise Format_error on malformed input. *)
-
-val apply_delta : Index.t -> delta_op list -> unit
-(** Replay ops against [index]'s {e entries only} (roots + counts) —
-    never the base tables, which a replica shares with the
-    already-updated master.  @raise Index.Needs_rebuild when an op
-    falls outside an entry's frozen domain capacity; callers fall
-    back to full hydration. *)

@@ -13,14 +13,16 @@
 
     - {b GC} ({!Index.compact}): mark-and-rebuild of the node store
       keeping only the entries' live roots; triggered by the dead-node
-      ratio or op-cache occupancy.  Node ids are renumbered, so the
-      caller must bump {!Replica} epochs afterwards.
+      ratio or op-cache occupancy.  Node ids are renumbered inside the
+      master only: replicas hold copies with ids of their own, so a GC
+      needs no {!Replica} epoch bump.
     - {b Level recycle} ({!recycle}): rebuild the whole store through
-      the {!Index_io} snapshot/hydrate path into a fresh manager with
-      dense level assignment, reclaiming abandoned level space.  This
-      turns the 511-level packing ceiling from a lifetime fuse into a
+      an {!Index_io} save and load into a fresh manager with dense
+      level assignment, reclaiming abandoned level space.  This turns
+      the 511-level packing ceiling from a lifetime fuse into a
       per-epoch budget.  Subsumes a GC (only live roots are
-      serialised).
+      serialised).  Levels are renumbered, so the caller must bump
+      {!Replica} epochs afterwards.
 
     Neither ever runs mid-check: the only call sites are between
     validations ({!maybe_gc}) and explicit [compact] requests. *)
@@ -66,7 +68,7 @@ let needs_recycle policy index =
   || index.I.deferred <> []
 
 (** Rebuild the whole store into a fresh manager with dense level
-    assignment, through the {!Index_io} snapshot/hydrate machinery:
+    assignment, through an {!Index_io} save and load:
     only the entries' live nodes are serialised and every abandoned
     level disappears.  Budgets ([max_nodes], [max_cache]), declared
     ordering strategies and lifetime accounting are carried over; the
@@ -90,8 +92,8 @@ let recycle index =
     List.map2 (fun e s -> { e with I.strategy = s }) (I.entries fresh) strategies;
   Hashtbl.reset index.I.scratch_pool;
   index.I.level_recycles <- index.I.level_recycles + 1;
-  (* levels and node ids were renumbered wholesale: replicas must do a
-     full rehydration, never a row-delta catch-up *)
+  (* levels and node ids were renumbered wholesale: replicas must copy
+     the master again, never replay a row delta *)
   index.I.structure_version <- index.I.structure_version + 1;
   let reclaimed = max 0 (before - M.size (I.mgr index)) in
   index.I.gc_runs <- index.I.gc_runs + 1;

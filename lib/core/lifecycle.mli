@@ -31,7 +31,7 @@ val needs_recycle : policy -> Index.t -> bool
 
 val recycle : Index.t -> int
 (** Rebuild the store into a fresh manager with dense level
-    assignment (snapshot → hydrate), carrying budgets, strategies and
+    assignment (an {!Index_io} save and load), carrying budgets, strategies and
     lifetime accounting; replays deferred rebuilds; returns nodes
     reclaimed.  Callers must invalidate replicas and hold no node ids
     across the call. *)

@@ -245,8 +245,8 @@ let mark_dirty t table_name = Hashtbl.replace t.dirty table_name ()
 
 (** Stream one row insertion through the base table and indices; marks
     the table dirty.  Replicas get a row-level delta note, not a full
-    invalidation — the mutation epoch no longer costs workers a
-    rehydration. *)
+    invalidation — the mutation epoch does not cost workers a copy of
+    the master. *)
 let insert t ~table_name row =
   Index.insert t.index ~table_name row;
   mark_dirty t table_name;

@@ -96,14 +96,14 @@ val insert : t -> table_name:string -> int array -> unit
 (** Rows are coded [int array]s.  In parallel mode the mutation is
     delta-noted to the replica set ({!Replica.note_insert}) rather
     than invalidating it: the next validation catches workers up by
-    replaying the row ops instead of rehydrating snapshots. *)
+    replaying the row ops instead of copying the master. *)
 
 val delete : t -> table_name:string -> int array -> bool
 
 val replica_stats : t -> Replica.stats option
 (** Hydration-mode telemetry of the worker replica set ([None] when
     sequential): how many worker refreshes were cheap delta catch-ups
-    versus full snapshot hydrations. *)
+    versus copies of the master. *)
 
 type report = {
   constraint_ : registered;

@@ -3,117 +3,113 @@
 
     - [epoch] counts master mutations ({!invalidate} and the
       [note_*] functions bump it).
-    - [snapshot] caches the {!Index_io.save_string} bytes for one
-      {e base} epoch; [delta] publishes the serialised row ops
-      covering [(base, epoch]] when the window is still expressible
-      as row traffic.  {!prepare} refreshes both on the main domain
-      so workers never serialise (the master manager is not theirs
-      to walk).
-    - Each domain caches its hydrated [(epoch, index)] pair in
-      domain-local storage; {!get} reuses it while the epoch stands,
-      {b replays the delta suffix} when only row ops happened, and
-      falls back to a full snapshot hydration otherwise.
+    - [log] journals the row ops of the window [(base, epoch]] while
+      the window is still expressible as row traffic.  {!prepare}
+      publishes it as it stands, or restarts the window at the current
+      epoch when it is not row traffic.
+    - Each domain caches its replica, stamped with its epoch, in
+      domain-local storage.  {!get} reuses it while the epoch stands,
+      {b replays the suffix} of the window it has not seen when it sits
+      inside the window, and otherwise copies the master
+      ({!Index.copy}) at the current epoch.
 
-    Why delta replay is verdict-safe: the op log is invalidated the
-    moment the master's {!Index.t.structure_version} moves (entry
-    add/remove/rebuild/defer, level recycle), so inside a valid
-    window every replica entry has exactly the block widths the
-    master had when it applied the op — {!Index.update_entry} then
-    performs the identical root/count maintenance the master did.
-    Content-preserving GC ({!Index.compact}) renumbers only the
-    master's private node ids, which replicas never see, so it
-    neither bumps the epoch nor invalidates anything.
+    Why replay is verdict-safe: the log is dropped the moment the
+    master's {!Index.t.structure_version} moves (entry
+    add/remove/rebuild/defer, level recycle), so inside a window every
+    replica entry has exactly the block widths the master had when it
+    applied the op, and {!Index.update_entry} performs the identical
+    root/count maintenance the master did.  Content-preserving GC
+    ({!Index.compact}) renumbers only the master's own node ids, which a
+    copy does not keep, so it neither bumps the epoch nor invalidates
+    anything.
 
-    Memory-model note: workers read [epoch] through an [Atomic] but
-    [snapshot]/[delta] are plain mutable fields.  That is sound
-    because every fan-out goes prepare → submit → worker-runs-task,
-    and the pool's queue mutex orders the writes before the worker's
-    reads; the atomic epoch only decides {e staleness}, never
-    publication. *)
+    Memory model: workers read [epoch] through an [Atomic], but
+    [published] and the master itself are plain mutable state.  That is
+    sound because every fan-out goes prepare → submit → worker runs
+    the task, the pool's queue mutex orders the main domain's writes
+    before the worker's reads, and the main domain changes nothing
+    until the batch settles. *)
 
-module M = Fcv_bdd.Manager
 module T = Fcv_util.Telemetry
 
-(* A delta longer than this forces a fresh base snapshot at the next
-   {!prepare}: unbounded replay would eventually cost more than one
-   hydration, and a fresh worker must replay the whole window. *)
+(* A window longer than this restarts at the next {!prepare}: unbounded
+   replay would eventually cost more than a copy. *)
 let max_delta_ops = 4096
+
+type delta_op =
+  | Delta_insert of string * int array  (** table name, full coded row *)
+  | Delta_delete of string * int array
 
 type t = {
   master : Index.t;
   epoch : int Atomic.t;
-  mutable snapshot : (int * string) option;  (** (base epoch, bytes) — main domain *)
-  mutable delta : (int * int * string) option;
-      (** (base, to, bytes): serialised ops covering (base, to] *)
-  mutable log : Index_io.delta_op list;  (** newest first, covering (base, epoch] *)
+  mutable base : int;  (** the epoch the window starts at *)
+  mutable log : delta_op list;
+      (** newest first; while [log_valid], exactly the ops of
+          [(base, epoch]] *)
   mutable log_valid : bool;
   mutable structure_seen : int;
-      (** master's structure_version captured at the last base snapshot *)
+      (** the master's [structure_version] when the window started *)
+  mutable published : (int * int * delta_op list) option;
+      (** [(base, epoch, log)] at the last {!prepare}: what workers
+          read *)
   cache : (int * Index.t) option ref Domain.DLS.key;
-      (** this domain's hydrated replica, stamped with its epoch *)
+      (** this domain's replica, stamped with its epoch *)
   full_hydrations : int Atomic.t;
   delta_hydrations : int Atomic.t;
   delta_ops_applied : int Atomic.t;
-  mutable snapshot_bytes : int;  (** size of the last full snapshot serialised *)
-  mutable delta_bytes : int;  (** size of the last delta published (0 = none) *)
 }
 
 let create master =
   {
     master;
     epoch = Atomic.make 0;
-    snapshot = None;
-    delta = None;
+    base = 0;
     log = [];
     log_valid = true;
     structure_seen = master.Index.structure_version;
+    published = None;
     cache = Domain.DLS.new_key (fun () -> ref None);
     full_hydrations = Atomic.make 0;
     delta_hydrations = Atomic.make 0;
     delta_ops_applied = Atomic.make 0;
-    snapshot_bytes = 0;
-    delta_bytes = 0;
   }
-
-let master t = t.master
 
 (* -- mutation notes (main domain only) -------------------------------------- *)
 
-(** A change the log cannot express: stale replicas must fully
-    rehydrate from a fresh snapshot. *)
+(** A change the log cannot express: stale replicas copy the master. *)
 let invalidate t =
   Atomic.incr t.epoch;
   t.log <- [];
   t.log_valid <- false
 
 (* Append one row op if the window is still sound: no structural
-   change slipped in (the master may rebuild an entry *inside*
-   Index.insert, invisibly to the caller — the version check catches
-   it) and the log is bounded.  Invariant: log_valid implies
-   [List.length log = epoch - base]. *)
+   change slipped in (the master may rebuild an entry inside
+   Index.insert, invisibly to the caller; the version check catches
+   it) and the window stays within [max_delta_ops]. *)
 let note t op =
   Atomic.incr t.epoch;
   if
     t.log_valid
     && t.master.Index.structure_version = t.structure_seen
-    && List.length t.log < max_delta_ops
+    && Atomic.get t.epoch - t.base <= max_delta_ops
   then t.log <- op :: t.log
   else begin
     t.log <- [];
     t.log_valid <- false
   end
 
-let note_insert t ~table_name row = note t (Index_io.Delta_insert (table_name, row))
-let note_delete t ~table_name row = note t (Index_io.Delta_delete (table_name, row))
+let note_insert t ~table_name row = note t (Delta_insert (table_name, row))
+let note_delete t ~table_name row = note t (Delta_delete (table_name, row))
 
 (* -- hydration telemetry ---------------------------------------------------- *)
 
 type stats = {
-  full : int;  (** whole-snapshot hydrations across all domains *)
-  delta : int;  (** delta catch-ups across all domains *)
-  delta_ops : int;  (** row ops replayed across all delta catch-ups *)
-  snapshot_bytes : int;  (** size of the last full snapshot serialised *)
-  delta_bytes : int;  (** size of the last delta published (0 = none) *)
+  full : int;
+  delta : int;
+  delta_ops : int;
+  snapshot_bytes : int;  (* always 0 *)
+  delta_bytes : int;  (* always 0 *)
 }
 
 let stats t =
@@ -121,77 +117,57 @@ let stats t =
     full = Atomic.get t.full_hydrations;
     delta = Atomic.get t.delta_hydrations;
     delta_ops = Atomic.get t.delta_ops_applied;
-    snapshot_bytes = t.snapshot_bytes;
-    delta_bytes = t.delta_bytes;
+    snapshot_bytes = 0;
+    delta_bytes = 0;
   }
-
-let hydrations t = Atomic.get t.full_hydrations + Atomic.get t.delta_hydrations
 
 (* -- publication (main domain only) ----------------------------------------- *)
 
-let resnapshot t e =
-  T.with_span "replica.snapshot" (fun () ->
-      let bytes = Index_io.save_string t.master in
-      t.snapshot <- Some (e, bytes);
-      t.snapshot_bytes <- String.length bytes;
-      t.delta <- None;
-      t.delta_bytes <- 0;
-      t.log <- [];
-      t.log_valid <- true;
-      t.structure_seen <- t.master.Index.structure_version;
-      if T.enabled () then begin
-        T.incr (T.counter "replica.snapshots");
-        T.gauge_set (T.gauge "replica.snapshot_bytes") t.snapshot_bytes
-      end)
-
 let prepare t =
   let e = Atomic.get t.epoch in
-  match t.snapshot with
-  | Some (base, _) when base = e -> t.delta <- None
-  | Some (base, snap) when t.log_valid && List.length t.log = e - base ->
-    (* the window is pure row traffic: publish it as a delta unless it
-       outweighs the snapshot it spares workers from re-parsing *)
-    let bytes = Index_io.save_delta ~base ~to_:e (List.rev t.log) in
-    if String.length bytes < String.length snap then begin
-      t.delta <- Some (base, e, bytes);
-      t.delta_bytes <- String.length bytes;
-      if T.enabled () then T.gauge_set (T.gauge "replica.delta_bytes") t.delta_bytes
-    end
-    else resnapshot t e
-  | _ -> resnapshot t e
+  if not t.log_valid then begin
+    (* not row traffic: the window restarts here, and every replica
+       older than [e] copies the master *)
+    t.base <- e;
+    t.log <- [];
+    t.log_valid <- true;
+    t.structure_seen <- t.master.Index.structure_version
+  end;
+  t.published <- Some (t.base, e, t.log)
 
 (* -- worker-side hydration -------------------------------------------------- *)
 
-let hydrate_full t e bytes =
+(* Replay row ops against [index]'s entries only, never the base
+   tables, which a replica shares with the already-updated master.
+   @raise Index.Needs_rebuild when an op falls outside an entry's
+   frozen domain capacity. *)
+let apply_delta index ops =
+  List.iter
+    (fun op ->
+      let insert, table_name, row =
+        match op with
+        | Delta_insert (t, r) -> (true, t, r)
+        | Delta_delete (t, r) -> (false, t, r)
+      in
+      List.iter
+        (fun e -> Index.update_entry index e ~insert row)
+        (Index.entries_for index table_name))
+    ops
+
+let copy t =
   T.with_span "replica.hydrate" (fun () ->
-      let index = Index_io.load_string t.master.Index.db bytes in
-      (* the replica obeys the same node budget as the master, so a
-         compilation that would fall back sequentially falls back in
-         parallel too — identical verdict methods either way *)
-      M.set_max_nodes (Index.mgr index) (M.max_nodes (Index.mgr t.master));
-      M.set_max_cache (Index.mgr index) (M.max_cache (Index.mgr t.master));
+      let index = Index.copy t.master in
       Atomic.incr t.full_hydrations;
       T.incr (T.counter "replica.hydrations.full");
-      (e, index))
+      index)
 
-let rec drop n l = if n <= 0 then l else match l with [] -> [] | _ :: tl -> drop (n - 1) tl
-
-(* Full hydration from the base snapshot, then replay the whole delta
-   window on top.  Inside a valid window this cannot hit
-   Needs_rebuild (widths match the master's when it applied the ops —
-   see the module comment); if it ever does, that is a protocol bug,
-   not a recoverable state, so let it escape loudly. *)
-let hydrate_from_base t base e ops =
-  let bytes =
-    match t.snapshot with
-    | Some (b, bytes) when b = base -> bytes
-    | _ -> invalid_arg "Replica.get: delta published without its base snapshot"
+(* The [k] newest ops of a newest-first log, oldest first. *)
+let newest k log =
+  let rec go k acc = function
+    | op :: rest when k > 0 -> go (k - 1) (op :: acc) rest
+    | _ -> acc
   in
-  let _, index = hydrate_full t base bytes in
-  Index_io.apply_delta index ops;
-  let n = List.length ops in
-  if n > 0 then ignore (Atomic.fetch_and_add t.delta_ops_applied n);
-  (e, index)
+  go k [] log
 
 let get t =
   let e = Atomic.get t.epoch in
@@ -199,38 +175,33 @@ let get t =
   match !slot with
   | Some (e', index) when e' = e -> index
   | cached ->
-    let fresh =
-      match t.delta with
-      | Some (base, to_, bytes) when to_ = e -> (
-        let dbase, dto, ops = Index_io.load_delta bytes in
-        assert (dbase = base && dto = to_);
-        match cached with
-        | Some (e', index) when e' >= base && e' < e -> (
-          (* this domain's replica sits inside the window: replay just
-             the suffix it has not seen *)
-          let suffix = drop (e' - base) ops in
-          match
-            T.with_span "replica.delta" (fun () -> Index_io.apply_delta index suffix)
-          with
-          | () ->
-            Atomic.incr t.delta_hydrations;
-            let n = List.length suffix in
-            ignore (Atomic.fetch_and_add t.delta_ops_applied n);
-            T.incr ~by:n (T.counter "replica.delta_ops");
-            T.incr (T.counter "replica.hydrations.delta");
-            (e, index)
-          | exception Index.Needs_rebuild _ ->
-            (* defensive only: a valid window should never trip this *)
-            hydrate_from_base t base e ops)
-        | _ -> hydrate_from_base t base e ops)
-      | _ -> (
-        match t.snapshot with
-        | Some (b, bytes) when b = e -> hydrate_full t e bytes
-        | Some (b, _) ->
-          invalid_arg
-            (Printf.sprintf
-               "Replica.get: snapshot at epoch %d but master at %d — missing prepare" b e)
-        | None -> invalid_arg "Replica.get: no snapshot — missing prepare")
+    let base, log =
+      match t.published with
+      | Some (base, e', log) when e' = e -> (base, log)
+      | Some (_, e', _) ->
+        invalid_arg
+          (Printf.sprintf "Replica.get: prepared at epoch %d but master at %d — missing prepare"
+             e' e)
+      | None -> invalid_arg "Replica.get: missing prepare"
     in
-    slot := Some fresh;
-    snd fresh
+    let index =
+      match cached with
+      | Some (e', index) when e' >= base -> (
+        (* this domain's replica sits inside the window: replay just
+           the suffix it has not seen *)
+        let ops = newest (e - e') log in
+        match T.with_span "replica.delta" (fun () -> apply_delta index ops) with
+        | () ->
+          Atomic.incr t.delta_hydrations;
+          let n = List.length ops in
+          ignore (Atomic.fetch_and_add t.delta_ops_applied n);
+          T.incr ~by:n (T.counter "replica.delta_ops");
+          T.incr (T.counter "replica.hydrations.delta");
+          index
+        | exception Index.Needs_rebuild _ ->
+          (* defensive only: a sound window never trips this *)
+          copy t)
+      | _ -> copy t
+    in
+    slot := Some (e, index);
+    index

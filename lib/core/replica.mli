@@ -4,43 +4,45 @@
     {!Fcv_bdd.Manager} is single-threaded by design (hash-consed
     unique table, apply caches — see DESIGN.md §Parallelism), so
     worker domains never share the master's manager.  Instead each
-    worker hydrates a private manager + index replica from one
-    {!Index_io.save_string} snapshot of the master and caches it in
-    domain-local storage under a {e refresh epoch}.
+    worker copies the master's store into a private manager
+    ({!Index.copy}, with the entries' counts, statistics and cached
+    projections) and caches it in domain-local storage under a
+    {e refresh epoch}.
 
-    Hydration is {b incremental} where the mutation history allows:
+    Refreshing is {b incremental} where the mutation history allows:
     the main domain journals row-level ops ({!note_insert} /
     {!note_delete}) against an {!Index.t.structure_version} guard, and
-    {!prepare} publishes them as an {!Index_io.save_delta} window over
-    the cached base snapshot.  A worker whose replica sits inside the
-    window replays only the op suffix it has not seen
-    ({!Index_io.apply_delta} — root/count maintenance identical to
-    what the master ran); everything else (structural changes, a
-    delta outweighing the snapshot, a brand-new worker beyond the
-    window, {!invalidate}) falls back to full hydration.
-    Content-preserving GC ({!Index.compact}) requires {e no}
-    notification at all: replicas never see the master's node ids.
+    {!prepare} publishes the journal.  A worker whose replica sits
+    inside the journal's window replays only the op suffix it has not
+    seen (root/count maintenance identical to what the master ran).
+    Every other worker copies the master at the current epoch: a
+    fresh domain, a structural change, a window past 4096 ops, or an
+    {!invalidate}.  Content-preserving GC ({!Index.compact}) needs
+    {e no} notification at all: replicas never see the master's node
+    ids.
 
     Protocol: the coordinating (main) domain calls a [note_*] (or
     {!invalidate}) after every master mutation and {!prepare} before
-    fanning tasks out; worker tasks call {!get}.  The snapshot/delta
-    strings are published to workers through the pool's queue lock,
-    so [prepare] must happen-before the submits that consume them —
-    which the prepare-then-submit call order gives for free. *)
+    fanning tasks out; worker tasks call {!get}.  The journal and the
+    master reach workers through the pool's queue lock, so [prepare]
+    must happen-before the submits that consume them, which the
+    prepare-then-submit call order gives for free.
+
+    Invariant: from {!prepare} until the batch settles, the main
+    domain neither mutates nor walks the master (it blocks in the
+    pool), so workers may read and copy it at once. *)
 
 type t
 
 val create : Index.t -> t
 (** Bind a replica set to [master].  Replicas share the master's
     database (tables, dictionaries — read-only during validation) but
-    own fresh managers inheriting the master's node budget. *)
-
-val master : t -> Index.t
+    own fresh managers with the master's budgets. *)
 
 val invalidate : t -> unit
 (** The master changed in a way row deltas cannot express (index
-    build/rebuild, unregister, level recycle): stale replicas fully
-    rehydrate on their next {!get}. *)
+    build/rebuild, unregister, level recycle): stale replicas copy the
+    master on their next {!get}. *)
 
 val note_insert : t -> table_name:string -> int array -> unit
 (** One coded row was inserted into the master (base table already
@@ -53,29 +55,30 @@ val note_delete : t -> table_name:string -> int array -> unit
     the same guard as {!note_insert}. *)
 
 val prepare : t -> unit
-(** Refresh what workers hydrate from, if the epoch moved: either
-    publish the pending ops as a delta over the cached base snapshot,
-    or serialise a fresh full snapshot (structural change, no base
-    yet, or the delta outgrew the snapshot).  Main-domain only; call
-    before submitting tasks that will {!get}. *)
+(** Publish the journal for the current epoch, first restarting its
+    window at the current epoch when it stopped being row traffic.
+    Main-domain only; call before submitting tasks that will {!get},
+    and leave the master alone until they settle. *)
 
 val get : t -> Index.t
 (** The calling domain's replica at the current epoch — reused when
-    fresh, delta-replayed when only row ops happened, fully
-    rehydrated otherwise.  Any domain; requires a {!prepare} at the
-    current epoch to have happened-before. *)
+    fresh, delta-replayed when it sits inside the journal's window, a
+    copy of the master otherwise.  Any domain; requires a {!prepare}
+    at the current epoch to have happened-before.
+    @raise Invalid_argument without one. *)
 
 type stats = {
-  full : int;  (** whole-snapshot hydrations across all domains *)
-  delta : int;  (** delta catch-ups that reused a hydrated replica *)
+  full : int;  (** copies of the master across all domains *)
+  delta : int;  (** delta catch-ups that reused a replica *)
   delta_ops : int;  (** row ops replayed across all delta catch-ups *)
-  snapshot_bytes : int;  (** size of the last full snapshot serialised *)
-  delta_bytes : int;  (** size of the last delta published (0 = none) *)
+  snapshot_bytes : int;
+      (** always 0: replicas copy the master's store and no snapshot is
+          serialised; kept because the benchmark builds this record *)
+  delta_bytes : int;
+      (** always 0: the journal is published in memory; kept because
+          the benchmark builds this record *)
 }
 
 val stats : t -> stats
 (** Hydration-mode telemetry — the observable the delta machinery
-    exists to improve (full hydrations down, cheap catch-ups up). *)
-
-val hydrations : t -> int
-(** Total replica refreshes (full + delta) across all domains. *)
+    exists to improve (copies down, cheap catch-ups up). *)

@@ -206,34 +206,18 @@ let stats_json t =
       (* replica refresh telemetry summed over parallel shards: delta
          catch-ups are the cheap path the mutation journal buys *)
       match
-        Array.fold_left
-          (fun acc s ->
-            match Core.Monitor.replica_stats (Shard.monitor s) with
-            | None -> acc
-            | Some st -> (
-              match acc with
-              | None -> Some st
-              | Some a ->
-                Some
-                  Core.Replica.
-                    {
-                      full = a.full + st.full;
-                      delta = a.delta + st.delta;
-                      delta_ops = a.delta_ops + st.delta_ops;
-                      snapshot_bytes = a.snapshot_bytes + st.snapshot_bytes;
-                      delta_bytes = a.delta_bytes + st.delta_bytes;
-                    }))
-          None shards
+        List.filter_map
+          (fun s -> Core.Monitor.replica_stats (Shard.monitor s))
+          (Array.to_list shards)
       with
-      | None -> T.Null
-      | Some st ->
+      | [] -> T.Null
+      | rs ->
+        let sum f = T.Int (List.fold_left (fun n st -> n + f st) 0 rs) in
         T.Obj
           [
-            ("full", T.Int st.Core.Replica.full);
-            ("delta", T.Int st.Core.Replica.delta);
-            ("delta_ops", T.Int st.Core.Replica.delta_ops);
-            ("snapshot_bytes", T.Int st.Core.Replica.snapshot_bytes);
-            ("delta_bytes", T.Int st.Core.Replica.delta_bytes);
+            ("full", sum (fun st -> st.Core.Replica.full));
+            ("delta", sum (fun st -> st.Core.Replica.delta));
+            ("delta_ops", sum (fun st -> st.Core.Replica.delta_ops));
           ] );
     ( "wal",
       T.Obj

@@ -1,52 +1,19 @@
 (** Fixed-size domain worker pool.  One mutex + condition pair guards
-    the FIFO queue; each future carries its own mutex + condition so
-    awaiting one task never contends with queue traffic.  Workers
-    drain the queue before exiting on shutdown, which is what makes
-    shutdown-with-queued-tasks graceful rather than lossy. *)
-
-type 'a state =
-  | Pending
-  | Done of 'a
-  | Failed of exn * Printexc.raw_backtrace
-
-type 'a future = {
-  f_mutex : Mutex.t;
-  f_cond : Condition.t;
-  mutable state : 'a state;
-}
-
-type job = Job : (unit -> 'a) * 'a future -> job
+    the FIFO job queue, whose only jobs are {!run_ordered}'s drainers.
+    Workers drain the queue before exiting on shutdown, which is what
+    makes shutdown graceful rather than lossy. *)
 
 type t = {
   name : string;
   mutable workers : unit Domain.t array;  (** set once, right after spawn *)
   mutex : Mutex.t;  (** guards [queue], [closing] and [joined] *)
   nonempty : Condition.t;
-  queue : job Queue.t;
+  queue : (unit -> unit) Queue.t;  (** jobs never raise *)
   mutable closing : bool;
   mutable joined : bool;
 }
 
 let size t = Array.length t.workers
-
-let fulfil fut v =
-  Mutex.lock fut.f_mutex;
-  fut.state <- v;
-  Condition.broadcast fut.f_cond;
-  Mutex.unlock fut.f_mutex
-
-let run_job (Job (f, fut)) =
-  let result =
-    match Telemetry.with_span "pool.task" f with
-    | v ->
-      if Telemetry.enabled () then Telemetry.incr (Telemetry.counter "pool.tasks.done");
-      Done v
-    | exception e ->
-      let bt = Printexc.get_raw_backtrace () in
-      if Telemetry.enabled () then Telemetry.incr (Telemetry.counter "pool.tasks.failed");
-      Failed (e, bt)
-  in
-  fulfil fut result
 
 (* Worker loop: wait for work, run it outside the lock, exit only once
    the pool is closing AND the queue is empty (graceful drain). *)
@@ -60,7 +27,7 @@ let worker t () =
     else begin
       let job = Queue.pop t.queue in
       Mutex.unlock t.mutex;
-      run_job job;
+      job ();
       loop ()
     end
   in
@@ -86,31 +53,16 @@ let create ?(name = "pool") ~jobs () =
       [ ("name", Telemetry.String name); ("jobs", Telemetry.Int jobs) ];
   t
 
-let submit t f =
-  let fut = { f_mutex = Mutex.create (); f_cond = Condition.create (); state = Pending } in
+(* Queue a job; false once the pool is shutting down. *)
+let enqueue t job =
   Mutex.lock t.mutex;
-  if t.closing then begin
-    Mutex.unlock t.mutex;
-    invalid_arg (Printf.sprintf "Pool.submit: %s is shut down" t.name)
+  let accepted = not t.closing in
+  if accepted then begin
+    Queue.push job t.queue;
+    Condition.signal t.nonempty
   end;
-  Queue.push (Job (f, fut)) t.queue;
-  if Telemetry.enabled () then
-    Telemetry.gauge_set (Telemetry.gauge "pool.queue_depth") (Queue.length t.queue);
-  Condition.signal t.nonempty;
   Mutex.unlock t.mutex;
-  fut
-
-let await fut =
-  Mutex.lock fut.f_mutex;
-  while (match fut.state with Pending -> true | Done _ | Failed _ -> false) do
-    Condition.wait fut.f_cond fut.f_mutex
-  done;
-  let state = fut.state in
-  Mutex.unlock fut.f_mutex;
-  match state with
-  | Done v -> v
-  | Failed (e, bt) -> Printexc.raise_with_backtrace e bt
-  | Pending -> assert false
+  accepted
 
 (* Claimed-batch scheduler: the batch is an array of tasks plus one
    atomic claim cursor walking a caller-chosen execution order.  Every
@@ -140,11 +92,11 @@ let run_ordered t ?order tasks =
         o
     in
     (* per-slot atomics so every store is a release the awaiting caller
-       synchronises with — no reliance on the completion future alone *)
+       synchronises with — no reliance on the completion signal alone *)
     let results = Array.init n (fun _ -> Atomic.make None) in
     let cursor = Atomic.make 0 in
     let remaining = Atomic.make n in
-    let finished = { f_mutex = Mutex.create (); f_cond = Condition.create (); state = Pending } in
+    let m = Mutex.create () and settled = Condition.create () and finished = ref false in
     let drain () =
       let rec loop () =
         let k = Atomic.fetch_and_add cursor 1 in
@@ -162,16 +114,29 @@ let run_ordered t ?order tasks =
               Error (e, bt)
           in
           Atomic.set results.(i) (Some r);
-          if Atomic.fetch_and_add remaining (-1) = 1 then fulfil finished (Done ());
+          if Atomic.fetch_and_add remaining (-1) = 1 then begin
+            Mutex.lock m;
+            finished := true;
+            Condition.broadcast settled;
+            Mutex.unlock m
+          end;
           loop ()
         end
       in
       loop ()
     in
+    (* one queued drainer runs the whole batch, so a shutdown between
+       two enqueues loses nothing *)
+    let queued = ref 0 in
     for _ = 1 to min (size t) n do
-      ignore (submit t drain)
+      if enqueue t drain then incr queued
     done;
-    await finished;
+    if !queued = 0 then invalid_arg (Printf.sprintf "Pool.run_ordered: %s is shut down" t.name);
+    Mutex.lock m;
+    while not !finished do
+      Condition.wait settled m
+    done;
+    Mutex.unlock m;
     (* every task settled before we re-raise, so a failure does not
        leave tasks running against state the caller tears down next *)
     let first_error = ref None in

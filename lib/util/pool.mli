@@ -1,5 +1,5 @@
-(** A fixed-size OCaml 5 domain worker pool with a FIFO work queue,
-    futures and graceful shutdown.
+(** A fixed-size OCaml 5 domain worker pool that runs batches of
+    tasks, with graceful shutdown.
 
     The pool is the substrate of parallel constraint validation: the
     checker runs a batch as one task per constraint through
@@ -10,14 +10,12 @@
 
     Thread-safety: every operation may be called from any domain.
     Tasks run on worker domains; a task's exception is captured with
-    its backtrace and re-raised by {!await} in the submitting domain.
-    Each task runs under a telemetry span ["pool.task"] and bumps the
-    ["pool.tasks"] counter, so instrumented runs can see queue
-    pressure and per-task latency. *)
+    its backtrace and re-raised by {!run_ordered} in the calling
+    domain.  Each task runs under a telemetry span ["pool.task"] and
+    bumps the ["pool.tasks.done"] or ["pool.tasks.failed"] counter, so
+    instrumented runs can see per-task latency. *)
 
 type t
-
-type 'a future
 
 val create : ?name:string -> jobs:int -> unit -> t
 (** Spawn [jobs] worker domains ([1 <= jobs <= 128]).  [name] labels
@@ -25,14 +23,6 @@ val create : ?name:string -> jobs:int -> unit -> t
 
 val size : t -> int
 (** The number of worker domains. *)
-
-val submit : t -> (unit -> 'a) -> 'a future
-(** Enqueue a task.  Tasks start in FIFO order (completion order is up
-    to the scheduler).  @raise Invalid_argument after {!shutdown}. *)
-
-val await : 'a future -> 'a
-(** Block until the task finished; returns its value or re-raises its
-    exception (with the worker-side backtrace attached). *)
 
 val run_ordered : t -> ?order:int array -> (unit -> 'a) array -> 'a array
 (** Run a batch through the claimed-batch scheduler: workers share one
@@ -48,6 +38,6 @@ val run_ordered : t -> ?order:int array -> (unit -> 'a) array -> 'a array
     @raise Invalid_argument if [order] is not a permutation. *)
 
 val shutdown : t -> unit
-(** Graceful shutdown: already-queued tasks are drained and completed,
-    further {!submit}s are refused, and every worker domain is joined.
-    Idempotent; safe to call with tasks still queued. *)
+(** Graceful shutdown: a batch already running completes and returns
+    every result, a later {!run_ordered} raises [Invalid_argument], and
+    every worker domain is joined.  Idempotent. *)

@@ -540,6 +540,47 @@ let test_stamp_walks () =
     step ()
   done
 
+(* A copy of a store that holds garbage keeps exactly the nodes its
+   roots reach, and each copied root is the same function.  The source
+   store is left as it was, and the copy grows on its own. *)
+let test_manager_copy () =
+  let nv = 24 in
+  let m = M.create ~max_nodes:200_000 ~max_cache:4096 ~nvars:nv () in
+  let rng = Random.State.make [| 31 |] in
+  let cube () =
+    List.fold_left
+      (fun acc _ ->
+        let v = Random.State.int rng nv in
+        O.band m acc (if Random.State.bool rng then M.ithvar m v else M.nithvar m v))
+      M.one
+      (List.init (3 + Random.State.int rng 5) Fun.id)
+  in
+  let pool = Array.init 12 (fun _ -> cube ()) in
+  for _ = 1 to 400 do
+    let i = Random.State.int rng (Array.length pool) in
+    let op = [| O.Or; O.Xor; O.And; O.Diff |].(Random.State.int rng 4) in
+    pool.(i) <- O.apply m op pool.(i) (cube ())
+  done;
+  let roots = Array.to_list pool in
+  let size = M.size m and reached = M.node_count_shared m roots in
+  check "the store holds garbage" true (size > reached);
+  let c, roots' = M.copy m roots in
+  check_int "the copy holds exactly the reachable nodes" reached (M.size c);
+  check_int "same levels" (M.nvars m) (M.nvars c);
+  check_int "same budget" (M.max_nodes m) (M.max_nodes c);
+  check_int "same cache cap" (M.max_cache m) (M.max_cache c);
+  check_int "empty caches" 0 (M.cache_entries c);
+  check_int "the source is untouched" size (M.size m);
+  check_unique_table c;
+  for _ = 1 to 64 do
+    let env = Array.init nv (fun _ -> Random.State.bool rng) in
+    List.iter2
+      (fun r r' -> check "copied root evaluates equally" (M.eval m r env) (M.eval c r' env))
+      roots roots'
+  done;
+  ignore (O.bor c (List.hd roots') (M.ithvar c (nv - 1)));
+  check_int "the copy grows alone" size (M.size m)
+
 let test_of_codes () =
   let m = M.create ~nvars:4 () in
   let levels = [| 0; 1; 2; 3 |] in
@@ -690,6 +731,7 @@ let suite =
     Alcotest.test_case "support" `Quick test_support;
     Alcotest.test_case "shared node count" `Quick test_shared_node_count;
     Alcotest.test_case "stamp walks agree with a reference walk" `Quick test_stamp_walks;
+    Alcotest.test_case "a copy keeps exactly the reachable nodes" `Quick test_manager_copy;
     Alcotest.test_case "of_codes" `Quick test_of_codes;
     Alcotest.test_case "of_codes input validation" `Quick test_of_codes_rejects_bad_input;
     QCheck_alcotest.to_alcotest prop_apply_matches_truth_table;

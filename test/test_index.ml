@@ -377,6 +377,135 @@ let test_cached_size_is_a_lookup () =
   check_int "recounted at the new root" (M.node_count (I.mgr idx) e.I.root) size';
   check "the count moved" true (size' <> size)
 
+(* University data, the structural constraints and four policies,
+   checked on the master and then compacted, as a pass start does. *)
+let checked_university () =
+  let rng = Fcv_util.Rng.create 17 in
+  let db, _, _, _ =
+    Fcv_datagen.University.generate rng
+      { Fcv_datagen.University.default with students = 200; violators = 4 }
+  in
+  let fs =
+    List.map Core.Fol_parser.of_string
+      ([
+         "forall s, c . takes(s, c) -> (exists a . course(c, a))";
+         "forall s, c . takes(s, c) -> (exists d, k . student(s, d, k))";
+         "forall s, d1, k1, d2, k2 . student(s, d1, k1) and student(s, d2, k2) -> d1 = d2";
+       ]
+      @ List.init 4 (fun i ->
+            Printf.sprintf
+              "forall s, k . student(s, %d, k) -> (exists c . takes(s, c) and course(c, %d))"
+              i (i mod 2)))
+  in
+  let index = I.create ~max_nodes:500_000 ~max_cache:8192 db in
+  Core.Checker.ensure_indices index fs;
+  List.iter (fun f -> ignore (Core.Checker.check index f)) fs;
+  ignore (I.compact index);
+  (db, index, fs)
+
+let verdict r = (r.Core.Checker.outcome, r.Core.Checker.method_used)
+
+(* A copy after checks and a compaction: same entry sizes and row
+   counts (carried, not recounted), same membership, same verdicts and
+   methods, the master's budgets, and every projection the master
+   cached answers the copy's checks without a build. *)
+let test_copy_parity () =
+  let db, index, fs = checked_university () in
+  let cached_before = List.map cached (I.entries index) in
+  check "the master cached projections" true (List.exists (fun n -> n > 0) cached_before);
+  let copy = I.copy index in
+  check "shared database" true (copy.I.db == db);
+  check "private manager" true (I.mgr copy != I.mgr index);
+  check_int "budget" (M.max_nodes (I.mgr index)) (M.max_nodes (I.mgr copy));
+  check_int "cache cap" (M.max_cache (I.mgr index)) (M.max_cache (I.mgr copy));
+  check_int "same levels" (M.nvars (I.mgr index)) (M.nvars (I.mgr copy));
+  check_int "the copy holds the live store" (I.live_nodes index) (M.size (I.mgr copy));
+  Alcotest.(check (list int)) "projections carried" cached_before
+    (List.map cached (I.entries copy));
+  let module T = Fcv_util.Telemetry in
+  T.reset ();
+  T.enable ();
+  let on_copy =
+    Fun.protect
+      ~finally:(fun () ->
+        T.disable ();
+        T.reset ())
+      (fun () ->
+        let builds () = T.counter_value (T.counter "index.projection_builds") in
+        let on_copy = List.map (fun f -> verdict (Core.Checker.check copy f)) fs in
+        check_int "no projection built on the copy" 0 (builds ());
+        check "cached projections hit" true
+          (T.counter_value (T.counter "index.projection_hits") > 0);
+        on_copy)
+  in
+  List.iter2
+    (fun e e' ->
+      let what = R.Table.name e.I.table in
+      check (what ^ ": size carried") true (e'.I.size_at = e'.I.root);
+      check_int (what ^ ": size") (I.entry_size index e) (I.entry_size copy e');
+      check_int (what ^ ": size is exact") (M.node_count (I.mgr copy) e'.I.root)
+        (I.entry_size copy e');
+      Alcotest.(check (float 0.)) (what ^ ": rows") (I.entry_rows index e) (I.entry_rows copy e');
+      check (what ^ ": counts") true (Hashtbl.length e.I.counts = Hashtbl.length e'.I.counts);
+      let rows = R.Table.cardinality e.I.table in
+      for i = 0 to min rows 40 - 1 do
+        let row = R.Table.row e.I.table (i * rows / 40) in
+        let sub = Array.map (fun a -> row.(a)) e.I.attrs in
+        check (what ^ ": membership") (I.entry_mem index e sub) (I.entry_mem copy e' sub);
+        sub.(0) <- (sub.(0) + 1) mod e.I.blocks.(0).Fcv_bdd.Fd.dom_size;
+        check (what ^ ": membership off the rows") (I.entry_mem index e sub)
+          (I.entry_mem copy e' sub)
+      done)
+    (I.entries index) (I.entries copy);
+  check "verdicts and methods" true
+    (on_copy = List.map (fun f -> verdict (Core.Checker.check index f)) fs)
+
+(* A copy and its master share nothing mutable: rows streamed into one
+   and checks compiled on it leave the other's roots, store, counts
+   and projections as they were, both ways. *)
+let test_copy_independence () =
+  let db, index, fs = checked_university () in
+  let state ix =
+    ( M.size (I.mgr ix),
+      List.map
+        (fun e ->
+          ( e.I.root,
+            Hashtbl.fold (fun k c acc -> (k, c) :: acc) e.I.counts [] |> List.sort compare,
+            Hashtbl.fold (fun k p acc -> (k, p.I.at, p.I.bdd, p.I.read) :: acc) e.I.projections []
+            |> List.sort compare ))
+        (I.entries ix) )
+  in
+  let stream into =
+    (* duplicates of existing rows, and one deletion: entries only, as a
+       replica replays them *)
+    List.iter
+      (fun table_name ->
+        let t = R.Database.table db table_name in
+        List.iter
+          (fun i ->
+            let row = R.Table.row t (i mod R.Table.cardinality t) in
+            List.iter
+              (fun e -> I.update_entry into e ~insert:true row)
+              (I.entries_for into table_name))
+          [ 0; 7; 13 ];
+        let row = R.Table.row t 3 in
+        List.iter
+          (fun e -> I.update_entry into e ~insert:false row)
+          (I.entries_for into table_name))
+      [ "takes"; "student" ];
+    List.iter (fun f -> ignore (Core.Checker.check into f)) fs
+  in
+  let master_before = state index in
+  let copy = I.copy index in
+  let copy_before = state copy in
+  stream copy;
+  check "the copy moved" true (state copy <> copy_before);
+  check "master unchanged by the copy's traffic" true (state index = master_before);
+  let copy_after = state copy in
+  stream index;
+  ignore (I.compact index);
+  check "copy unchanged by the master's traffic" true (state copy = copy_after)
+
 let suite =
   [
     Alcotest.test_case "add and find" `Quick test_add_and_find;
@@ -392,6 +521,8 @@ let suite =
       test_projections_through_compaction;
     Alcotest.test_case "a budget trip caches no projection" `Quick test_projection_budget_trip;
     Alcotest.test_case "a cached size is a lookup" `Quick test_cached_size_is_a_lookup;
+    Alcotest.test_case "a copy answers like its master" `Quick test_copy_parity;
+    Alcotest.test_case "a copy shares nothing mutable" `Quick test_copy_independence;
   ]
 
 let () = Registry.register "index" suite

@@ -34,43 +34,49 @@ let test_order_independence () =
 
 exception Boom of int
 
+(* A task's exception reaches the caller of run_ordered: the first
+   failure in input order, re-raised after every task has settled. *)
 let test_exception_propagation () =
   with_pool ~jobs:2 @@ fun pool ->
-  let ok = Pool.submit pool (fun () -> 1) in
-  let bad = Pool.submit pool (fun () -> raise (Boom 7)) in
-  Alcotest.(check int) "healthy task unaffected" 1 (Pool.await ok);
-  (match Pool.await bad with
-  | _ -> Alcotest.fail "await should re-raise the worker exception"
-  | exception Boom 7 -> ());
-  (* run_ordered: first failure in INPUT order wins, after all settle *)
   let witness = Atomic.make 0 in
-  (match
-     Pool.run_ordered pool
-       [|
-         (fun () -> Atomic.incr witness);
-         (fun () -> raise (Boom 1));
-         (fun () -> raise (Boom 2));
-         (fun () -> Atomic.incr witness);
-       |]
-   with
+  match
+    Pool.run_ordered pool
+      [|
+        (fun () -> Atomic.incr witness);
+        (fun () -> raise (Boom 1));
+        (fun () -> raise (Boom 2));
+        (fun () -> Atomic.incr witness);
+      |]
+  with
   | _ -> Alcotest.fail "run_ordered should re-raise"
   | exception Boom n ->
     Alcotest.(check int) "first failure in input order" 1 n;
-    Alcotest.(check int) "all tasks settled before the raise" 2 (Atomic.get witness))
+    Alcotest.(check int) "all tasks settled before the raise" 2 (Atomic.get witness)
 
-(* Shutdown drains tasks still queued at the time of the call. *)
+(* Shutdown drains the work already queued: a batch running on another
+   domain when shutdown is called still returns every result, and a
+   batch after shutdown is refused. *)
 let test_shutdown_drains_queue () =
-  let pool = Pool.create ~jobs:1 () in
-  let gate = Pool.submit pool (fun () -> Unix.sleepf 0.05) in
-  (* with one worker busy on [gate], these are certainly still queued *)
-  let queued = List.init 8 (fun i -> Pool.submit pool (fun () -> i + 100)) in
+  let pool = Pool.create ~jobs:2 () in
+  let started = Atomic.make 0 in
+  let batch =
+    Domain.spawn (fun () ->
+        Pool.run_ordered pool
+          (Array.init 8 (fun i () ->
+               Atomic.incr started;
+               Unix.sleepf 0.01;
+               i + 100)))
+  in
+  (* both workers are inside the batch, so all its work is queued *)
+  while Atomic.get started < 2 do
+    Domain.cpu_relax ()
+  done;
   Pool.shutdown pool;
-  Pool.await gate;
-  List.iteri
-    (fun i fut -> Alcotest.(check int) "queued task completed" (i + 100) (Pool.await fut))
-    queued;
-  (match Pool.submit pool (fun () -> 0) with
-  | _ -> Alcotest.fail "submit after shutdown should be refused"
+  Alcotest.(check (array int)) "every result of the running batch"
+    (Array.init 8 (fun i -> i + 100))
+    (Domain.join batch);
+  (match Pool.run_ordered pool [| (fun () -> 0) |] with
+  | _ -> Alcotest.fail "run_ordered after shutdown should be refused"
   | exception Invalid_argument _ -> ());
   (* idempotent *)
   Pool.shutdown pool
@@ -101,17 +107,19 @@ let small_index () =
 let test_replica_epoch_reuse () =
   let index = small_index () in
   let replica = Core.Replica.create index in
-  Alcotest.(check int) "no hydration yet" 0 (Core.Replica.hydrations replica);
+  let copies () = (Core.Replica.stats replica).Core.Replica.full in
+  Alcotest.(check int) "no hydration yet" 0 (copies ());
   Core.Replica.prepare replica;
   let r1 = Core.Replica.get replica in
   let r2 = Core.Replica.get replica in
   Alcotest.(check bool) "same epoch reuses the replica" true (r1 == r2);
-  Alcotest.(check int) "one hydration" 1 (Core.Replica.hydrations replica);
+  Alcotest.(check int) "one hydration" 1 (copies ());
   Core.Replica.invalidate replica;
   Core.Replica.prepare replica;
   let r3 = Core.Replica.get replica in
   Alcotest.(check bool) "invalidation forces a rebuild" true (r3 != r1);
-  Alcotest.(check int) "two hydrations" 2 (Core.Replica.hydrations replica);
+  Alcotest.(check int) "two hydrations" 2 (copies ());
+  Alcotest.(check int) "no delta catch-up" 0 (Core.Replica.stats replica).Core.Replica.delta;
   (* replicas share the database but never the manager *)
   Alcotest.(check bool) "shared db" true (r3.Core.Index.db == index.Core.Index.db);
   Alcotest.(check bool) "private manager" true
@@ -349,8 +357,8 @@ let parity_formula =
            ( F.Atom ("r", [ F.Var "x1_1"; F.Var "x2_1" ]),
              F.Exists ([ "x3_1" ], F.Atom ("s", [ F.Var "x2_1"; F.Var "x3_1" ])) ) ))
 
-(* A delta-caught-up replica must be indistinguishable from a freshly
-   full-hydrated one: same entry shapes, same membership, same
+(* A delta-caught-up replica must be indistinguishable from a fresh
+   copy of the master: same entry shapes, same membership, same
    verdicts — after several mutation bursts replayed purely from the
    op journal. *)
 let test_replica_delta_parity () =
@@ -381,8 +389,7 @@ let test_replica_delta_parity () =
   Alcotest.(check int) "still exactly one full hydration" 1 st.Core.Replica.full;
   Alcotest.(check int) "three delta catch-ups" 3 st.Core.Replica.delta;
   Alcotest.(check int) "nine ops replayed" 9 st.Core.Replica.delta_ops;
-  Alcotest.(check bool) "delta bytes published" true (st.Core.Replica.delta_bytes > 0);
-  (* a second replica set hydrates the same master fully, from scratch *)
+  (* a second replica set copies the same master, from scratch *)
   let oracle = Core.Replica.create index in
   Core.Replica.prepare oracle;
   let via_delta = Core.Replica.get replica and via_full = Core.Replica.get oracle in
@@ -416,9 +423,9 @@ let test_replica_survives_compact () =
   Core.Replica.prepare replica;
   let after = Core.Replica.get replica in
   Alcotest.(check bool) "replica reused across compact" true (before == after);
-  Alcotest.(check int) "no extra hydration" 1 (Core.Replica.hydrations replica);
+  Alcotest.(check int) "no extra hydration" 1 (Core.Replica.stats replica).Core.Replica.full;
   (* the journal still works after the compact: a row op is a delta,
-     not a resnapshot *)
+     not a copy *)
   let table = Fcv_relation.Database.table index.Core.Index.db "r" in
   let row = Array.copy (Fcv_relation.Table.row table 0) in
   Core.Index.insert index ~table_name:"r" row;
@@ -434,8 +441,8 @@ let test_replica_survives_compact () =
 
 (* A structural change (entry rebuild) bumps structure_version, which
    poisons the op journal: the next note degrades to an invalidation
-   and workers fall back to a full hydration — never a delta replay
-   against mismatched block widths. *)
+   and workers copy the master again — never a delta replay against
+   mismatched block widths. *)
 let test_replica_structural_fallback () =
   let index = small_index () in
   let replica = Core.Replica.create index in
@@ -454,16 +461,58 @@ let test_replica_structural_fallback () =
   Core.Replica.prepare replica;
   ignore (Core.Replica.get replica);
   let st = Core.Replica.stats replica in
-  Alcotest.(check int) "fell back to a second full hydration" 2 st.Core.Replica.full;
+  Alcotest.(check int) "fell back to a second copy" 2 st.Core.Replica.full;
   Alcotest.(check int) "no delta replay across a structural change" 0
     st.Core.Replica.delta;
+  Alcotest.(check int) "no op replayed" 0 st.Core.Replica.delta_ops;
+  let copy = Core.Replica.get replica in
+  Alcotest.(check (list int)) "the copy has the rebuilt entries' widths"
+    (List.map (fun e -> Array.length e.Core.Index.blocks.(0).Fcv_bdd.Fd.levels)
+       (Core.Index.entries index))
+    (List.map (fun e -> Array.length e.Core.Index.blocks.(0).Fcv_bdd.Fd.levels)
+       (Core.Index.entries copy));
   Alcotest.(check bool) "verdicts agree after fallback" true
     ((C.check (Core.Replica.get replica) parity_formula).C.outcome
     = (C.check index parity_formula).C.outcome)
 
+(* A domain with no replica copies the master at the current epoch,
+   even inside an open window: no base-plus-window replay, so its
+   catch-up counts as one copy and replays no op.  A domain whose
+   replica sits in the window replays the window. *)
+let test_replica_fresh_domain_copies () =
+  let index = small_index () in
+  let replica = Core.Replica.create index in
+  Core.Replica.prepare replica;
+  ignore (Core.Replica.get replica);
+  let table = Fcv_relation.Database.table index.Core.Index.db "r" in
+  let row = Array.copy (Fcv_relation.Table.row table 0) in
+  Core.Index.insert index ~table_name:"r" row;
+  Core.Replica.note_insert replica ~table_name:"r" row;
+  Core.Index.insert index ~table_name:"r" row;
+  Core.Replica.note_insert replica ~table_name:"r" row;
+  ignore (Core.Index.delete index ~table_name:"r" row);
+  Core.Replica.note_delete replica ~table_name:"r" row;
+  Core.Replica.prepare replica;
+  let st0 = Core.Replica.stats replica in
+  let fresh = Domain.join (Domain.spawn (fun () -> Core.Replica.get replica)) in
+  let st = Core.Replica.stats replica in
+  Alcotest.(check int) "the fresh domain copied the master" (st0.Core.Replica.full + 1)
+    st.Core.Replica.full;
+  Alcotest.(check int) "and replayed nothing" st0.Core.Replica.delta_ops
+    st.Core.Replica.delta_ops;
+  Alcotest.(check int) "no delta catch-up" st0.Core.Replica.delta st.Core.Replica.delta;
+  Alcotest.(check bool) "a private manager" true
+    (Core.Index.mgr fresh != Core.Index.mgr index);
+  ignore (Core.Replica.get replica);
+  let st = Core.Replica.stats replica in
+  Alcotest.(check int) "the calling domain caught up by delta" 1 st.Core.Replica.delta;
+  Alcotest.(check int) "replaying the three ops" 3 st.Core.Replica.delta_ops;
+  Alcotest.(check bool) "verdicts agree" true
+    ((C.check fresh parity_formula).C.outcome = (C.check index parity_formula).C.outcome)
+
 (* The monitor end of the delta wiring: streamed updates delta-note
    instead of invalidating, so the second parallel validation catches
-   workers up without any new full hydration. *)
+   up the workers that have a replica without copying the master. *)
 let test_monitor_delta_hydration () =
   (* dirty BOTH watched tables so the revalidation has two stale
      constraints and takes the pooled path *)
@@ -493,17 +542,18 @@ let test_monitor_delta_hydration () =
   (match Core.Monitor.replica_stats monitor with
   | Some st ->
     (* which worker domain claims which task is the scheduler's
-       business, so assert the scheduling-independent shape: full
-       hydrations are bounded by the worker count (never paid per
-       epoch), a delta was published, and every worker that caught up
-       replayed its 4 row ops — each constraint is its own task, so
-       one worker or both may have caught up *)
+       business, so assert the scheduling-independent shape: copies
+       are bounded by the worker count (never paid per epoch), every
+       worker that ran a task in both passes caught up by replaying
+       the 4 row ops, and one that sat out the first pass copied the
+       master instead — each constraint is its own task, so one worker
+       or both may have run in each pass *)
     Alcotest.(check bool) "full hydrations bounded by workers" true
       (st.Core.Replica.full <= 2);
-    Alcotest.(check bool) "a delta window was published" true
-      (st.Core.Replica.delta_bytes > 0);
-    Alcotest.(check bool) "the row epoch was replayed, not rehydrated" true
-      (st.Core.Replica.delta_ops > 0 && st.Core.Replica.delta_ops mod 4 = 0)
+    Alcotest.(check bool) "every pass refreshed a replica" true
+      (st.Core.Replica.full + st.Core.Replica.delta >= 2);
+    Alcotest.(check int) "the row epoch was replayed, not rehydrated"
+      (4 * st.Core.Replica.delta) st.Core.Replica.delta_ops
   | None -> Alcotest.fail "parallel monitor should expose replica stats");
   Core.Monitor.stop monitor;
   Alcotest.(check bool) "verdicts match the sequential monitor" true
@@ -617,6 +667,8 @@ let () =
         test_replica_survives_compact;
       Alcotest.test_case "replica: structural change falls back to full" `Quick
         test_replica_structural_fallback;
+      Alcotest.test_case "replica: a fresh domain copies the master" `Quick
+        test_replica_fresh_domain_copies;
       Alcotest.test_case "monitor: row epochs hydrate via delta" `Quick
         test_monitor_delta_hydration;
       Alcotest.test_case "checker: costs are only a scheduling hint" `Quick
