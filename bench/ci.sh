@@ -1,8 +1,8 @@
 #!/bin/sh
 # CI gate: format check, full build, the test suite with a pinned
 # QCheck seed, the approx suite under QCheck seeds 1..40, the sql,
-# to_sql, differential, parallel and parallel_delta suites under
-# QCheck seeds 1..20, a daemon smoke test, a node-budget smoke test (a
+# to_sql, differential, parallel, parallel_delta and monitor suites
+# under QCheck seeds 1..20, a daemon smoke test, a node-budget smoke test (a
 # negative --max-nodes is a usage error; a budget the indices exceed
 # is one message and exit 2), a bad-constraint smoke test (fcv check
 # reports each bad constraint in its input position, identically at
@@ -77,10 +77,11 @@ sweep() {
 sweep approx 40
 # The SQL-facing property suites (the executor against its list-based
 # reference, the translation, and the three-way differential whose SQL
-# side runs the executor) and the pooled batch's differentials against
-# the sequential run (parallel, parallel_delta) sweep twenty more
-# seeds, about 1.8 s each.
-sweep '^(sql|to_sql|differential|parallel|parallel_delta)$' 20
+# side runs the executor), the pooled batch's differentials against
+# the sequential run (parallel, parallel_delta) and the monitor's
+# cached verdicts against fresh checks after mutation bursts (monitor)
+# sweep twenty more seeds, about 2 s each.
+sweep '^(sql|to_sql|differential|parallel|parallel_delta|monitor)$' 20
 
 echo "== daemon smoke test (fcv serve / fcv client)"
 FCV=./_build/default/bin/fcv.exe

@@ -59,6 +59,10 @@ type t = {
          remove, rebuild, defer, level recycle) — NOT on content-
          preserving GC.  Replicas use it to decide whether a row-level
          delta can still describe the master (see {!Replica}). *)
+  mutable gc_base : int;
+      (* the live count the GC trigger measures growth from: the
+         manager's size right after the last {!compact}, level recycle
+         or creation, plus the nodes of each entry {!add} built since *)
   mutable gc_runs : int;  (* automatic + manual compactions *)
   mutable gc_reclaimed : int;  (* nodes reclaimed across all GC runs *)
   mutable level_recycles : int;  (* dense-rebuild epochs *)
@@ -75,6 +79,7 @@ let create ?(max_nodes = 0) ?(max_cache = M.default_max_cache) db =
     scratch_pool = Hashtbl.create 8;
     deferred = [];
     structure_version = 0;
+    gc_base = 2;
     gc_runs = 0;
     gc_reclaimed = 0;
     level_recycles = 0;
@@ -181,6 +186,8 @@ let add t ~table_name ?attrs ~strategy () =
   in
   t.entries <- entry :: t.entries;
   t.structure_version <- t.structure_version + 1;
+  (* the new entry is live, unlike the intermediates its build left *)
+  t.gc_base <- t.gc_base + M.node_count t.mgr root;
   entry
 
 (** Entries indexed on [table_name]. *)
@@ -433,6 +440,7 @@ let compact t =
     (fun (e, key, _) bdd -> Hashtbl.replace e.projections key { at = e.root; bdd; read = false })
     kept projected;
   let reclaimed = before - M.size t.mgr in
+  t.gc_base <- M.size t.mgr;
   t.gc_runs <- t.gc_runs + 1;
   t.gc_reclaimed <- t.gc_reclaimed + reclaimed;
   if Fcv_util.Telemetry.enabled () then
@@ -487,6 +495,7 @@ let copy t =
     scratch_pool = Hashtbl.copy t.scratch_pool;
     deferred = t.deferred;
     structure_version = t.structure_version;
+    gc_base = M.size mgr;
     gc_runs = 0;
     gc_reclaimed = 0;
     level_recycles = 0;
@@ -523,15 +532,12 @@ let live_nodes t =
              e.projections [ e.root ])
          t.entries)
 
-(* The dead ratio given [live_nodes t], so a caller that reports both
-   walks the live store once. *)
+(* The fraction of the manager's nodes not reachable from any live
+   root, given [live_nodes t], so a caller that reports both walks the
+   live store once. *)
 let dead_of t live =
   let size = M.size t.mgr in
   if size <= 2 then 0. else float_of_int (size - live) /. float_of_int size
-
-(** Fraction of the manager's node store not reachable from any live
-    root — the §4-style occupancy signal the GC policy thresholds. *)
-let dead_ratio t = dead_of t (live_nodes t)
 
 (** Levels referenced by live structures: entry blocks plus the pooled
     scratch blocks (reused by future checks, so not abandoned). *)

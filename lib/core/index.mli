@@ -53,6 +53,11 @@ type t = {
           remove, rebuild, defer, level recycle) but not on
           content-preserving GC — how {!Replica} decides whether a
           row-level delta can still describe the master *)
+  mutable gc_base : int;
+      (** the live count the {!Lifecycle} GC trigger measures growth
+          from: the manager's size right after the last {!compact},
+          level recycle or {!create} (the live count then), plus the
+          nodes of each entry {!add} built since *)
   mutable gc_runs : int;
   mutable gc_reclaimed : int;
   mutable level_recycles : int;
@@ -203,18 +208,14 @@ val copy : t -> t
     several domains may copy one store at once while no domain changes
     or walks it; {!Replica} builds each worker's replica this way. *)
 
-(** {2 Memory accounting} — the inputs to the {!Lifecycle} GC policy. *)
+(** {2 Memory accounting} — what {!lifecycle_stats} reports and the
+    level counts the {!Lifecycle} recycle policy reads. *)
 
 val live_nodes : t -> int
 (** Nodes reachable from the entries' live roots and from the
     projections cached at them (terminals included): one walk of the
     live store.  Right after {!compact} it equals the manager's
     size. *)
-
-val dead_ratio : t -> float
-(** Fraction of the manager's nodes unreachable from any live root or
-    cached projection (one {!live_nodes} walk), so the GC policy never
-    counts a projection {!compact} keeps as garbage. *)
 
 val levels_live : t -> int
 (** Levels referenced by entry blocks and pooled scratch blocks. *)
@@ -231,6 +232,10 @@ type lifecycle_stats = {
   live : int;
   peak : int;
   dead : float;
+      (** fraction of the nodes unreachable from any live root or
+          projection cached at one (so a projection {!compact} keeps
+          never counts as garbage); [fcv stats] and the server's
+          [stats] report it, the GC trigger reads [gc_base] *)
   levels_used : int;
   levels_alive : int;
   gc_runs : int;

@@ -180,6 +180,8 @@ let load_lines db next_line =
       in
       index.Index.entries <- entry :: index.Index.entries)
     metas roots;
+  (* a loaded store holds only the saved live nodes *)
+  index.Index.gc_base <- Fcv_bdd.Manager.size mgr;
   index
 
 let load db ic =

@@ -12,10 +12,10 @@
     Two reclamation tiers:
 
     - {b GC} ({!Index.compact}): mark-and-rebuild of the node store
-      keeping only the entries' live roots; triggered by the dead-node
-      ratio or op-cache occupancy.  Node ids are renumbered inside the
-      master only: replicas hold copies with ids of their own, so a GC
-      needs no {!Replica} epoch bump.
+      keeping only the entries' live roots; triggered by the store's
+      growth since the last compaction or by op-cache occupancy.  Node
+      ids are renumbered inside the master only: replicas hold copies
+      with ids of their own, so a GC needs no {!Replica} epoch bump.
     - {b Level recycle} ({!recycle}): rebuild the whole store through
       an {!Index_io} save and load into a fresh manager with dense
       level assignment, reclaiming abandoned level space.  This turns
@@ -32,8 +32,9 @@ module I = Index
 module T = Fcv_util.Telemetry
 
 type policy = {
-  dead_ratio_hi : float;
-      (** GC when the dead-node fraction reaches this (0 disables) *)
+  growth_hi : float;
+      (** GC once the nodes made since the last compaction reach this
+          share of the store (0 disables) *)
   min_nodes : int;  (** never GC a manager smaller than this *)
   cache_hi : int;
       (** GC when total op-cache occupancy reaches this (0 disables) *)
@@ -44,21 +45,28 @@ type policy = {
           packing ceiling *)
 }
 
-(* Defaults tuned for the serving path: GC at 50% garbage (amortised
-   O(live) per O(live) garbage produced), recycle when a quarter of
-   the level space is dead or the ceiling is near. *)
+(* Defaults tuned for the serving path: GC once the store doubles
+   (amortised O(live) per O(live) nodes made), recycle when a quarter
+   of the level space is dead or the ceiling is near. *)
 let default_policy =
   {
-    dead_ratio_hi = 0.5;
+    growth_hi = 0.5;
     min_nodes = 1 lsl 12;
     cache_hi = M.default_max_cache / 2;
     level_slack = 128;
     level_headroom = 64;
   }
 
+(* Right after a compaction the store holds only live nodes, so the
+   nodes made since, less the entries built since, bound the garbage
+   from above: the trigger is the dead ratio the store would have if
+   all of them were dead, read from two counters instead of a walk of
+   the live store. *)
 let needs_gc policy index =
-  M.size (I.mgr index) >= policy.min_nodes
-  && ((policy.dead_ratio_hi > 0. && I.dead_ratio index >= policy.dead_ratio_hi)
+  let size = M.size (I.mgr index) in
+  size >= policy.min_nodes
+  && ((policy.growth_hi > 0.
+      && float_of_int (size - index.I.gc_base) >= policy.growth_hi *. float_of_int size)
      || (policy.cache_hi > 0 && M.cache_entries (I.mgr index) >= policy.cache_hi))
 
 let needs_recycle policy index =
@@ -86,6 +94,7 @@ let recycle index =
   M.set_max_nodes (I.mgr fresh) (M.max_nodes (I.mgr index));
   M.set_max_cache (I.mgr fresh) (M.max_cache (I.mgr index));
   index.I.mgr <- I.mgr fresh;
+  index.I.gc_base <- M.size (I.mgr index);
   (* the loader pins each entry to its saved concrete order (Fixed);
      restore the declared strategies so future rebuilds re-resolve *)
   index.I.entries <-
@@ -124,8 +133,8 @@ type action = {
 let no_action = { recycled = false; gc_ran = false; reclaimed = 0 }
 
 (** Run the policy once, {e between} checks: recycle if level space
-    demands it (which also collects garbage), else GC if the dead
-    ratio or cache occupancy demand it, else do nothing.  Publishes
+    demands it (which also collects garbage), else GC if the store's
+    growth or cache occupancy demand it, else do nothing.  Publishes
     the lifecycle gauges when anything ran.  The caller owns replica
     invalidation — needed iff [action.recycled]; a pure compact
     renumbers only master-private node ids replicas never see. *)

@@ -7,8 +7,12 @@
     run mid-check — node ids and levels are renumbered. *)
 
 type policy = {
-  dead_ratio_hi : float;
-      (** GC when the dead-node fraction reaches this (0 disables) *)
+  growth_hi : float;
+      (** GC once the nodes made since the last compaction, beyond the
+          entries built since, reach this share of the store, i.e. once
+          [Manager.size] passes [gc_base / (1 - growth_hi)]
+          ({!Index.t.gc_base}); the dead ratio the store would have if
+          all of them were garbage, read without a walk (0 disables) *)
   min_nodes : int;  (** never GC a manager smaller than this *)
   cache_hi : int;
       (** GC when total op-cache occupancy reaches this (0 disables) *)
@@ -20,10 +24,13 @@ type policy = {
 }
 
 val default_policy : policy
-(** GC at 50% dead / half-full caches (≥ 4096 nodes); recycle at 128
-    abandoned levels or within 64 of the 511-level ceiling. *)
+(** GC once the store reaches twice its live base
+    ({!Index.t.gc_base}) or the op caches are half full (≥ 4096
+    nodes); recycle at 128 abandoned levels or within 64 of the
+    511-level ceiling. *)
 
 val needs_gc : policy -> Index.t -> bool
+(** Counter reads only: no walk of the store. *)
 
 val needs_recycle : policy -> Index.t -> bool
 (** Also true whenever deferred rebuilds are queued — only a recycle

@@ -2,9 +2,18 @@
     ("databases are primarily dynamic ... being able to identify
     constraints that are violated within and across tables is highly
     important") turned into an API: register constraints once, stream
-    updates through the logical indices, and re-validate lazily —
-    only constraints touching tables dirtied since their last check
-    are re-run. *)
+    updates through the logical indices, and re-validate lazily.
+
+    Staleness is per constraint.  A mutation that changed a row marks
+    stale only the constraints with an atom over its table whose
+    constants the row carries (an atom without constants matches every
+    row); a pass re-checks a constraint only when it was never checked,
+    was marked stale, or a dictionary behind a column of one of its
+    tables grew since the last completed pass (quantifiers range over
+    whole dictionaries, so a new code anywhere in a domain can flip a
+    verdict whose atoms no row reached).  Everything else keeps its
+    cached verdict — the irrelevant-update test of view maintenance
+    (Blakeley, Coburn and Larson, TODS 1989), kept to constants. *)
 
 module R = Fcv_relation
 module M = Fcv_bdd.Manager
@@ -24,7 +33,7 @@ type registered = {
       (** measured rate of the last fresh soft check; [None] for hard
           constraints and never-checked soft ones *)
   mutable checks_run : int;
-  mutable checks_skipped : int;  (** skipped because no watched table changed *)
+  mutable checks_skipped : int;  (** skipped because no mutation reached it *)
   mutable total_check_ms : float;  (** cumulative time of fresh checks *)
   mutable entailed_by : int list option;
       (** Kenig–Suciu implication dedup: [Some ids] when this FD is in
@@ -39,16 +48,38 @@ type registered = {
     bench baseline). *)
 type planning = Planned | Forced of Checker.strategy
 
+(* Per-constraint state beside the public record: the planner history
+   resolved at registration, the stale flag, and the dictionaries whose
+   growth re-checks it with their sizes at the last completed pass. *)
+type slot = {
+  reg : registered;
+  history : Planner.history;
+  mutable stale : bool;  (** a mutation reached one of its atoms since the last pass *)
+  dicts : R.Dict.t array;  (** the distinct dictionaries behind its tables' columns *)
+  sizes : int array;  (** their sizes when the last pass completed *)
+}
+
+(* A constant of an atom at a column position.  [code] caches the code
+   the column's dictionary gives it once it has one (codes never
+   change), -1 while the dictionary lacks it. *)
+type constant = { pos : int; dict : R.Dict.t; value : R.Value.t; mutable code : int }
+
+(* One atom of a registered constraint as a filter on its table's rows:
+   a row reaches the atom when it carries every constant. *)
+type filter = { slot : slot; constants : constant array }
+
 type t = {
   index : Index.t;
   pipeline : Checker.pipeline;
   planner : Planner.t;
   mutable planning : planning;
-  mutable constraints : registered list;
+  mutable slots : slot list;
       (** stored {b newest first} so registration is O(1); every
           external view reverses (see {!constraints}) *)
+  filters : (string, filter list) Hashtbl.t;
+      (** every registered atom by table, so a mutation scans only the
+          atoms over its table *)
   mutable next_id : int;
-  dirty : (string, unit) Hashtbl.t;  (** tables updated since the last validation *)
   mutable par : (Fcv_util.Pool.t * Replica.t) option;
       (** worker pool + replica set when [jobs > 1]; the pool outlives
           validations so workers and hydrated replicas are reused *)
@@ -63,15 +94,15 @@ let create ?(pipeline = Checker.default_pipeline) ?(planning = Planned)
     pipeline;
     planner = Planner.create ();
     planning;
-    constraints = [];
+    slots = [];
+    filters = Hashtbl.create 8;
     next_id = 0;
-    dirty = Hashtbl.create 8;
     par = None;
     gc_policy = gc;
   }
 
 let index t = t.index
-let constraints t = List.rev t.constraints
+let constraints t = List.rev_map (fun s -> s.reg) t.slots
 let planner t = t.planner
 let planning t = t.planning
 let set_planning t p = t.planning <- p
@@ -129,6 +160,47 @@ let recompute_entailment t =
 
 let replica_stats t = match t.par with Some (_, r) -> Some (Replica.stats r) | None -> None
 
+(* Every atom of a formula: its relation and terms. *)
+let rec atoms = function
+  | Formula.True | False | Eq _ | In _ -> []
+  | Atom (rel, terms) -> [ (rel, terms) ]
+  | Not f | Exists (_, f) | Forall (_, f) -> atoms f
+  | And (a, b) | Or (a, b) | Implies (a, b) | Iff (a, b) -> atoms a @ atoms b
+
+(* The distinct dictionaries behind the columns of [tables]. *)
+let dictionaries db tables =
+  List.fold_left
+    (fun acc tbl ->
+      let table = R.Database.table db tbl in
+      List.fold_left
+        (fun acc j ->
+          let d = R.Table.dict table j in
+          if List.memq d acc then acc else d :: acc)
+        acc
+        (List.init (R.Table.arity table) Fun.id))
+    [] tables
+  |> Array.of_list
+
+(* File each atom of the slot's constraint under its table, as a
+   filter on the rows a mutation changes. *)
+let add_filters t slot =
+  List.iter
+    (fun (tbl, terms) ->
+      let table = R.Database.table t.index.Index.db tbl in
+      let constants =
+        List.concat
+          (List.mapi
+             (fun pos -> function
+               | Formula.Const value ->
+                 [ { pos; dict = R.Table.dict table pos; value; code = -1 } ]
+               | Formula.Var _ | Formula.Wildcard -> [])
+             terms)
+      in
+      let f = { slot; constants = Array.of_list constants } in
+      Hashtbl.replace t.filters tbl
+        (f :: Option.value ~default:[] (Hashtbl.find_opt t.filters tbl)))
+    (atoms slot.reg.formula)
+
 (** Register a constraint (given as concrete syntax); builds any
     missing indices.  Returns its id — the caller may pin one (WAL
     replay / snapshot recovery re-registers constraints under their
@@ -160,7 +232,7 @@ let add ?id t source =
   let id =
     match id with
     | Some i ->
-      if List.exists (fun r -> r.id = i) t.constraints then
+      if List.exists (fun s -> s.reg.id = i) t.slots then
         invalid_arg "Monitor.add: duplicate constraint id";
       t.next_id <- max t.next_id (i + 1);
       i
@@ -184,7 +256,18 @@ let add ?id t source =
       entailed_by = None;
     }
   in
-  t.constraints <- reg :: t.constraints;
+  let dicts = dictionaries t.index.Index.db reg.tables in
+  let slot =
+    {
+      reg;
+      history = Planner.history t.planner spec;
+      stale = false;
+      dicts;
+      sizes = Array.map R.Dict.size dicts;
+    }
+  in
+  add_filters t slot;
+  t.slots <- slot :: t.slots;
   recompute_entailment t;
   (* ensure_indices may have built new entries *)
   invalidate_replicas t;
@@ -196,17 +279,21 @@ let add ?id t source =
     invalidated — a long-running server must not retain the index of
     every constraint it ever saw. *)
 let remove t id =
-  let doomed, kept = List.partition (fun r -> r.id = id) t.constraints in
-  t.constraints <- kept;
+  let doomed, kept = List.partition (fun s -> s.reg.id = id) t.slots in
+  t.slots <- kept;
   if doomed <> [] then begin
-    let still_watched tbl = List.exists (fun r -> List.mem tbl r.tables) kept in
+    Hashtbl.filter_map_inplace
+      (fun _ fs ->
+        match List.filter (fun f -> f.slot.reg.id <> id) fs with [] -> None | fs -> Some fs)
+      t.filters;
+    let still_watched tbl = List.exists (fun s -> List.mem tbl s.reg.tables) kept in
     List.iter
-      (fun r ->
+      (fun s ->
         List.iter
           (fun tbl ->
             if not (still_watched tbl) then
               ignore (Index.remove_entries_for t.index tbl))
-          r.tables)
+          s.reg.tables)
       doomed;
     recompute_entailment t;
     invalidate_replicas t
@@ -239,28 +326,48 @@ let gc t =
   if recycle then invalidate_replicas t;
   reclaimed
 
-(** Mark a table dirty, as a mutation of it would: the next
-    {!validate} re-checks every constraint over it. *)
-let mark_dirty t table_name = Hashtbl.replace t.dirty table_name ()
+(* Mark stale every unmarked constraint with an atom over the table
+   that [reaches]. *)
+let mark t table_name reaches =
+  match Hashtbl.find_opt t.filters table_name with
+  | Some fs ->
+    List.iter (fun f -> if (not f.slot.stale) && reaches f then f.slot.stale <- true) fs
+  | None -> ()
+
+(* The row's code at the constant's position is the code the column's
+   dictionary gives the constant (a constant the dictionary lacks is
+   carried by no row). *)
+let carries row c =
+  if c.code < 0 then
+    (match R.Dict.code c.dict c.value with Some k -> c.code <- k | None -> ());
+  c.code >= 0 && row.(c.pos) = c.code
+
+let mark_row t table_name row =
+  mark t table_name (fun f -> Array.for_all (carries row) f.constants)
+
+(** Mark every constraint over a table stale, as if a mutation reached
+    each of its atoms there: the next {!validate} re-checks them. *)
+let mark_dirty t table_name = mark t table_name (fun _ -> true)
 
 (** Stream one row insertion through the base table and indices; marks
-    the table dirty.  Replicas get a row-level delta note, not a full
+    stale the constraints with an atom over the table whose constants
+    the row carries.  Replicas get a row-level delta note, not a full
     invalidation — the mutation epoch does not cost workers a copy of
     the master. *)
 let insert t ~table_name row =
   Index.insert t.index ~table_name row;
-  mark_dirty t table_name;
+  mark_row t table_name row;
   (match t.par with
   | Some (_, r) -> Replica.note_insert r ~table_name row
   | None -> ());
   if T.enabled () then T.incr (T.counter "monitor.inserts")
 
-(** Stream one row deletion; marks the table dirty if a row was
-    removed.  Delta-noted like {!insert}. *)
+(** Stream one row deletion; when a row was removed, marks stale as
+    {!insert} does.  Delta-noted like {!insert}. *)
 let delete t ~table_name row =
   let removed = Index.delete t.index ~table_name row in
   if removed then begin
-    mark_dirty t table_name;
+    mark_row t table_name row;
     match t.par with
     | Some (_, r) -> Replica.note_delete r ~table_name row
     | None -> ()
@@ -278,30 +385,41 @@ type report = {
           hard constraints *)
 }
 
+(* A dictionary behind one of the constraint's columns grew since the
+   last completed pass. *)
+let grown s =
+  let rec go i =
+    i < Array.length s.dicts && (R.Dict.size s.dicts.(i) <> s.sizes.(i) || go (i + 1))
+  in
+  go 0
+
 (** Validate the registered constraints: a constraint is re-checked
-    only when it has never been checked or one of its tables changed
-    since its last check; otherwise the cached verdict is returned.
+    only when it was never checked, a mutation marked it stale, or a
+    dictionary behind a column of one of its tables grew since the
+    last completed pass; otherwise the cached verdict is returned.
     Stale hard and soft constraints are checked as one batch, pooled
     when [jobs > 1].  Under [Planned] (the default) the {!Planner}
     chooses each stale constraint's strategy, planned costs order the
     parallel pool, every fresh result is fed back, and FDs entailed by
-    currently-holding FDs are settled without a check.  Clears the
-    dirty set. *)
+    currently-holding FDs are settled without a check.  A completed
+    pass clears the stale flags and records the dictionary sizes; a
+    pass that raises leaves them, so the next one re-checks. *)
 let validate t =
   (* reclamation happens here, strictly before any check compiles
      against the manager — never mid-check *)
   ignore (maybe_gc t);
   T.with_span "monitor.validate" @@ fun () ->
-  let regs = constraints t in
-  let needs_check reg =
-    reg.last_outcome = None || List.exists (Hashtbl.mem t.dirty) reg.tables
+  let slots = List.rev t.slots in
+  let stale, clean =
+    List.partition (fun s -> s.stale || s.reg.last_outcome = None || grown s) slots
   in
   let planned = t.planning = Planned in
   (* registered-record bookkeeping happens on the calling domain only:
      in the parallel path workers return bare Checker.results and the
      mutations below run once the whole batch is in *)
-  let fresh_report reg r =
-    if planned then Planner.observe t.planner (spec_of reg) r;
+  let fresh_report s r =
+    let reg = s.reg in
+    if planned then Planner.observe t.planner s.history r;
     reg.last_outcome <- Some r.Checker.outcome;
     (match r.Checker.rate with Some _ as rt -> reg.last_rate <- rt | None -> ());
     reg.checks_run <- reg.checks_run + 1;
@@ -340,31 +458,31 @@ let validate t =
       rate = None;
     }
   in
-  let stale = List.filter needs_check regs in
   (* entailed FDs settle from their entailers' verdicts when possible
      (Planned mode only); everything else, hard and soft, is one batch *)
   let stale_main, stale_ent =
-    if planned then List.partition (fun r -> r.entailed_by = None) stale else (stale, [])
+    if planned then List.partition (fun s -> s.reg.entailed_by = None) stale else (stale, [])
   in
-  let plan reg = Planner.plan t.planner t.index (spec_of reg) in
+  let plan s = Planner.plan t.planner t.index s.history in
   let strategies, costs =
     List.split
       (List.map
-         (fun reg ->
+         (fun s ->
+           let reg = s.reg in
            match t.planning with
            | Planned ->
              (* the planner's costed estimate orders the pool *)
-             let p = plan reg in
+             let p = plan s in
              (p.Planner.strategy, Some p.Planner.cost_ms)
-           | Forced s ->
+           | Forced strategy ->
              (* measured per-constraint history orders the pool *)
-             ( s,
+             ( strategy,
                if reg.checks_run > 0 then
                  Some (reg.total_check_ms /. float_of_int reg.checks_run)
                else None ))
          stale_main)
   in
-  let specs = List.map spec_of stale_main in
+  let specs = List.map (fun s -> spec_of s.reg) stale_main in
   let results =
     match t.par with
     | Some (pool, replica) when List.length stale_main > 1 ->
@@ -372,16 +490,15 @@ let validate t =
     | _ -> Checker.check_all ~pipeline:t.pipeline ~strategies t.index specs
   in
   let fresh = Hashtbl.create (List.length stale + 1) in
-  List.iter2 (fun reg r -> Hashtbl.replace fresh reg.id r) stale_main results;
+  List.iter2 (fun s r -> Hashtbl.replace fresh s.reg.id r) stale_main results;
   (* outcomes valid for THIS pass: clean cached verdicts + fresh results *)
-  let settled = Hashtbl.create (List.length regs + 1) in
+  let settled = Hashtbl.create (List.length slots + 1) in
   List.iter
-    (fun reg ->
-      if not (needs_check reg) then
-        match reg.last_outcome with
-        | Some o -> Hashtbl.replace settled reg.id o
-        | None -> ())
-    regs;
+    (fun s ->
+      match s.reg.last_outcome with
+      | Some o -> Hashtbl.replace settled s.reg.id o
+      | None -> ())
+    clean;
   Hashtbl.iter
     (fun id (r : Checker.result) -> Hashtbl.replace settled id r.Checker.outcome)
     fresh;
@@ -390,52 +507,56 @@ let validate t =
      entailed; a stall (mutual entailment among dirty FDs) is broken
      by checking the lowest id *)
   let skipped_ent = Hashtbl.create 8 in
-  let check_now reg =
-    let strategy = (plan reg).Planner.strategy in
-    let r = Checker.check_spec ~pipeline:t.pipeline ~strategy t.index (spec_of reg) in
-    Hashtbl.replace fresh reg.id r;
-    Hashtbl.replace settled reg.id r.Checker.outcome
+  let check_now s =
+    let strategy = (plan s).Planner.strategy in
+    let r = Checker.check_spec ~pipeline:t.pipeline ~strategy t.index (spec_of s.reg) in
+    Hashtbl.replace fresh s.reg.id r;
+    Hashtbl.replace settled s.reg.id r.Checker.outcome
   in
   let pending = ref stale_ent in
   while !pending <> [] do
     let progress = ref false in
     pending :=
       List.filter
-        (fun reg ->
-          let ids = match reg.entailed_by with Some ids -> ids | None -> assert false in
+        (fun s ->
+          let ids = match s.reg.entailed_by with Some ids -> ids | None -> assert false in
           let known = List.filter_map (fun i -> Hashtbl.find_opt settled i) ids in
           if List.length known = List.length ids then begin
             progress := true;
             if List.for_all (fun o -> o = Checker.Satisfied) known then begin
-              Hashtbl.replace skipped_ent reg.id ();
-              Hashtbl.replace settled reg.id Checker.Satisfied
+              Hashtbl.replace skipped_ent s.reg.id ();
+              Hashtbl.replace settled s.reg.id Checker.Satisfied
             end
-            else check_now reg;
+            else check_now s;
             false
           end
           else true)
         !pending;
     if (not !progress) && !pending <> [] then begin
-      let reg =
+      let s =
         List.fold_left
-          (fun a b -> if b.id < a.id then b else a)
+          (fun a b -> if b.reg.id < a.reg.id then b else a)
           (List.hd !pending) (List.tl !pending)
       in
-      check_now reg;
-      pending := List.filter (fun r -> r.id <> reg.id) !pending
+      check_now s;
+      pending := List.filter (fun p -> p.reg.id <> s.reg.id) !pending
     end
   done;
   let reports =
     List.map
-      (fun reg ->
-        match Hashtbl.find_opt fresh reg.id with
-        | Some r -> fresh_report reg r
+      (fun s ->
+        match Hashtbl.find_opt fresh s.reg.id with
+        | Some r -> fresh_report s r
         | None ->
-          if Hashtbl.mem skipped_ent reg.id then entailed_report reg
-          else cached_report reg)
-      regs
+          if Hashtbl.mem skipped_ent s.reg.id then entailed_report s.reg
+          else cached_report s.reg)
+      slots
   in
-  Hashtbl.reset t.dirty;
+  List.iter
+    (fun s ->
+      s.stale <- false;
+      Array.iteri (fun i d -> s.sizes.(i) <- R.Dict.size d) s.dicts)
+    slots;
   reports
 
 (** The registered constraints currently violated (validating first). *)
@@ -457,5 +578,5 @@ let verdicts t =
     like a real validation would, so estimates and last-actuals
     reflect what the next check will do. *)
 let explain t id =
-  List.find_opt (fun r -> r.id = id) t.constraints
-  |> Option.map (fun reg -> (reg, Planner.plan t.planner t.index (spec_of reg)))
+  List.find_opt (fun s -> s.reg.id = id) t.slots
+  |> Option.map (fun s -> (s.reg, Planner.plan t.planner t.index s.history))

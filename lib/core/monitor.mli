@@ -1,7 +1,18 @@
 (** Continuous constraint validation over a dynamic database: register
     constraints once, stream updates through the logical indices, and
-    re-validate lazily — only constraints whose tables changed since
-    their last check are re-run. *)
+    re-validate lazily.
+
+    Staleness is per constraint.  {!add} records each atom's relation
+    and constant positions (an atom without constants matches every
+    row).  An {!insert} or {!delete} that changed a row marks stale the
+    constraints with an atom over that table whose constants the row
+    carries: its code at each constant position is the code the
+    column's dictionary gives the constant now.  {!validate} re-checks
+    a constraint only when it was never checked, was marked stale, or a
+    dictionary behind a column of one of its tables grew since the
+    last completed pass — quantifiers range over whole dictionaries, so
+    a code interned through another table can flip a verdict that no
+    changed row reached. *)
 
 type registered = {
   id : int;
@@ -17,7 +28,7 @@ type registered = {
       (** measured rate of the last fresh soft check; [None] for hard
           constraints and never-checked soft ones *)
   mutable checks_run : int;
-  mutable checks_skipped : int;
+  mutable checks_skipped : int;  (** passes that kept its cached verdict *)
   mutable total_check_ms : float;  (** cumulative time of fresh checks *)
   mutable entailed_by : int list option;
       (** register-time implication dedup (Kenig–Suciu direction):
@@ -89,16 +100,22 @@ val gc : t -> int
     [compact] protocol op. *)
 
 val mark_dirty : t -> string -> unit
-(** Mark a table dirty, as a mutation of it would, without changing
-    it: the next {!validate} re-checks every constraint over it. *)
+(** Mark stale every constraint with an atom over the table, without
+    changing it: the next {!validate} re-checks each of them (what
+    [fcv explain --warm] does before each pass). *)
 
 val insert : t -> table_name:string -> int array -> unit
-(** Rows are coded [int array]s.  In parallel mode the mutation is
-    delta-noted to the replica set ({!Replica.note_insert}) rather
-    than invalidating it: the next validation catches workers up by
-    replaying the row ops instead of copying the master. *)
+(** Rows are coded [int array]s.  Marks stale the constraints with an
+    atom over the table whose constants the row carries.  In parallel
+    mode the mutation is delta-noted to the replica set
+    ({!Replica.note_insert}) rather than invalidating it: the next
+    validation catches workers up by replaying the row ops instead of
+    copying the master. *)
 
 val delete : t -> table_name:string -> int array -> bool
+(** Delete one occurrence of a coded row; [false] when it was absent.
+    A removed row marks stale as {!insert} does; an absent one marks
+    nothing. *)
 
 val replica_stats : t -> Replica.stats option
 (** Hydration-mode telemetry of the worker replica set ([None] when
@@ -116,14 +133,18 @@ type report = {
 }
 
 val validate : t -> report list
-(** Check dirty constraints, reuse cached verdicts for clean ones,
-    clear the dirty set.  Dirty hard and soft constraints run as one
-    batch through {!Checker.check_spec}, pooled when [jobs > 1].
-    Under [Planned] the planner chooses each strategy, planned costs
-    order the parallel pool, results feed the planner back, and a
-    dirty hard FD entailed by currently-holding hard FDs is settled as
-    satisfied without a check ([fresh = false]).  Soft constraints
-    never participate in entailment. *)
+(** Re-check each constraint that was never checked, was marked stale,
+    or has a dictionary behind one of its tables' columns that grew
+    since the last completed pass; reuse the cached verdict of every
+    other.  Stale hard and soft constraints run as one batch through
+    {!Checker.check_spec}, pooled when [jobs > 1].  Under [Planned] the
+    planner chooses each strategy, planned costs order the parallel
+    pool, results feed the planner back, and a stale hard FD entailed
+    by currently-holding hard FDs is settled as satisfied without a
+    check ([fresh = false]).  Soft constraints never participate in
+    entailment.  Stale flags and recorded dictionary sizes reset only
+    when a pass completes, so the pass after one that raised re-checks
+    what it left unchecked. *)
 
 val violated : t -> registered list
 

@@ -40,10 +40,12 @@ type config = {
 let default_config =
   { ewma_alpha = 0.3; trip_demote = 2; probe_every = 16; drift_band = 2.0 }
 
-(* Per-constraint state: method EWMAs, trip evidence, probe clock and
-   the cached plan.  Keyed by the printed spec, so syntactically
-   equal constraints share history and a soft spec keeps its own. *)
-type hist = {
+(* Per-constraint state: the spec, method EWMAs, trip evidence, probe
+   clock and the cached plan.  Looked up by the printed spec, so
+   syntactically equal constraints share history and a soft spec
+   keeps its own. *)
+type history = {
+  spec : Formula.spec;
   mutable bdd_ms : float;
   mutable bdd_n : int;
   mutable sql_ms : float;
@@ -65,7 +67,7 @@ and cached = {
 
 type t = {
   cfg : config;
-  tbl : (string, hist) Hashtbl.t;
+  tbl : (string, history) Hashtbl.t;
   mutable hits : int;
   mutable misses : int;
   mutable probes : int;
@@ -91,12 +93,14 @@ let stats (t : t) =
 
 let invalidate t = Hashtbl.iter (fun _ h -> h.cached <- None) t.tbl
 
-let hist t key =
+let history t spec =
+  let key = Formula.spec_to_string spec in
   match Hashtbl.find_opt t.tbl key with
   | Some h -> h
   | None ->
     let h =
       {
+        spec;
         bdd_ms = 0.;
         bdd_n = 0;
         sql_ms = 0.;
@@ -210,26 +214,34 @@ let blend ~model ~measured ~n =
     let w = Float.min 0.85 (float_of_int n /. float_of_int (n + 1)) in
     ((1. -. w) *. model) +. (w *. measured)
 
-(* A soft spec's BDD-free engine is the naive recount, exponential in
-   its ∀-block — there is no SQL rate query — so only trip demotion
-   plans it there, never an estimate priced against SQL. *)
-let decide cfg h spec ~model_bdd ~model_sql =
+(* Why a plan chose its side.  A soft spec's BDD-free engine is the
+   naive recount, exponential in its ∀-block — there is no SQL rate
+   query — so only trip demotion plans it there, never an estimate
+   priced against SQL. *)
+type why = Tripped | Soft | Bdd_cheaper | Sql_cheaper
+
+let choice_of = function Tripped | Sql_cheaper -> Use_sql | Soft | Bdd_cheaper -> Use_bdd
+
+(* The decision and both blended estimates; the flip test in
+   {!observe} reads only the choice, so no reason is printed here. *)
+let decide cfg h ~model_bdd ~model_sql =
   let est_bdd = blend ~model:model_bdd ~measured:h.bdd_ms ~n:h.bdd_n in
   let est_sql = blend ~model:model_sql ~measured:h.sql_ms ~n:h.sql_n in
-  if h.consec_trips >= cfg.trip_demote then
-    ( Use_sql,
-      Printf.sprintf "%d consecutive budget trips — planned straight to SQL"
-        h.consec_trips,
-      est_bdd, est_sql )
-  else if not (Formula.is_hard spec) then
-    (Use_bdd, "soft spec: no SQL rate query, only the naive recount — BDD until it trips",
-     est_bdd, est_sql)
-  else if est_bdd <= est_sql then
-    (Use_bdd, Printf.sprintf "est BDD %.3f ms <= est SQL %.3f ms" est_bdd est_sql,
-     est_bdd, est_sql)
-  else
-    (Use_sql, Printf.sprintf "est SQL %.3f ms < est BDD %.3f ms" est_sql est_bdd,
-     est_bdd, est_sql)
+  let why =
+    if h.consec_trips >= cfg.trip_demote then Tripped
+    else if not (Formula.is_hard h.spec) then Soft
+    else if est_bdd <= est_sql then Bdd_cheaper
+    else Sql_cheaper
+  in
+  (why, est_bdd, est_sql)
+
+let reason h why ~est_bdd ~est_sql =
+  match why with
+  | Tripped ->
+    Printf.sprintf "%d consecutive budget trips — planned straight to SQL" h.consec_trips
+  | Soft -> "soft spec: no SQL rate query, only the naive recount — BDD until it trips"
+  | Bdd_cheaper -> Printf.sprintf "est BDD %.3f ms <= est SQL %.3f ms" est_bdd est_sql
+  | Sql_cheaper -> Printf.sprintf "est SQL %.3f ms < est BDD %.3f ms" est_sql est_bdd
 
 (* -- plan trees ------------------------------------------------------------- *)
 
@@ -361,9 +373,8 @@ let c_miss = T.counter "planner.miss"
 let c_probe = T.counter "planner.probe"
 let c_replans = T.counter "planner.replans"
 
-let plan t index (spec : Formula.spec) =
-  let f = spec.formula in
-  let h = hist t (Formula.spec_to_string spec) in
+let plan t index h =
+  let f = h.spec.Formula.formula in
   let version = index.Index.structure_version in
   let fp = fingerprint index f in
   let recompute () =
@@ -377,8 +388,11 @@ let plan t index (spec : Formula.spec) =
     | _ -> ());
     let model_bdd = estimate_bdd_ms index f in
     let model_sql = estimate_sql_ms index f in
-    let choice, reason, est_bdd, est_sql = decide t.cfg h spec ~model_bdd ~model_sql in
-    let p = make_plan index f h ~choice ~reason ~est_bdd ~est_sql ~probe:false in
+    let why, est_bdd, est_sql = decide t.cfg h ~model_bdd ~model_sql in
+    let p =
+      make_plan index f h ~choice:(choice_of why) ~reason:(reason h why ~est_bdd ~est_sql)
+        ~est_bdd ~est_sql ~probe:false
+    in
     if h.planned then begin
       t.replans <- t.replans + 1;
       T.incr c_replans
@@ -419,8 +433,7 @@ let plan t index (spec : Formula.spec) =
 
 let ewma alpha old n x = if n <= 0 then x else (alpha *. x) +. ((1. -. alpha) *. old)
 
-let observe t spec (r : Checker.result) =
-  let h = hist t (Formula.spec_to_string spec) in
+let observe t h (r : Checker.result) =
   let cfg = t.cfg in
   let note_bdd x =
     h.bdd_ms <- ewma cfg.ewma_alpha h.bdd_ms h.bdd_n x;
@@ -448,8 +461,8 @@ let observe t spec (r : Checker.result) =
      cached choice, drop the plan so the next [plan] re-decides *)
   match h.cached with
   | Some c ->
-    let choice, _, _, _ = decide cfg h spec ~model_bdd:c.model_bdd ~model_sql:c.model_sql in
-    if choice <> c.cplan.choice then h.cached <- None
+    let why, _, _ = decide cfg h ~model_bdd:c.model_bdd ~model_sql:c.model_sql in
+    if choice_of why <> c.cplan.choice then h.cached <- None
   | None -> ()
 
 (* -- rendering -------------------------------------------------------------- *)

@@ -85,16 +85,25 @@ val create : ?config:config -> unit -> t
 
 val config : t -> config
 
-val plan : t -> Index.t -> Formula.spec -> plan
-(** The plan for one constraint spec: cached when the index structure
-    and data size are unchanged, recomputed (and re-cached) otherwise.
-    Specs are keyed by their printed form ({!Formula.spec_to_string}),
-    so equal specs share history.  A soft spec's [Force_sql] engine
-    is the naive recount (there is no SQL rate query), so a soft spec
-    is planned to [Use_sql] only by trip demotion, never on estimated
-    cost. *)
+type history
+(** One spec's learning state: its per-method EWMAs, trip evidence,
+    probe clock and cached plan. *)
 
-val observe : t -> Formula.spec -> Checker.result -> unit
+val history : t -> Formula.spec -> history
+(** The spec's history, found by its printed form
+    ({!Formula.spec_to_string}) and created on first use, so
+    syntactically equal specs share one and a soft spec keeps its own.
+    Resolve it once per constraint (the monitor does at registration)
+    and hand it to {!plan} and {!observe}, which print nothing. *)
+
+val plan : t -> Index.t -> history -> plan
+(** The plan for one constraint: cached when the index structure and
+    data size are unchanged, recomputed (and re-cached) otherwise.  A
+    soft spec's [Force_sql] engine is the naive recount (there is no
+    SQL rate query), so a soft spec is planned to [Use_sql] only by
+    trip demotion, never on estimated cost. *)
+
+val observe : t -> history -> Checker.result -> unit
 (** Feed a measured result back: updates the per-method EWMAs and trip
     counts, and drops the cached plan when the evidence now favours
     the other strategy.  A budget-tripping fallback charges the BDD

@@ -25,10 +25,11 @@
 
     Memory model: workers read [epoch] through an [Atomic], but
     [published] and the master itself are plain mutable state.  That is
-    sound because every fan-out goes prepare → submit → worker runs
-    the task, the pool's queue mutex orders the main domain's writes
-    before the worker's reads, and the main domain changes nothing
-    until the batch settles. *)
+    sound because every fan-out goes prepare → {!Fcv_util.Pool.run_ordered}
+    enqueues the batch's drainers → a worker runs a task, the pool's
+    queue mutex orders the main domain's writes before the worker's
+    reads, and the main domain changes nothing until the batch
+    settles. *)
 
 module T = Fcv_util.Telemetry
 

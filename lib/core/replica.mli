@@ -25,8 +25,8 @@
     {!invalidate}) after every master mutation and {!prepare} before
     fanning tasks out; worker tasks call {!get}.  The journal and the
     master reach workers through the pool's queue lock, so [prepare]
-    must happen-before the submits that consume them, which the
-    prepare-then-submit call order gives for free.
+    must happen-before {!Fcv_util.Pool.run_ordered} enqueues the batch
+    that consumes them, which calling [prepare] first gives for free.
 
     Invariant: from {!prepare} until the batch settles, the main
     domain neither mutates nor walks the master (it blocks in the
@@ -57,8 +57,9 @@ val note_delete : t -> table_name:string -> int array -> unit
 val prepare : t -> unit
 (** Publish the journal for the current epoch, first restarting its
     window at the current epoch when it stopped being row traffic.
-    Main-domain only; call before submitting tasks that will {!get},
-    and leave the master alone until they settle. *)
+    Main-domain only; call before {!Fcv_util.Pool.run_ordered} enqueues
+    tasks that will {!get}, and leave the master alone until they
+    settle. *)
 
 val get : t -> Index.t
 (** The calling domain's replica at the current epoch — reused when

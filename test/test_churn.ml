@@ -67,7 +67,7 @@ let soak ~seed ~cycles ~ops_per_cycle db sources =
   let max_cache = 1 lsl 12 in
   let index = Core.Index.create ~max_cache db in
   let policy =
-    { Core.Lifecycle.default_policy with min_nodes = 1 lsl 8; dead_ratio_hi = 0.4 }
+    { Core.Lifecycle.default_policy with min_nodes = 1 lsl 8; growth_hi = 0.4 }
   in
   let mon = Core.Monitor.create ~gc:(Some policy) index in
   (* register/unregister churn: the head constraint cycles in and out *)
@@ -230,6 +230,72 @@ let test_deferred_rebuild_recovers () =
   check "verdict correct after recovery" true
     (List.for_all (fun r -> r.Core.Monitor.outcome = Core.Checker.Satisfied) reports)
 
+(* [n] new nodes nothing references, made over four fresh bottom
+   levels: each pairs two distinct nodes from the levels below. *)
+let make_garbage mgr n =
+  let vars = M.new_vars mgr 4 in
+  let made = ref 0 and below = ref [ M.zero; M.one ] in
+  (try
+     for i = Array.length vars - 1 downto 0 do
+       let level = ref [] in
+       List.iter
+         (fun lo ->
+           List.iter
+             (fun hi ->
+               if lo <> hi then begin
+                 if !made = n then raise Exit;
+                 level := M.mk mgr vars.(i) lo hi :: !level;
+                 incr made
+               end)
+             !below)
+         !below;
+       below := !level @ !below
+     done
+   with Exit -> ());
+  check_int "garbage made" n !made
+
+(* The GC trigger reads two counters, no walk: it fires once the store
+   reaches [1 / (1 - growth_hi)] times its size right after the last
+   compaction (the live count then), and a compaction moves the base.
+   Building an entry adds its nodes to the base, not its garbage. *)
+let test_gc_trigger_tracks_growth () =
+  let rng = Fcv_util.Rng.create 7 in
+  let db, _, _, _ =
+    Fcv_datagen.University.generate rng
+      { Fcv_datagen.University.default with students = 40; courses = 12 }
+  in
+  let index = Core.Index.create db in
+  Core.Checker.ensure_indices index
+    [ Core.Fol_parser.of_string "forall s, c . takes(s, c) -> (exists a . course(c, a))" ];
+  let mgr = Core.Index.mgr index in
+  check_int "built entries join the creation base"
+    (List.fold_left
+       (fun n e -> n + M.node_count mgr e.Core.Index.root)
+       2 (Core.Index.entries index))
+    index.Core.Index.gc_base;
+  (* growth_hi 0.75: fires at 4x the base, exact in floating point *)
+  let policy =
+    { Core.Lifecycle.default_policy with min_nodes = 0; growth_hi = 0.75; cache_hi = 0 }
+  in
+  let fires () = Core.Lifecycle.needs_gc policy index in
+  ignore (Core.Index.compact index);
+  let base = M.size mgr in
+  check_int "the base is the post-compaction size" base index.Core.Index.gc_base;
+  check_int "which is the live count" (Core.Index.live_nodes index) base;
+  check "no growth: no GC" false (fires ());
+  make_garbage mgr ((4 * base) - 1 - M.size mgr);
+  check_int "one node short of 4x" ((4 * base) - 1) (M.size mgr);
+  check "one node short: no GC" false (fires ());
+  make_garbage mgr 1;
+  check "at 4x the base: GC" true (fires ());
+  let action = Core.Lifecycle.maybe_gc ~policy index in
+  check "maybe_gc collects" true action.Core.Lifecycle.gc_ran;
+  check_int "the garbage is reclaimed" (3 * base) action.Core.Lifecycle.reclaimed;
+  check_int "the base moves to the new size" (M.size mgr) index.Core.Index.gc_base;
+  check "after the compaction: no GC" false (fires ());
+  check "growth_hi 0 disables the trigger" false
+    (Core.Lifecycle.needs_gc { policy with growth_hi = 0. } index)
+
 let suite =
   [
     Alcotest.test_case "churn soak (university)" `Slow test_soak_university;
@@ -238,6 +304,8 @@ let suite =
       test_level_recycling_crosses_ceiling;
     Alcotest.test_case "deferred rebuild recovers via recycle" `Quick
       test_deferred_rebuild_recovers;
+    Alcotest.test_case "GC fires at a multiple of the post-compaction size" `Quick
+      test_gc_trigger_tracks_growth;
   ]
 
 let () = Registry.register "churn" suite

@@ -297,7 +297,7 @@ let test_projections_through_compaction () =
   check_int "three keys cached" 3 (cached e);
   let live_is_size what =
     check_int (what ^ ": size = live") (M.size m) (I.live_nodes idx);
-    Alcotest.(check (float 0.)) (what ^ ": dead ratio") 0. (I.dead_ratio idx)
+    Alcotest.(check (float 0.)) (what ^ ": dead ratio") 0. (I.lifecycle_stats idx).I.dead
   in
   ignore (I.compact idx);
   check_int "read projections carried over" 3 (cached e);

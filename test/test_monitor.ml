@@ -1,6 +1,7 @@
 (** Tests for the continuous-validation monitor and the IND check. *)
 
 module C = Core.Checker
+module R = Fcv_relation
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -73,22 +74,113 @@ let test_mark_dirty_rechecks () =
     (fun reg -> check_int reg.Core.Monitor.source passes reg.Core.Monitor.checks_run)
     regs
 
+let fresh_of reports src =
+  (List.find (fun r -> r.Core.Monitor.constraint_.Core.Monitor.source = src) reports)
+    .Core.Monitor.fresh
+
+(* curriculum watches course only through course(c, 0): an area-1
+   course row cannot reach it, an area-0 row can; enrolment watches no
+   course at all *)
 let test_monitor_dirty_scoping () =
   let _, index = setup () in
   let mon = Core.Monitor.create index in
   let _ = Core.Monitor.add mon curriculum in
   let _ = Core.Monitor.add mon enrolment in
   ignore (Core.Monitor.validate mon);
-  (* dirty only the courses table: both constraints watch different
-     table sets — curriculum watches course, enrolment does not *)
   Core.Monitor.insert mon ~table_name:"course" [| 29; 1 |];
   let reports = Core.Monitor.validate mon in
-  let fresh_of src =
-    (List.find (fun r -> r.Core.Monitor.constraint_.Core.Monitor.source = src) reports)
-      .Core.Monitor.fresh
-  in
-  check "curriculum re-checked" true (fresh_of curriculum);
-  check "enrolment cached" false (fresh_of enrolment)
+  check "area 1: curriculum cached" false (fresh_of reports curriculum);
+  check "area 1: enrolment cached" false (fresh_of reports enrolment);
+  Core.Monitor.insert mon ~table_name:"course" [| 29; 0 |];
+  let reports = Core.Monitor.validate mon in
+  check "area 0: curriculum re-checked" true (fresh_of reports curriculum);
+  check "area 0: enrolment cached" false (fresh_of reports enrolment)
+
+(* Each report agrees with a fresh check of its spec on the same index:
+   outcome, and for a soft spec the exact counts. *)
+let agrees_with_fresh_check index (r : Core.Monitor.report) =
+  let reg = r.Core.Monitor.constraint_ in
+  let spec = { Core.Formula.threshold = reg.Core.Monitor.threshold; formula = reg.formula } in
+  let fresh = Core.Checker.check_spec index spec in
+  let counts = Option.map (fun rt -> (rt.C.violations, rt.C.total)) in
+  r.Core.Monitor.outcome = fresh.C.outcome
+  && Option.equal
+       (fun (v, t) (v', t') -> Fcv_bdd.Nat.equal v v' && Fcv_bdd.Nat.equal t t')
+       (counts r.Core.Monitor.rate) (counts fresh.C.rate)
+
+(* r(a: d1, b: d2) and t(a: d1) with t holding all of d1 = {0, 1, 2}:
+   [forall x . t(x)] holds until d1 gains a code.  A mutation of r
+   that interns one grows d1 for t too — by an insert, or by a delete
+   that changes no row — so the cached verdict must not survive it. *)
+let test_domain_growth_rechecks () =
+  List.iter
+    (fun (what, mutate) ->
+      let db = Gen.random_db 5 in
+      let t = R.Database.table db "t" in
+      for a = 0 to Gen.d1_size - 1 do
+        if not (R.Table.mem_coded t [| a |]) then
+          R.Table.insert_coded t [| a |]
+      done;
+      let index = Core.Index.create db in
+      let mon = Core.Monitor.create index in
+      let _ = Core.Monitor.add mon "forall x . t(x)" in
+      check (what ^ ": holds on d1 = {0, 1, 2}") true
+        (List.for_all (fun r -> r.Core.Monitor.outcome = C.Satisfied) (Core.Monitor.validate mon));
+      let d1 = R.Table.dict (R.Database.table db "r") 0 in
+      mutate mon (R.Dict.intern d1 (R.Value.Int 3));
+      match Core.Monitor.validate mon with
+      | [ r ] ->
+        check (what ^ ": re-checked") true r.Core.Monitor.fresh;
+        check (what ^ ": violated") true (r.Core.Monitor.outcome = C.Violated);
+        check (what ^ ": agrees with check_spec") true (agrees_with_fresh_check index r);
+        check (what ^ ": agrees with Naive_eval") false
+          (Core.Naive_eval.holds db r.Core.Monitor.constraint_.Core.Monitor.formula)
+      | _ -> Alcotest.fail "expected one report")
+    [
+      ("insert r(3, 1)", fun mon a -> Core.Monitor.insert mon ~table_name:"r" [| a; 1 |]);
+      ( "delete of absent r(3, 1)",
+        fun mon a ->
+          check "nothing removed" false (Core.Monitor.delete mon ~table_name:"r" [| a; 1 |]) );
+    ]
+
+(* A row that misses an atom's constants leaves the constraint cached;
+   a row that carries them re-checks it, also when the constant entered
+   the dictionary only after registration. *)
+let test_constants_scope_staleness () =
+  let db, index = setup () in
+  let course = R.Database.table db "course" in
+  let area = R.Table.dict course 1 in
+  let mon = Core.Monitor.create index in
+  let no_area_99 = "forall c . not course(c, 99)" in
+  let _ = Core.Monitor.add mon no_area_99 in
+  let _ = Core.Monitor.add mon curriculum in
+  ignore (Core.Monitor.validate mon);
+  Core.Monitor.insert mon ~table_name:"course" [| 3; 1 |];
+  let reports = Core.Monitor.validate mon in
+  check "area 1 misses course(c, 99)" false (fresh_of reports no_area_99);
+  check "area 1 misses course(c, 0)" false (fresh_of reports curriculum);
+  (* the row interns 99: both the constant and the dictionary are new *)
+  let a99 = R.Dict.intern area (R.Value.Int 99) in
+  Core.Monitor.insert mon ~table_name:"course" [| 4; a99 |];
+  let reports = Core.Monitor.validate mon in
+  check "course(4, 99) re-checks it" true (fresh_of reports no_area_99);
+  check "and finds the violation" true
+    (List.exists
+       (fun r -> r.Core.Monitor.fresh && r.Core.Monitor.outcome = C.Violated)
+       reports);
+  check "every report agrees with check_spec" true
+    (List.for_all (agrees_with_fresh_check index) reports);
+  ignore (Core.Monitor.delete mon ~table_name:"course" [| 4; a99 |]);
+  let reports = Core.Monitor.validate mon in
+  check "its delete re-checks it" true (fresh_of reports no_area_99);
+  check "satisfied again" true (List.for_all (fun r -> r.Core.Monitor.outcome = C.Satisfied) reports);
+  (* 99 is in the dictionary now: a later row carrying it still matches *)
+  Core.Monitor.insert mon ~table_name:"course" [| 5; a99 |];
+  let reports = Core.Monitor.validate mon in
+  check "a later course(5, 99) re-checks it" true (fresh_of reports no_area_99);
+  check "the row misses course(c, 0)" false (fresh_of reports curriculum);
+  check "every later report agrees with check_spec" true
+    (List.for_all (agrees_with_fresh_check index) reports)
 
 let test_monitor_delete_path () =
   let db, index = setup () in
@@ -185,6 +277,85 @@ let test_add_preserves_order () =
     (List.map (fun r -> r.Core.Monitor.constraint_.Core.Monitor.id) (Core.Monitor.validate mon)
     = [ r1.Core.Monitor.id; r2.Core.Monitor.id; r3.Core.Monitor.id ])
 
+(* -- property: a cached verdict is the verdict a fresh check gives ---------- *)
+
+(* One burst of 2–6 mutations on Gen's schema r(a: d1, b: d2),
+   s(b: d2, c: d3), t(a: d1): deletes of present rows, inserts of
+   absent rows, and (at most [grow] times a case) inserts whose row
+   interns a new value into d1 or d2, each shared by two tables. *)
+let burst rng mon db grow =
+  let table name = R.Database.table db name in
+  let pick l = List.nth l (Fcv_util.Rng.int rng (List.length l)) in
+  let random_row tbl =
+    Array.init (R.Table.arity tbl) (fun j ->
+        Fcv_util.Rng.int rng (max 1 (R.Dict.size (R.Table.dict tbl j))))
+  in
+  for _ = 1 to 2 + Fcv_util.Rng.int rng 5 do
+    match Fcv_util.Rng.int rng 3 with
+    | 0 -> (
+      let name = pick [ "r"; "s"; "t" ] in
+      let tbl = table name in
+      match R.Table.cardinality tbl with
+      | 0 -> ()
+      | n ->
+        let row = Array.copy (R.Table.row tbl (Fcv_util.Rng.int rng n)) in
+        check "a present row is removed" true (Core.Monitor.delete mon ~table_name:name row))
+    | 1 ->
+      let name = pick [ "r"; "s"; "t" ] in
+      let row = random_row (table name) in
+      if not (R.Table.mem_coded (table name) row) then
+        Core.Monitor.insert mon ~table_name:name row
+    | _ when !grow > 0 ->
+      decr grow;
+      (* a new code in a column whose domain another table shares *)
+      let name, col = pick [ ("r", 0); ("t", 0); ("r", 1); ("s", 0) ] in
+      let tbl = table name in
+      let dict = R.Table.dict tbl col in
+      let row = random_row tbl in
+      row.(col) <- R.Dict.intern dict (R.Value.Int (R.Dict.size dict));
+      Core.Monitor.insert mon ~table_name:name row
+    | _ -> ()
+  done
+
+let soft_threshold =
+  QCheck.Gen.(frequency [ (2, return None); (1, map Option.some (oneofl [ 0.5; 0.75; 0.9 ])) ])
+
+let prop_cached_verdicts_are_fresh =
+  QCheck.Test.make ~count:150
+    ~name:"monitor: every report equals a fresh check_spec after each burst"
+    (QCheck.make
+       ~print:(fun (seed, cs, stream) ->
+         Printf.sprintf "db seed %d, stream seed %d:\n%s" seed stream
+           (String.concat "\n"
+              (List.map
+                 (fun (f, p) ->
+                   Core.Formula.spec_to_string
+                     { threshold = Option.value ~default:1.0 p; formula = Gen.close f })
+                 cs)))
+       QCheck.Gen.(
+         triple (int_bound 1_000)
+           (list_size (int_range 3 5) (pair Gen.formula_gen soft_threshold))
+           (int_bound 1_000)))
+    (fun (seed, cs, stream) ->
+      let db = Gen.random_db seed in
+      let index = Core.Index.create db in
+      let mon = Core.Monitor.create index in
+      List.iter
+        (fun (f, p) ->
+          let spec = { Core.Formula.threshold = Option.value ~default:1.0 p; formula = Gen.close f } in
+          try ignore (Core.Monitor.add mon (Core.Formula.spec_to_string spec))
+          with Core.Typing.Type_error _ -> ())
+        cs;
+      let rng = Fcv_util.Rng.create stream in
+      let grow = ref 3 in
+      let agree () = List.for_all (agrees_with_fresh_check index) (Core.Monitor.validate mon) in
+      let ok = ref (agree ()) in
+      for _ = 1 to 4 do
+        burst rng mon db grow;
+        ok := !ok && agree ()
+      done;
+      !ok)
+
 (* -- inclusion dependencies -------------------------------------------------- *)
 
 let test_ind () =
@@ -245,6 +416,9 @@ let suite =
     Alcotest.test_case "monitor caches clean constraints" `Quick test_monitor_caches_clean_constraints;
     Alcotest.test_case "monitor detects injected violation" `Quick test_monitor_detects_injected_violation;
     Alcotest.test_case "monitor dirty scoping" `Quick test_monitor_dirty_scoping;
+    Alcotest.test_case "a grown domain re-checks its constraints" `Quick
+      test_domain_growth_rechecks;
+    Alcotest.test_case "constants scope staleness" `Quick test_constants_scope_staleness;
     Alcotest.test_case "mark_dirty re-checks every pass" `Quick test_mark_dirty_rechecks;
     Alcotest.test_case "monitor delete path" `Quick test_monitor_delete_path;
     Alcotest.test_case "monitor remove" `Quick test_monitor_remove;
@@ -254,6 +428,7 @@ let suite =
     Alcotest.test_case "add keeps registration order" `Quick test_add_preserves_order;
     Alcotest.test_case "inclusion dependencies" `Quick test_ind;
     Alcotest.test_case "IND violation detected" `Quick test_ind_violation_detected;
+    Gen.qcheck_case prop_cached_verdicts_are_fresh;
   ]
 
 let () = Registry.register "monitor" suite

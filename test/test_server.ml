@@ -415,6 +415,64 @@ let in_memory_server ?(tweak = Fun.id) () =
   let config = tweak (S.default_config ~addr:sock) in
   (S.create config monitor, sock)
 
+let dict_sizes monitor =
+  let db = (Core.Monitor.index monitor).Core.Index.db in
+  List.concat_map
+    (fun name ->
+      let t = R.Database.table db name in
+      List.init (R.Table.arity t) (fun j -> R.Dict.size (R.Table.dict t j)))
+    (R.Database.table_names db)
+
+(* A delete naming a value the database has never seen removes nothing
+   and interns nothing.  The daemon answers [removed: false]; replaying
+   its journaled record after a crash is the same no-op; every
+   dictionary keeps its size and every verdict stays cached. *)
+let test_delete_of_unseen_value () =
+  let dir = tmpdir () in
+  let sock = Filename.concat (tmpdir ()) "fcv.sock" in
+  let monitor = (Sh.recover ~state_dir:dir ~load_base:make_base ()).Sh.monitor in
+  let srv =
+    S.create { (S.default_config ~addr:sock) with S.state_dir = Some dir } monitor
+  in
+  let fd = raw_connect sock in
+  let send req = raw_send fd (P.request_to_line req) in
+  List.iter (fun source -> send (P.Register { source; id = None })) sources;
+  send P.Validate;
+  let lines, _ = pump srv fd ~want:(List.length sources + 1) in
+  let before = dict_sizes monitor in
+  let expected = verdicts_of_body (P.parse_response (List.nth lines (List.length sources))).P.body in
+  let deletes =
+    [ P.Delete ("takes", [ "nobody"; "0" ]); P.Delete ("student", [ "0"; "0"; "99999" ]) ]
+  in
+  List.iter send deletes;
+  send P.Validate;
+  let lines, _ = pump srv fd ~want:3 in
+  (match List.map P.parse_response lines with
+  | [ d1; d2; va ] ->
+    List.iter
+      (fun d ->
+        check "delete ok" true d.P.ok;
+        check "removed: false" true (T.Json.member "removed" d.P.body = Some (T.Bool false)))
+      [ d1; d2 ];
+    check_verdicts "verdicts unchanged" expected (verdicts_of_body va.P.body);
+    check "every verdict cached" true
+      (match T.Json.member "reports" va.P.body with
+      | Some (T.List reports) ->
+        List.for_all (fun r -> T.Json.member "fresh" r = Some (T.Bool false)) reports
+      | _ -> false)
+  | _ -> Alcotest.fail "expected two delete responses and a validate");
+  check "no dictionary grew" true (dict_sizes monitor = before);
+  (* the crash: no final snapshot, so recovery replays the whole WAL *)
+  S.kill srv;
+  ignore (S.poll ~timeout:0. srv);
+  Unix.close fd;
+  let r = Sh.recover ~state_dir:dir ~load_base:make_base () in
+  check "recovered from the WAL alone" false r.Sh.from_snapshot;
+  check_int "the deletes were journaled and replayed" (List.length sources + 2) r.Sh.replayed;
+  check "replay grew no dictionary" true (dict_sizes r.Sh.monitor = before);
+  check_verdicts "replayed verdicts unchanged" expected (verdicts_of_monitor r.Sh.monitor)
+
+
 let test_coalesced_validation () =
   let srv, sock = in_memory_server () in
   let fd1 = raw_connect sock and fd2 = raw_connect sock in
@@ -712,6 +770,8 @@ let suite =
     Alcotest.test_case "unregister tombstones survive recovery" `Quick
       test_unregister_tombstones_survive_recovery;
     Alcotest.test_case "coalesced validation" `Quick test_coalesced_validation;
+    Alcotest.test_case "a delete of an unseen value grows no domain" `Quick
+      test_delete_of_unseen_value;
     Alcotest.test_case "connect during drain refused" `Quick
       test_connect_during_drain_refused;
     Alcotest.test_case "malformed-input isolation" `Quick test_malformed_input_isolation;

@@ -390,14 +390,14 @@ let test_planner_counters () =
     }
   in
   let trip = { slow_sql with Core.Checker.elapsed_ms = 1.0; bdd_overhead_ms = 3.0 } in
-  List.iter (P.observe p (Core.Formula.hard f)) [ slow_sql; slow_sql; slow_sql ];
-  ignore (P.plan p index (Core.Formula.hard f)) (* miss *);
-  ignore (P.plan p index (Core.Formula.hard f)) (* hit *);
-  List.iter (P.observe p (Core.Formula.hard f)) [ trip; trip ]
+  List.iter (P.observe p (P.history p (Core.Formula.hard f))) [ slow_sql; slow_sql; slow_sql ];
+  ignore (P.plan p index (P.history p (Core.Formula.hard f))) (* miss *);
+  ignore (P.plan p index (P.history p (Core.Formula.hard f))) (* hit *);
+  List.iter (P.observe p (P.history p (Core.Formula.hard f))) [ trip; trip ]
   (* decision flip drops the cache *);
-  ignore (P.plan p index (Core.Formula.hard f)) (* replan, cached SQL *);
-  ignore (P.plan p index (Core.Formula.hard f)) (* hit (probe clock 0 -> 1) *);
-  ignore (P.plan p index (Core.Formula.hard f)) (* ε-probe *);
+  ignore (P.plan p index (P.history p (Core.Formula.hard f))) (* replan, cached SQL *);
+  ignore (P.plan p index (P.history p (Core.Formula.hard f))) (* hit (probe clock 0 -> 1) *);
+  ignore (P.plan p index (P.history p (Core.Formula.hard f))) (* ε-probe *);
   let counters = [ ("planner.hit", 2); ("planner.miss", 1); ("planner.probe", 1); ("planner.replans", 1) ] in
   List.iter
     (fun (name, expect) -> check_int name expect (T.counter_value (T.counter name)))
