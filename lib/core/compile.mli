@@ -36,6 +36,10 @@ val compile : ctx -> Formula.t -> int
     @raise Unsupported on atoms without covering indices.
     @raise Fcv_bdd.Manager.Node_limit past the node budget. *)
 
+val home : ctx -> string -> Fcv_bdd.Fd.block
+(** The home block of a variable, allocating a scratch block sized to
+    its dictionary when no atom has given it one. *)
+
 val free_guard : ctx -> string list -> int
 (** Conjunction of the named variables' domain guards. *)
 

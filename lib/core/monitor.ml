@@ -4,16 +4,29 @@
     important") turned into an API: register constraints once, stream
     updates through the logical indices, and re-validate lazily.
 
-    Staleness is per constraint.  A mutation that changed a row marks
-    stale only the constraints with an atom over its table whose
-    constants the row carries (an atom without constants matches every
-    row); a pass re-checks a constraint only when it was never checked,
-    was marked stale, or a dictionary behind a column of one of its
-    tables grew since the last completed pass (quantifiers range over
-    whole dictionaries, so a new code anywhere in a domain can flip a
-    verdict whose atoms no row reached).  Everything else keeps its
-    cached verdict — the irrelevant-update test of view maintenance
-    (Blakeley, Coburn and Larson, TODS 1989), kept to constants. *)
+    Staleness is per constraint, by the irrelevant-update test of view
+    maintenance (Blakeley, Coburn and Larson, TODS 1989), extended from
+    constants to join partners.  Each atom occurrence is filed under its
+    table with its constants and, for a hard constraint, its blockers:
+    the literals over other tables beside it, as a conjunct or a
+    disjunct, on the path to the root of the violation form (the NNF of
+    the negated constraint, with each bound variable of a one-atom
+    quantifier read as a wildcard).  A mutation that changed a row marks
+    a constraint stale when an occurrence over its table has constants
+    the row carries and no blocker fires.  A blocker is decided by one
+    existence test on its table, at the row's codes and the literal's
+    constants: a conjunct fires when it is false at every extension of
+    the row's binding, a disjunct when it is true at every one; either
+    way the occurrence cannot change the verdict.  A soft constraint's
+    rate counts the hypothesis, which a blocker above it does not
+    protect, so soft constraints mark by constants alone.
+
+    A pass re-checks a constraint only when it was never checked, was
+    marked stale, or a dictionary behind a column of one of its tables
+    grew since the last completed pass (quantifiers range over whole
+    dictionaries, so a new code anywhere in a domain can flip a verdict
+    whose atoms no row reached).  Everything else keeps its cached
+    verdict. *)
 
 module R = Fcv_relation
 module M = Fcv_bdd.Manager
@@ -64,9 +77,29 @@ type slot = {
    change), -1 while the dictionary lacks it. *)
 type constant = { pos : int; dict : R.Dict.t; value : R.Value.t; mutable code : int }
 
-(* One atom of a registered constraint as a filter on its table's rows:
-   a row reaches the atom when it carries every constant. *)
-type filter = { slot : slot; constants : constant array }
+(* A position of a blocker's literal: the mutated row's code at a
+   position of the occurrence, a constant, a wildcard, or a variable
+   the row does not bind. *)
+type probe_term = Row of int | Fixed of constant | Any | Free
+
+(* A literal over another table beside an occurrence: a conjunct
+   ([conj]) or a disjunct on the occurrence's path to the root.  At a
+   mutation [key] holds the codes its existence test matches (-1 where
+   any code does) and [found] the test's answer. *)
+type blocker = {
+  conj : bool;
+  positive : bool;
+  table : R.Table.t;
+  terms : probe_term array;
+  closed : bool;  (** no [Free] position: a matching row decides the literal *)
+  key : int array;
+  mutable found : bool;
+}
+
+(* One atom occurrence of a registered constraint as a filter on its
+   table's rows: a row reaches it when it carries every constant, and
+   the reach counts unless a blocker fires. *)
+type filter = { slot : slot; constants : constant array; blockers : blocker array }
 
 type t = {
   index : Index.t;
@@ -160,13 +193,6 @@ let recompute_entailment t =
 
 let replica_stats t = match t.par with Some (_, r) -> Some (Replica.stats r) | None -> None
 
-(* Every atom of a formula: its relation and terms. *)
-let rec atoms = function
-  | Formula.True | False | Eq _ | In _ -> []
-  | Atom (rel, terms) -> [ (rel, terms) ]
-  | Not f | Exists (_, f) | Forall (_, f) -> atoms f
-  | And (a, b) | Or (a, b) | Implies (a, b) | Iff (a, b) -> atoms a @ atoms b
-
 (* The distinct dictionaries behind the columns of [tables]. *)
 let dictionaries db tables =
   List.fold_left
@@ -181,25 +207,87 @@ let dictionaries db tables =
     [] tables
   |> Array.of_list
 
-(* File each atom of the slot's constraint under its table, as a
-   filter on the rows a mutation changes. *)
+(* The literals a subformula contributes beside a sibling: itself when
+   it is a literal, and the literals of its same-connective chain. *)
+let rec literals conj = function
+  | Formula.And (a, b) when conj -> literals conj a @ literals conj b
+  | Formula.Or (a, b) when not conj -> literals conj a @ literals conj b
+  | Formula.Atom (tbl, terms) -> [ (conj, true, tbl, terms) ]
+  | Formula.Not (Formula.Atom (tbl, terms)) -> [ (conj, false, tbl, terms) ]
+  | _ -> []
+
+(* Every atom occurrence of an NNF formula, with the literals beside it
+   on its path to the root. *)
+let rec occurrences beside = function
+  | Formula.Atom (tbl, terms) | Not (Atom (tbl, terms)) -> [ (tbl, terms, beside) ]
+  | And (a, b) ->
+    occurrences (literals true b @ beside) a @ occurrences (literals true a @ beside) b
+  | Or (a, b) ->
+    occurrences (literals false b @ beside) a @ occurrences (literals false a @ beside) b
+  | Exists (_, g) | Forall (_, g) -> occurrences beside g
+  | True | False | Eq _ | In _ | Not _ | Implies _ | Iff _ -> []
+
+let constant table pos value = { pos; dict = R.Table.dict table pos; value; code = -1 }
+
+(* File each atom occurrence of the slot's constraint under its table,
+   as a filter on the rows a mutation changes.  Occurrences come from
+   the violation form; a hard constraint's keep the literals over other
+   tables beside them as blockers. *)
 let add_filters t slot =
+  let db = t.index.Index.db in
+  let hard = Formula.is_hard (spec_of slot.reg) in
+  let violation =
+    Rewrite.project_bound
+      (Rewrite.nnf (Formula.Not (Rewrite.rename_apart slot.reg.formula)))
+  in
   List.iter
-    (fun (tbl, terms) ->
-      let table = R.Database.table t.index.Index.db tbl in
-      let constants =
-        List.concat
-          (List.mapi
-             (fun pos -> function
-               | Formula.Const value ->
-                 [ { pos; dict = R.Table.dict table pos; value; code = -1 } ]
-               | Formula.Var _ | Formula.Wildcard -> [])
-             terms)
+    (fun (tbl, terms, beside) ->
+      let table = R.Database.table db tbl in
+      let blocker (conj, positive, btbl, bterms) =
+        let btable = R.Database.table db btbl in
+        let terms =
+          List.mapi
+            (fun pos -> function
+              | Formula.Var x -> (
+                match List.find_index (( = ) (Formula.Var x)) terms with
+                | Some p -> Row p
+                | None -> Free)
+              | Formula.Const value -> Fixed (constant btable pos value)
+              | Formula.Wildcard -> Any)
+            bterms
+          |> Array.of_list
+        in
+        {
+          conj;
+          positive;
+          table = btable;
+          terms;
+          closed = not (Array.exists (function Free -> true | _ -> false) terms);
+          key = Array.make (Array.length terms) (-1);
+          found = false;
+        }
       in
-      let f = { slot; constants = Array.of_list constants } in
+      let blockers =
+        if hard then
+          List.filter_map
+            (fun ((_, _, btbl, _) as l) -> if btbl = tbl then None else Some (blocker l))
+            beside
+        else []
+      in
+      let constants =
+        List.mapi
+          (fun pos -> function
+            | Formula.Const value -> Some (constant table pos value)
+            | Formula.Var _ | Formula.Wildcard -> None)
+          terms
+        |> List.filter_map Fun.id
+      in
+      let f =
+        { slot; constants = Array.of_list constants; blockers = Array.of_list blockers }
+      in
       Hashtbl.replace t.filters tbl
         (f :: Option.value ~default:[] (Hashtbl.find_opt t.filters tbl)))
-    (atoms slot.reg.formula)
+    (occurrences [] violation)
 
 (** Register a constraint (given as concrete syntax); builds any
     missing indices.  Returns its id — the caller may pin one (WAL
@@ -211,6 +299,11 @@ let add ?id t source =
   if not (Formula.is_closed formula) then
     invalid_arg "Monitor.add: constraint must be closed";
   ignore (Typing.infer_spec t.index.Index.db spec);
+  (* a taken id is rejected before any index is built for it *)
+  (match id with
+  | Some i when List.exists (fun s -> s.reg.id = i) t.slots ->
+    invalid_arg "Monitor.add: duplicate constraint id"
+  | _ -> ());
   (* build missing indices transactionally: if the node budget (or
      level space) trips mid-registration, entries already built for
      this registration are rolled back so the monitor is unchanged.
@@ -232,8 +325,6 @@ let add ?id t source =
   let id =
     match id with
     | Some i ->
-      if List.exists (fun s -> s.reg.id = i) t.slots then
-        invalid_arg "Monitor.add: duplicate constraint id";
       t.next_id <- max t.next_id (i + 1);
       i
     | None ->
@@ -326,32 +417,107 @@ let gc t =
   if recycle then invalidate_replicas t;
   reclaimed
 
-(* Mark stale every unmarked constraint with an atom over the table
-   that [reaches]. *)
-let mark t table_name reaches =
-  match Hashtbl.find_opt t.filters table_name with
-  | Some fs ->
-    List.iter (fun f -> if (not f.slot.stale) && reaches f then f.slot.stale <- true) fs
-  | None -> ()
-
 (* The row's code at the constant's position is the code the column's
    dictionary gives the constant (a constant the dictionary lacks is
    carried by no row). *)
-let carries row c =
+let resolve c =
   if c.code < 0 then
-    (match R.Dict.code c.dict c.value with Some k -> c.code <- k | None -> ());
+    match R.Dict.code c.dict c.value with Some k -> c.code <- k | None -> ()
+
+let carries row c =
+  resolve c;
   c.code >= 0 && row.(c.pos) = c.code
 
+(* Set the blocker's key from the mutated row; [false] when a constant
+   its dictionary lacks already decides that no row matches. *)
+let set_key b row =
+  b.found <- false;
+  let ok = ref true in
+  Array.iteri
+    (fun j term ->
+      b.key.(j) <-
+        (match term with
+        | Row p -> row.(p)
+        | Fixed c ->
+          resolve c;
+          if c.code < 0 then ok := false;
+          c.code
+        | Any | Free -> -1))
+    b.terms;
+  !ok
+
+let matches key row =
+  let rec go j = j = Array.length key || ((key.(j) < 0 || row.(j) = key.(j)) && go (j + 1)) in
+  go 0
+
+(* One pass over the table answers every blocker on it: a row that
+   misses a code all their keys share matches none, so only the others
+   are tested against each key. *)
+let scan table blockers =
+  let shared = Array.copy (List.hd blockers).key in
+  List.iter
+    (fun b -> Array.iteri (fun j k -> if k <> shared.(j) then shared.(j) <- -1) b.key)
+    blockers;
+  let left = ref (List.length blockers) in
+  let n = R.Table.cardinality table in
+  let i = ref 0 in
+  while !left > 0 && !i < n do
+    let row = R.Table.row table !i in
+    if matches shared row then
+      List.iter
+        (fun b ->
+          if (not b.found) && matches b.key row then begin
+            b.found <- true;
+            decr left
+          end)
+        blockers;
+    incr i
+  done
+
+(* The blocker's literal is false at every extension of the row's
+   binding (no row matches, and it is positive; or the fully fixed row
+   is present, and it is negated) or true at every one (the converse);
+   a conjunct fires on the first, a disjunct on the second. *)
+let fires b = (b.closed || not b.found) && b.found = b.positive <> b.conj
+
+(* Mark stale every unmarked constraint with an occurrence over the
+   table whose constants the row carries and whose blockers, each
+   decided by one existence test on its table, let the change through.
+   The tests of one mutation make one pass over each table they
+   read. *)
 let mark_row t table_name row =
-  mark t table_name (fun f -> Array.for_all (carries row) f.constants)
+  match Hashtbl.find_opt t.filters table_name with
+  | None -> ()
+  | Some fs ->
+    let reached =
+      List.filter (fun f -> (not f.slot.stale) && Array.for_all (carries row) f.constants) fs
+    in
+    let by_table = ref [] in
+    List.iter
+      (fun f ->
+        Array.iter
+          (fun b ->
+            if set_key b row then
+              match List.assq_opt b.table !by_table with
+              | Some bs -> bs := b :: !bs
+              | None -> by_table := (b.table, ref [ b ]) :: !by_table)
+          f.blockers)
+      reached;
+    List.iter (fun (table, bs) -> scan table !bs) !by_table;
+    List.iter
+      (fun f -> if not (Array.exists fires f.blockers) then f.slot.stale <- true)
+      reached
 
 (** Mark every constraint over a table stale, as if a mutation reached
     each of its atoms there: the next {!validate} re-checks them. *)
-let mark_dirty t table_name = mark t table_name (fun _ -> true)
+let mark_dirty t table_name =
+  match Hashtbl.find_opt t.filters table_name with
+  | Some fs -> List.iter (fun f -> f.slot.stale <- true) fs
+  | None -> ()
 
 (** Stream one row insertion through the base table and indices; marks
-    stale the constraints with an atom over the table whose constants
-    the row carries.  Replicas get a row-level delta note, not a full
+    stale the constraints with an occurrence over the table whose
+    constants the row carries and whose blockers let it through.  Replicas get a row-level delta note, not a full
     invalidation — the mutation epoch does not cost workers a copy of
     the master. *)
 let insert t ~table_name row =

@@ -2,17 +2,30 @@
     constraints once, stream updates through the logical indices, and
     re-validate lazily.
 
-    Staleness is per constraint.  {!add} records each atom's relation
-    and constant positions (an atom without constants matches every
-    row).  An {!insert} or {!delete} that changed a row marks stale the
-    constraints with an atom over that table whose constants the row
-    carries: its code at each constant position is the code the
-    column's dictionary gives the constant now.  {!validate} re-checks
-    a constraint only when it was never checked, was marked stale, or a
-    dictionary behind a column of one of its tables grew since the
-    last completed pass — quantifiers range over whole dictionaries, so
-    a code interned through another table can flip a verdict that no
-    changed row reached. *)
+    Staleness is per constraint.  {!add} files each atom occurrence of
+    the constraint's violation form (the NNF of its negation, each bound
+    variable of a one-atom quantifier read as a wildcard) under its
+    table, with its constant positions and, for a hard constraint, its
+    blockers: the literals over other tables beside it, as a conjunct or
+    a disjunct, on its path to the root.  An {!insert} or {!delete} that
+    changed a row marks a constraint stale when an occurrence over that
+    table has constants the row carries (its code at each constant
+    position is the code the column's dictionary gives the constant now)
+    and no blocker fires.  Each blocker is decided by one existence test
+    on its table at the row's codes and the literal's constants: when no
+    row matches, a positive literal is false at every extension of the
+    row's binding and a negated one true; when the fully fixed row is
+    present (wildcards aside), the converse; otherwise it is undecided.
+    A conjunct fires when false, a disjunct when true, and a literal
+    over the row's own table never fires, as the mutation changes it
+    too.  A soft constraint's rate counts the hypothesis, which a
+    blocker above it does not protect, so soft constraints mark by
+    constants alone.  {!validate} re-checks a constraint only when it
+    was never checked, was marked stale, or a dictionary behind a
+    column of one of its tables grew since the last completed pass —
+    quantifiers range over whole dictionaries, so a code interned
+    through another table can flip a verdict that no changed row
+    reached. *)
 
 type registered = {
   id : int;
@@ -82,7 +95,8 @@ val add : ?id:int -> t -> string -> registered
     [holds >= p .] for a soft constraint); builds missing indices.
     [id] pins the assigned id (recovery re-registers constraints under
     their original ids); fresh ids stay above any pinned one.
-    @raise Fol_parser.Error / Typing.Type_error / Invalid_argument. *)
+    @raise Fol_parser.Error / Typing.Type_error / Invalid_argument
+    ([Invalid_argument] for a taken [id], before any index is built). *)
 
 val remove : t -> int -> unit
 (** Unregister; index entries on tables no remaining constraint
@@ -106,7 +120,9 @@ val mark_dirty : t -> string -> unit
 
 val insert : t -> table_name:string -> int array -> unit
 (** Rows are coded [int array]s.  Marks stale the constraints with an
-    atom over the table whose constants the row carries.  In parallel
+    occurrence over the table whose constants the row carries and whose
+    blockers let the change through; the existence tests of one
+    mutation make at most one pass over each table they read.  In parallel
     mode the mutation is delta-noted to the replica set
     ({!Replica.note_insert}) rather than invalidating it: the next
     validation catches workers up by replaying the row ops instead of

@@ -201,7 +201,7 @@ let rec push_forall = function
 (* Bound variables, bottom-up, so a quantifier emptied below exposes
    its atom to the one above; [n] counts the variables made
    wildcards. *)
-let project_bound n f =
+let project_bound ?(n = ref 0) f =
   (* the variables of [xs] occurring once in [ts] become wildcards;
      returns the ones left bound and the new terms *)
   let split xs ts =
@@ -279,7 +279,7 @@ let project_free n f =
 (* The violation form and the number of variables it made wildcards. *)
 let violation_counted f =
   let n = ref 0 in
-  let g = project_free n (project_bound n (push_forall (nnf (Not f)))) in
+  let g = project_free n (project_bound ~n (push_forall (nnf (Not f)))) in
   (g, !n)
 
 (** The formula the violation polarity compiles for a validity matrix

@@ -38,6 +38,14 @@ val push_forall : Formula.t -> Formula.t
 (** Rule 5: ∀x(φ₁ ∧ φ₂) ⇝ ∀xφ₁ ∧ ∀xφ₂, recursively; vacuous
     quantifiers are dropped (domains are non-empty). *)
 
+val project_bound : ?n:int ref -> Formula.t -> Formula.t
+(** In an NNF formula, each bound variable occurring exactly once, in
+    the atom that is its quantifier's whole scope, made a wildcard:
+    ∃x̄. R(…x̄…) ⇝ R(…_…) and ∀x̄. ¬R(…x̄…) ⇝ ¬R(…_…), bottom-up, so a
+    quantifier emptied below exposes its atom to the one above.  Exact
+    under the active-domain semantics of wildcards.  [n] counts the
+    variables made wildcards. *)
+
 val violation : Formula.t -> Formula.t
 (** The formula the violation polarity compiles for a validity matrix
     [f]:

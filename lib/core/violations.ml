@@ -29,7 +29,7 @@ type analyzer = {
   ctx : Compile.ctx;
   index : Index.t;
   typing : Typing.env;
-  blocks : (string * Fd.block) list;  (** grounded witness vars, binder order *)
+  blocks : (string * Fd.block) list;  (** witness vars, binder order *)
   levels : int array;  (** their levels, sorted *)
   root : int;  (** guarded violation BDD over exactly [levels] *)
   matrix : Formula.t;  (** nnf(¬C) under the leading existential block *)
@@ -68,16 +68,10 @@ let analyze_over ?width index constraint_ =
     let ctx = Compile.make_ctx index typing in
     let m = Compile.mgr ctx in
     let root = Compile.compile ctx matrix in
-    (* witnesses that never got a block are vacuous: the matrix doesn't
-       depend on them; report only the grounded ones *)
-    let blocks =
-      List.filter_map
-        (fun x ->
-          match Hashtbl.find_opt ctx.Compile.vars x with
-          | Some b -> Some (x, b)
-          | None -> None)
-        witnesses
-    in
+    (* a witness whose atoms all compiled to constants (an empty
+       projection, with no entry block wide enough to claim) has no
+       block yet, but still ranges over its whole domain *)
+    let blocks = List.map (fun x -> (x, Compile.home ctx x)) witnesses in
     let guard =
       List.fold_left (fun acc (_, b) -> O.band m acc (Fd.valid m b)) M.one blocks
     in

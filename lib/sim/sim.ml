@@ -85,10 +85,14 @@ let retail_cfg =
     shipment_rate = 0.8;
   }
 
+(* A soft twin of the curriculum policy keeps the soft path, and the
+   exact counts the digest records, in every university schedule. *)
 let univ_sources =
+  let curriculum = "forall s . student(s, 0, _) -> (exists c . course(c, 0) and takes(s, c))" in
   [
-    "forall s . student(s, 0, _) -> (exists c . course(c, 0) and takes(s, c))";
+    curriculum;
     "forall s, c . takes(s, c) -> (exists a . course(c, a))";
+    "holds >= 0.9 . " ^ curriculum;
   ]
 
 let retail_sources =
@@ -179,7 +183,11 @@ let gen_workload ?ops ?shards ~seed () =
 
 (* Extensional digest of one shard: database dump (dictionaries in
    code order + coded rows), constraint registry, tombstones,
-   verdicts. *)
+   verdicts, and each soft constraint's exact counts as decimal
+   strings.  The oracle's monitor keeps its verdicts incrementally,
+   one validate after each journaled record; a recovered one checks
+   every constraint fresh, so equal digests mean the kept verdicts
+   and counts are the fresh ones. *)
 let digest_shard shard =
   let monitor = Shard.monitor shard in
   let buf = Buffer.create 4096 in
@@ -190,9 +198,17 @@ let digest_shard shard =
   List.iter
     (fun s -> Printf.bprintf buf "u\t%s\n" s)
     (List.sort compare (Shard.unregistered shard));
+  let id (r : Core.Monitor.report) = r.constraint_.Core.Monitor.id in
   List.iter
-    (fun (id, o) -> Printf.bprintf buf "v\t%d\t%b\n" id (o = Core.Checker.Violated))
-    (Core.Monitor.verdicts monitor);
+    (fun (r : Core.Monitor.report) ->
+      Printf.bprintf buf "v\t%d\t%b" (id r) (r.outcome = Core.Checker.Violated);
+      Option.iter
+        (fun (rt : Core.Checker.rate) ->
+          Printf.bprintf buf "\t%s\t%s" (Fcv_bdd.Nat.to_string rt.violations)
+            (Fcv_bdd.Nat.to_string rt.total))
+        r.rate;
+      Buffer.add_char buf '\n')
+    (List.sort (fun a b -> compare (id a) (id b)) (Core.Monitor.validate monitor));
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
 (* [digests.(s).(k)] = shard [s]'s state after the first [k] records

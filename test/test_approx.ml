@@ -210,6 +210,37 @@ let soft_counts_agree src () =
         check (label ^ ": bindings = naive") true (N.to_int_opt rt.C.total = Some nt))
     [ ("auto", C.Auto, C.Bdd); ("sql", C.Force_sql, C.Naive) ]
 
+(* A witness whose atom matches no row gets no block from that atom,
+   and once its domain has outgrown the entry's block (a code interned
+   through another table) no entry block can host it either; every
+   value of the domain is still a binding to count and to list:
+   [forall x . r(x, 0)] with no r(_, 0) row violates at each of d1's
+   four codes. *)
+let test_soft_counts_grown_domain () =
+  let module R = Fcv_relation in
+  let db = Gen.random_db 3 in
+  let r = R.Database.table db "r" in
+  List.iter
+    (fun row -> if row.(1) = 0 then ignore (R.Table.delete_coded r row))
+    (R.Table.to_list r);
+  let spec = Core.Fol_parser.spec_of_string "holds >= 0.5 . forall x . r(x, 0)" in
+  let index = Core.Index.create db in
+  C.ensure_indices index [ spec.F.formula ];
+  let d1 = R.Table.dict (R.Database.table db "t") 0 in
+  Core.Index.insert index ~table_name:"t" [| R.Dict.intern d1 (R.Value.Int 3) |];
+  check "naive: every d1 code violates" true
+    (Core.Naive_eval.soft_counts db spec.F.formula = (4, 4));
+  (match Core.Violations.analyze index spec.F.formula with
+  | Some a ->
+    check_int "four witnesses listed" 4 (List.length (Core.Violations.witness_list a));
+    Core.Violations.release a
+  | None -> Alcotest.fail "no witness analyzer");
+  match (C.check_spec index spec).C.rate with
+  | None -> Alcotest.fail "soft check reported no rate"
+  | Some rt ->
+    check "violations = 4" true (N.to_int_opt rt.C.violations = Some 4);
+    check "bindings = 4" true (N.to_int_opt rt.C.total = Some 4)
+
 (* -- acceptance: the noise family, bit-for-bit -------------------------- *)
 
 let noise_cfg =
@@ -399,6 +430,8 @@ let suite =
     (* an ∃ under the ∀-block stays inside the counted matrix *)
     Alcotest.test_case "soft counts: an exists under the forall-block is not counted" `Quick
       (soft_counts_agree "holds >= 0.1 . forall x . not (exists y . r(x, y))");
+    Alcotest.test_case "witnesses of a domain grown past the entry" `Quick
+      test_soft_counts_grown_domain;
     Alcotest.test_case "noise FD rate bit-for-bit vs naive" `Quick
       test_noise_fd_bit_for_bit;
     Alcotest.test_case "monitor soft flow" `Quick test_monitor_soft_flow;

@@ -182,6 +182,162 @@ let test_constants_scope_staleness () =
   check "every later report agrees with check_spec" true
     (List.for_all (agrees_with_fresh_check index) reports)
 
+(* watch's join shapes on the university data: a row changes a policy
+   [student(s, d, _) -> ... course(c, a)] only when one lookup finds
+   its student in department d and its course in area a, and a
+   reference only when its partner row is missing. *)
+let student_ref = "forall s, c . takes(s, c) -> (exists d, k . student(s, d, k))"
+
+let test_join_partners_scope_staleness () =
+  let db, index = setup () in
+  let soft_curriculum = "holds >= 0.9 . " ^ curriculum in
+  let mon = Core.Monitor.create index in
+  List.iter
+    (fun src -> ignore (Core.Monitor.add mon src))
+    [ curriculum; referential; student_ref; soft_curriculum ];
+  ignore (Core.Monitor.validate mon);
+  let dept s =
+    R.Table.fold (R.Database.table db "student") ~init:(-1) ~f:(fun d r ->
+        if r.(0) = s then r.(1) else d)
+  in
+  let takes s c = R.Table.mem_coded (R.Database.table db "takes") [| s; c |] in
+  (* course c is in area c mod 10 *)
+  check "student 1 is outside department 0" true (dept 1 <> 0);
+  check "students 0 and 2 are in department 0" true (dept 0 = 0 && dept 2 = 0);
+  let pass what ~curriculum:c ~referential:r =
+    let reports = Core.Monitor.validate mon in
+    check (what ^ ": curriculum") c (fresh_of reports curriculum);
+    check (what ^ ": referential") r (fresh_of reports referential);
+    check (what ^ ": every report agrees with check_spec") true
+      (List.for_all (agrees_with_fresh_check index) reports);
+    reports
+  in
+  let enrol what s c ~curriculum:cur ~referential:r =
+    check (what ^ ": a new enrolment") false (takes s c);
+    Core.Monitor.insert mon ~table_name:"takes" [| s; c |];
+    let reports = pass what ~curriculum:cur ~referential:r in
+    check (what ^ ": the student's row exists") false (fresh_of reports student_ref);
+    check (what ^ ": the soft twin is re-checked") true (fresh_of reports soft_curriculum);
+    reports
+  in
+  ignore (enrol "outside department 0" 1 0 ~curriculum:false ~referential:false);
+  ignore (enrol "department 0, area 1" 0 21 ~curriculum:false ~referential:false);
+  ignore (enrol "department 0, area 0" 0 10 ~curriculum:true ~referential:false);
+  (* course 7 loses its takers, then its row *)
+  let takers =
+    R.Table.fold (R.Database.table db "takes") ~init:[] ~f:(fun acc r ->
+        if r.(1) = 7 then Array.copy r :: acc else acc)
+  in
+  List.iter (fun r -> ignore (Core.Monitor.delete mon ~table_name:"takes" r)) takers;
+  ignore (Core.Monitor.validate mon);
+  check "course 7 had takers, and has none" true
+    (takers <> [] && not (List.exists (fun r -> takes r.(0) 7) takers));
+  check "its row is removed" true (Core.Monitor.delete mon ~table_name:"course" [| 7; 7 |]);
+  ignore (pass "the row of a course nobody takes" ~curriculum:false ~referential:false);
+  let reports = enrol "into the removed course" 1 7 ~curriculum:false ~referential:true in
+  check "the dangling enrolment violates referential" true
+    (List.exists
+       (fun r ->
+         r.Core.Monitor.constraint_.Core.Monitor.source = referential
+         && r.Core.Monitor.outcome = C.Violated)
+       reports);
+  (* student 2 loses its area-0 course, enrols in area-1 course 21, and
+     course 21 moves to area 0 *)
+  check "student 2 takes area-0 course 10" true (takes 2 10);
+  ignore (Core.Monitor.delete mon ~table_name:"takes" [| 2; 10 |]);
+  ignore (pass "student 2 drops course 10" ~curriculum:true ~referential:false);
+  ignore (enrol "student 2, area 1" 2 21 ~curriculum:false ~referential:false);
+  ignore (Core.Monitor.delete mon ~table_name:"course" [| 21; 1 |]);
+  Core.Monitor.insert mon ~table_name:"course" [| 21; 0 |];
+  let reports = Core.Monitor.validate mon in
+  check "the move re-checks curriculum" true (fresh_of reports curriculum);
+  check "and every report agrees with check_spec" true
+    (List.for_all (agrees_with_fresh_check index) reports)
+
+(* Gen's schema r(a: d1, b: d2), s(b: d2, c: d3), t(a: d1) with the
+   given rows. *)
+let db_of rows =
+  let db = Gen.random_db 0 in
+  List.iter
+    (fun name ->
+      let tbl = R.Database.table db name in
+      List.iter (fun r -> ignore (R.Table.delete_coded tbl r)) (R.Table.to_list tbl))
+    [ "r"; "s"; "t" ];
+  List.iter (fun (name, row) -> R.Table.insert_coded (R.Database.table db name) row) rows;
+  db
+
+(* Each case of the lookup rule on one constraint and one mutation:
+   whether the next pass re-checks the constraint, and that its report
+   equals a fresh check. *)
+let test_lookup_rule () =
+  let case what ~rows ~src ~mutate ~fresh =
+    let db = db_of rows in
+    let index = Core.Index.create db in
+    let mon = Core.Monitor.create index in
+    ignore (Core.Monitor.add mon src);
+    ignore (Core.Monitor.validate mon);
+    mutate mon;
+    match Core.Monitor.validate mon with
+    | [ r ] ->
+      check (what ^ ": re-checked") fresh r.Core.Monitor.fresh;
+      check (what ^ ": agrees with check_spec") true (agrees_with_fresh_check index r)
+    | _ -> Alcotest.fail "expected one report"
+  in
+  let insert table row mon = Core.Monitor.insert mon ~table_name:table row in
+  let delete table row mon =
+    check "a present row" true (Core.Monitor.delete mon ~table_name:table row)
+  in
+  (* ∃x. t(x) ∧ ∀y. (¬r(x, y) ∨ ¬s(y, 0)) *)
+  let chain = "forall x . t(x) -> (exists y . r(x, y) and s(y, 0))" in
+  case "no t(1): a positive conjunct no row matches" ~rows:[ ("s", [| 2; 0 |]) ] ~src:chain
+    ~mutate:(insert "r" [| 1; 2 |]) ~fresh:false;
+  case "no s(2, 0): a negated disjunct no row matches" ~rows:[ ("t", [| 1 |]) ] ~src:chain
+    ~mutate:(insert "r" [| 1; 2 |]) ~fresh:false;
+  case "t(1) and s(2, 0): neither blocks" ~rows:[ ("t", [| 1 |]); ("s", [| 2; 0 |]) ]
+    ~src:chain ~mutate:(insert "r" [| 1; 2 |]) ~fresh:true;
+  case "r(1, 2) found, x unfixed: the negated disjunct does not block"
+    ~rows:[ ("t", [| 1 |]); ("r", [| 1; 2 |]) ]
+    ~src:chain ~mutate:(insert "s" [| 2; 0 |]) ~fresh:true;
+  case "d3 lacks 7: s(y, 7) matches no row"
+    ~rows:[ ("t", [| 1 |]); ("s", [| 2; 0 |]) ]
+    ~src:"forall x . t(x) -> (exists y . r(x, y) and s(y, 7))"
+    ~mutate:(insert "r" [| 1; 2 |]) ~fresh:false;
+  (* ∃x, y. r(x, y) ∧ ¬s(y, _) *)
+  let reference = "forall x, y . r(x, y) -> (exists z . s(y, z))" in
+  case "s(2, _) present: a negated conjunct, fully fixed" ~rows:[ ("s", [| 2; 1 |]) ]
+    ~src:reference ~mutate:(insert "r" [| 0; 2 |]) ~fresh:false;
+  case "s(2, _) absent" ~rows:[ ("s", [| 3; 1 |]) ] ~src:reference
+    ~mutate:(insert "r" [| 0; 2 |]) ~fresh:true;
+  case "r(x, 2) found, x unfixed: the positive conjunct does not block"
+    ~rows:[ ("r", [| 0; 2 |]); ("s", [| 2; 1 |]) ]
+    ~src:reference ~mutate:(delete "s" [| 2; 1 |]) ~fresh:true;
+  case "a soft spec marks by constants alone" ~rows:[ ("s", [| 2; 1 |]) ]
+    ~src:("holds >= 0.5 . " ^ reference) ~mutate:(insert "r" [| 0; 2 |]) ~fresh:true;
+  (* ∃x. ¬t(x) ∨ r(x, 1) *)
+  let disjunction = "forall x . t(x) and not r(x, 1)" in
+  case "r(0, 1) present: a positive disjunct, fully fixed" ~rows:[ ("r", [| 0; 1 |]) ]
+    ~src:disjunction ~mutate:(insert "t" [| 0 |]) ~fresh:false;
+  case "r(0, 1) absent" ~rows:[ ("r", [| 0; 2 |]) ] ~src:disjunction
+    ~mutate:(insert "t" [| 0 |]) ~fresh:true;
+  (* ∃x. t(x) ∧ t(x): each t(x) beside the other is over the row's own
+     table, whose rows the mutation changes *)
+  case "a literal over the row's own table never blocks" ~rows:[ ("t", [| 1 |]) ]
+    ~src:"forall x . t(x) -> not t(x)" ~mutate:(delete "t" [| 1 |]) ~fresh:true
+
+(* A registration under a taken id is rejected before any index is
+   built for it. *)
+let test_rejected_id_builds_no_index () =
+  let _, index = setup () in
+  let mon = Core.Monitor.create index in
+  let reg = Core.Monitor.add mon referential in
+  let before = Core.Index.entries index in
+  check_int "takes and course indexed" 2 (List.length before);
+  (match Core.Monitor.add ~id:reg.Core.Monitor.id mon curriculum with
+  | _ -> Alcotest.fail "expected the taken id to be rejected"
+  | exception Invalid_argument _ -> ());
+  check "entries unchanged" true (Core.Index.entries index == before);
+  check_int "no student entry" 0 (List.length (Core.Index.entries_for index "student"))
+
 let test_monitor_delete_path () =
   let db, index = setup () in
   let mon = Core.Monitor.create index in
@@ -320,6 +476,28 @@ let burst rng mon db grow =
 let soft_threshold =
   QCheck.Gen.(frequency [ (2, return None); (1, map Option.some (oneofl [ 0.5; 0.75; 0.9 ])) ])
 
+(* Join shapes over r, s and t whose blockers fire in most cases, with
+   random constants; a constant of [d2_size] or [d3_size] is one the
+   dictionary lacks (a burst may intern [d2_size] later).  The last
+   joins t with itself: its blockers over the row's own table must not
+   fire. *)
+let join_template =
+  QCheck.Gen.(
+    let* k2 = int_bound Gen.d2_size in
+    let* k3 = int_bound Gen.d3_size in
+    let+ shape =
+      oneofl
+        [
+          Printf.sprintf "forall x . t(x) -> (exists y . r(x, y) and s(y, %d))" k3;
+          "forall x, y . r(x, y) -> (exists z . s(y, z))";
+          Printf.sprintf "forall x, y . r(x, y) -> (t(x) or s(y, %d))" k3;
+          Printf.sprintf "forall x . t(x) and not r(x, %d)" k2;
+          "forall y, z . s(y, z) -> (exists x . r(x, y) and t(x))";
+          Printf.sprintf "forall x, y . not (r(x, y) and t(x) and t(x) and s(y, %d))" k3;
+        ]
+    in
+    Core.Fol_parser.of_string shape)
+
 let prop_cached_verdicts_are_fresh =
   QCheck.Test.make ~count:150
     ~name:"monitor: every report equals a fresh check_spec after each burst"
@@ -334,7 +512,8 @@ let prop_cached_verdicts_are_fresh =
                  cs)))
        QCheck.Gen.(
          triple (int_bound 1_000)
-           (list_size (int_range 3 5) (pair Gen.formula_gen soft_threshold))
+           (list_size (int_range 3 5)
+              (pair (oneof [ Gen.formula_gen; join_template ]) soft_threshold))
            (int_bound 1_000)))
     (fun (seed, cs, stream) ->
       let db = Gen.random_db seed in
@@ -419,6 +598,9 @@ let suite =
     Alcotest.test_case "a grown domain re-checks its constraints" `Quick
       test_domain_growth_rechecks;
     Alcotest.test_case "constants scope staleness" `Quick test_constants_scope_staleness;
+    Alcotest.test_case "join partners scope staleness" `Quick test_join_partners_scope_staleness;
+    Alcotest.test_case "the lookup rule, case by case" `Quick test_lookup_rule;
+    Alcotest.test_case "a rejected id builds no index" `Quick test_rejected_id_builds_no_index;
     Alcotest.test_case "mark_dirty re-checks every pass" `Quick test_mark_dirty_rechecks;
     Alcotest.test_case "monitor delete path" `Quick test_monitor_delete_path;
     Alcotest.test_case "monitor remove" `Quick test_monitor_remove;
