@@ -2,7 +2,10 @@
 # CI gate: format check, full build, the test suite with a pinned
 # QCheck seed, the approx suite under QCheck seeds 1..40, the sql,
 # to_sql, differential, parallel, parallel_delta and monitor suites
-# under QCheck seeds 1..20, a daemon smoke test, a node-budget smoke test (a
+# under QCheck seeds 1..20, a daemon smoke test (its -j 2 daemon must
+# keep two-constraint passes that cost less than its worker pool on the
+# calling domain: fcv client stats shows the pool never started), a
+# node-budget smoke test (a
 # negative --max-nodes is a usage error; a budget the indices exceed
 # is one message and exit 2), a bad-constraint smoke test (fcv check
 # reports each bad constraint in its input position, identically at
@@ -133,11 +136,16 @@ while [ ! -S "$SOCK" ]; do
 done
 
 "$FCV" client --sock "$SOCK" ping >/dev/null
+# two constraints over takes, so a pass that re-checks both holds two
+# stale constraints
 "$FCV" client --sock "$SOCK" register \
   'forall s, c . takes(s, c) -> (exists a . course(c, a))' >/dev/null
+"$FCV" client --sock "$SOCK" register \
+  'forall s, c . takes(s, c) -> (exists d, k . student(s, d, k))' >/dev/null
 
 # 1k interleaved updates (net zero: every insert is deleted again),
-# then an in-stream validation
+# then an in-stream validation; then a row with neither partner, which
+# reaches both constraints, and a second validation
 {
   i=0
   while [ "$i" -lt 500 ]; do
@@ -146,11 +154,29 @@ done
     i=$((i + 1))
   done
   echo "validate"
+  echo "insert takes,999,999"
+  echo "delete takes,999,999"
+  echo "validate"
 } >"$SMOKE/updates.txt"
 "$FCV" client --sock "$SOCK" updates "$SMOKE/updates.txt" >/dev/null 2>&1
 
 "$FCV" client --sock "$SOCK" validate >/dev/null
-"$FCV" client --sock "$SOCK" stats >/dev/null
+# both two-constraint passes cost far less than starting the worker
+# pool, so the -j 2 daemon must have kept them on its calling domain
+"$FCV" client --sock "$SOCK" stats >"$SMOKE/stats.json"
+if ! python3 - "$SMOKE/stats.json" <<'EOF'
+import json, sys
+st = json.load(open(sys.argv[1]))
+pool = st["pool"]
+ok = (st["jobs"] == 2 and not pool["started"] and pool["pooled_passes"] == 0
+      and pool["sequential_passes"] >= 2 and st["hydration"] is None)
+sys.exit(0 if ok else 1)
+EOF
+then
+  echo "FAIL: the -j 2 daemon started its pool for cheap passes:" >&2
+  cat "$SMOKE/stats.json" >&2
+  exit 1
+fi
 "$FCV" client --sock "$SOCK" shutdown >/dev/null
 wait "$SERVE_PID"
 SERVE_PID=""

@@ -67,7 +67,10 @@ let max_nodes_arg =
 
 let jobs_arg =
   let doc =
-    "Worker domains for parallel validation (1 = sequential).  Each worker checks \
+    "Worker domains for parallel validation (1 = sequential).  $(b,check) and \
+     $(b,bench) check their batch on $(docv) workers; $(b,serve) keeps at most \
+     $(docv), started by the first validate pass whose measured cost pays for \
+     them, and validates cheaper passes on the calling domain.  Each worker checks \
      against a private replica of the logical indices, so verdicts are identical \
      to a sequential run."
   in

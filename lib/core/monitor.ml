@@ -26,7 +26,15 @@
     grew since the last completed pass (quantifiers range over whole
     dictionaries, so a new code anywhere in a domain can flip a verdict
     whose atoms no row reached).  Everything else keeps its cached
-    verdict. *)
+    verdict.
+
+    A pass pools its stale batch only when the pool pays for itself,
+    pricing it as Postgres prices a plan, startup plus run: the batch's
+    measured sequential cost W (each constraint's mean check time on
+    the calling domain) must exceed P + span, where span is the longest
+    of W / jobs and the dearest single check, and P is the pool's fixed
+    cost: a cold start priced from the store's size, then moved toward
+    what each later pooled pass measures. *)
 
 module R = Fcv_relation
 module M = Fcv_bdd.Manager
@@ -45,9 +53,11 @@ type registered = {
   mutable last_rate : Checker.rate option;
       (** measured rate of the last fresh soft check; [None] for hard
           constraints and never-checked soft ones *)
-  mutable checks_run : int;
+  mutable checks_run : int;  (** fresh checks run on the calling domain *)
   mutable checks_skipped : int;  (** skipped because no mutation reached it *)
-  mutable total_check_ms : float;  (** cumulative time of fresh checks *)
+  mutable total_check_ms : float;
+      (** cumulative time of those checks: the sequential cost the pool
+          gate reads, so a worker's slower check is not folded in *)
   mutable entailed_by : int list option;
       (** Kenig–Suciu implication dedup: [Some ids] when this FD is in
           the Armstrong closure of the other registered FDs — it can be
@@ -101,6 +111,15 @@ type blocker = {
    the reach counts unless a blocker fires. *)
 type filter = { slot : slot; constants : constant array; blockers : blocker array }
 
+(* A started worker pool with its replica set.  [overhead_ms] is P: the
+   cold start's price when the pool started, then moved a quarter of
+   the way to each later pooled pass's wall time minus its predicted
+   span, so the workers' catch-ups, fresh copies and slower checks all
+   count against the pool.  The pass that starts the pool is not one of
+   them: its copies and cold caches are the one-time cost the cold
+   price stood for. *)
+type pool = { workers : Fcv_util.Pool.t; replica : Replica.t; mutable overhead_ms : float }
+
 type t = {
   index : Index.t;
   pipeline : Checker.pipeline;
@@ -113,9 +132,12 @@ type t = {
       (** every registered atom by table, so a mutation scans only the
           atoms over its table *)
   mutable next_id : int;
-  mutable par : (Fcv_util.Pool.t * Replica.t) option;
-      (** worker pool + replica set when [jobs > 1]; the pool outlives
-          validations so workers and hydrated replicas are reused *)
+  mutable jobs : int;  (** the width a pass that pays pools at *)
+  mutable par : pool option;
+      (** started by the first pass that pools, then kept across
+          validations so workers and their replicas are reused *)
+  mutable pooled_passes : int;
+  mutable sequential_passes : int;
   gc_policy : Lifecycle.policy option;
       (** [None] disables automatic reclamation; on by default *)
 }
@@ -130,7 +152,10 @@ let create ?(pipeline = Checker.default_pipeline) ?(planning = Planned)
     slots = [];
     filters = Hashtbl.create 8;
     next_id = 0;
+    jobs = 1;
     par = None;
+    pooled_passes = 0;
+    sequential_passes = 0;
     gc_policy = gc;
   }
 
@@ -139,27 +164,26 @@ let constraints t = List.rev_map (fun s -> s.reg) t.slots
 let planner t = t.planner
 let planning t = t.planning
 let set_planning t p = t.planning <- p
-let jobs t = match t.par with Some (p, _) -> Fcv_util.Pool.size p | None -> 1
+let jobs t = t.jobs
 
-(** Set the validation parallelism.  [jobs <= 1] (the initial state)
-    validates on the calling domain; larger values keep a worker pool
-    and per-worker index replicas alive across validations. *)
+(** Set the validation parallelism: only the width is recorded, and
+    the first pass that pays for a pool starts one (see {!validate}).
+    A changed width joins a started pool; the next pass that pays
+    starts one of the new width. *)
 let set_jobs t n =
   let n = max 1 n in
-  if n <> jobs t then begin
-    (match t.par with Some (p, _) -> Fcv_util.Pool.shutdown p | None -> ());
-    t.par <-
-      (if n = 1 then None
-       else Some (Fcv_util.Pool.create ~name:"monitor" ~jobs:n (), Replica.create t.index))
+  if n <> t.jobs then begin
+    Option.iter (fun p -> Fcv_util.Pool.shutdown p.workers) t.par;
+    t.par <- None;
+    t.jobs <- n
   end
 
-(** Release the worker pool (if any); the monitor stays usable
-    sequentially.  Call before discarding a parallel monitor so worker
-    domains are joined. *)
+(** Validate on the calling domain from now on, joining the worker
+    domains if a pool started.  Call before discarding a parallel
+    monitor. *)
 let stop t = set_jobs t 1
 
-let invalidate_replicas t =
-  match t.par with Some (_, r) -> Replica.invalidate r | None -> ()
+let invalidate_replicas t = Option.iter (fun p -> Replica.invalidate p.replica) t.par
 
 let spec_of r = { Formula.threshold = r.threshold; formula = r.formula }
 
@@ -191,7 +215,40 @@ let recompute_entailment t =
       r.entailed_by <- Planner.entails ~by:others fd)
     fds
 
-let replica_stats t = match t.par with Some (_, r) -> Some (Replica.stats r) | None -> None
+let replica_stats t = Option.map (fun p -> Replica.stats p.replica) t.par
+
+(* The cold start of a pool: a per-domain start plus a per-node copy,
+   fitted to the first pooled copies of a store timed on 2 vCPUs at
+   [-j 2], medians of 7 (DESIGN.md, "Where it is wired"): 9-13 ms at
+   30k store nodes (university, 500 students), 8-13 ms at 159k and
+   261k (3,000 and 5,000 students), 37-44 ms at 685k (retail).  Read
+   from [M.size], one field: a copy takes only the live nodes, so a
+   store holding garbage prices high, never low. *)
+let domain_start_ms = 4.
+let copy_ms_per_node = 4e-5
+
+(* P: what a pooled pass costs beyond its span. *)
+let pool_price t =
+  match t.par with
+  | Some p -> p.overhead_ms
+  | None ->
+    (float_of_int t.jobs *. domain_start_ms)
+    +. (copy_ms_per_node *. float_of_int (M.size t.index.Index.mgr))
+
+type pool_stats = {
+  started : bool;
+  pooled_passes : int;
+  sequential_passes : int;
+  price_ms : float;
+}
+
+let pool_stats t =
+  {
+    started = t.par <> None;
+    pooled_passes = t.pooled_passes;
+    sequential_passes = t.sequential_passes;
+    price_ms = pool_price t;
+  }
 
 (* The distinct dictionaries behind the columns of [tables]. *)
 let dictionaries db tables =
@@ -517,15 +574,14 @@ let mark_dirty t table_name =
 
 (** Stream one row insertion through the base table and indices; marks
     stale the constraints with an occurrence over the table whose
-    constants the row carries and whose blockers let it through.  Replicas get a row-level delta note, not a full
+    constants the row carries and whose blockers let it through.  A
+    started pool's replicas get a row-level delta note, not a full
     invalidation — the mutation epoch does not cost workers a copy of
     the master. *)
 let insert t ~table_name row =
   Index.insert t.index ~table_name row;
   mark_row t table_name row;
-  (match t.par with
-  | Some (_, r) -> Replica.note_insert r ~table_name row
-  | None -> ());
+  Option.iter (fun p -> Replica.note_insert p.replica ~table_name row) t.par;
   if T.enabled () then T.incr (T.counter "monitor.inserts")
 
 (** Stream one row deletion; when a row was removed, marks stale as
@@ -534,9 +590,7 @@ let delete t ~table_name row =
   let removed = Index.delete t.index ~table_name row in
   if removed then begin
     mark_row t table_name row;
-    match t.par with
-    | Some (_, r) -> Replica.note_delete r ~table_name row
-    | None -> ()
+    Option.iter (fun p -> Replica.note_delete p.replica ~table_name row) t.par
   end;
   if T.enabled () then T.incr (T.counter "monitor.deletes");
   removed
@@ -559,17 +613,57 @@ let grown s =
   in
   go 0
 
+(* The span a pooled run of the batch is predicted to take, when P plus
+   that span is below W, the batch's measured sequential cost; [None]
+   keeps the batch on the calling domain, as it does any batch holding
+   a constraint never checked on this monitor (measure first).  Every
+   input is a field read. *)
+let pooled_span t batch =
+  let rec measure w longest = function
+    | [] -> Some (w, longest)
+    | s :: rest ->
+      let r = s.reg in
+      if r.checks_run = 0 then None
+      else
+        let mean = r.total_check_ms /. float_of_int r.checks_run in
+        measure (w +. mean) (Float.max longest mean) rest
+  in
+  if t.jobs <= 1 then None
+  else
+    match measure 0. 0. batch with
+    | Some (w, longest) ->
+      let span = Float.max (w /. float_of_int t.jobs) longest in
+      if w > pool_price t +. span then Some span else None
+    | None -> None
+
+let start_pool t =
+  match t.par with
+  | Some p -> p
+  | None ->
+    let p =
+      {
+        workers = Fcv_util.Pool.create ~name:"monitor" ~jobs:t.jobs ();
+        replica = Replica.create t.index;
+        overhead_ms = pool_price t;
+      }
+    in
+    t.par <- Some p;
+    p
+
 (** Validate the registered constraints: a constraint is re-checked
     only when it was never checked, a mutation marked it stale, or a
     dictionary behind a column of one of its tables grew since the
     last completed pass; otherwise the cached verdict is returned.
     Stale hard and soft constraints are checked as one batch, pooled
-    when [jobs > 1].  Under [Planned] (the default) the {!Planner}
-    chooses each stale constraint's strategy, planned costs order the
-    parallel pool, every fresh result is fed back, and FDs entailed by
-    currently-holding FDs are settled without a check.  A completed
-    pass clears the stale flags and records the dictionary sizes; a
-    pass that raises leaves them, so the next one re-checks. *)
+    when [jobs > 1] and the pool pays for itself ({!pooled_span}); the
+    first such pass starts the pool.  Under [Planned] (the default)
+    the {!Planner} chooses each stale constraint's strategy, planned
+    costs order the parallel pool, every fresh result is fed back, and
+    FDs entailed by currently-holding FDs are settled without a check.
+    Only checks run on the calling domain add to a constraint's
+    [checks_run] and [total_check_ms].  A completed pass clears the
+    stale flags and records the dictionary sizes; a pass that raises
+    leaves them, so the next one re-checks. *)
 let validate t =
   (* reclamation happens here, strictly before any check compiles
      against the manager — never mid-check *)
@@ -583,13 +677,15 @@ let validate t =
   (* registered-record bookkeeping happens on the calling domain only:
      in the parallel path workers return bare Checker.results and the
      mutations below run once the whole batch is in *)
-  let fresh_report s r =
+  let fresh_report s (r, on_worker) =
     let reg = s.reg in
     if planned then Planner.observe t.planner s.history r;
     reg.last_outcome <- Some r.Checker.outcome;
     (match r.Checker.rate with Some _ as rt -> reg.last_rate <- rt | None -> ());
-    reg.checks_run <- reg.checks_run + 1;
-    reg.total_check_ms <- reg.total_check_ms +. r.Checker.elapsed_ms;
+    if not on_worker then begin
+      reg.checks_run <- reg.checks_run + 1;
+      reg.total_check_ms <- reg.total_check_ms +. r.Checker.elapsed_ms
+    end;
     if T.enabled () then T.incr (T.counter "monitor.checks_run");
     {
       constraint_ = reg;
@@ -649,14 +745,29 @@ let validate t =
          stale_main)
   in
   let specs = List.map (fun s -> spec_of s.reg) stale_main in
-  let results =
-    match t.par with
-    | Some (pool, replica) when List.length stale_main > 1 ->
-      Checker.check_all_pooled ~pipeline:t.pipeline ~costs ~strategies ~pool replica specs
-    | _ -> Checker.check_all ~pipeline:t.pipeline ~strategies t.index specs
+  let pooled, results =
+    match pooled_span t stale_main with
+    | Some span ->
+      let warm = t.par <> None in
+      let p = start_pool t in
+      let t0 = Fcv_util.Timer.now () in
+      let results =
+        Checker.check_all_pooled ~pipeline:t.pipeline ~costs ~strategies ~pool:p.workers
+          p.replica specs
+      in
+      if warm then begin
+        let overhead = Float.max 0. (((Fcv_util.Timer.now () -. t0) *. 1000.) -. span) in
+        p.overhead_ms <- p.overhead_ms +. ((overhead -. p.overhead_ms) /. 4.)
+      end;
+      t.pooled_passes <- t.pooled_passes + 1;
+      (true, results)
+    | None ->
+      if stale_main <> [] then t.sequential_passes <- t.sequential_passes + 1;
+      (false, Checker.check_all ~pipeline:t.pipeline ~strategies t.index specs)
   in
+  (* each fresh result, with whether a pool worker produced it *)
   let fresh = Hashtbl.create (List.length stale + 1) in
-  List.iter2 (fun s r -> Hashtbl.replace fresh s.reg.id r) stale_main results;
+  List.iter2 (fun s r -> Hashtbl.replace fresh s.reg.id (r, pooled)) stale_main results;
   (* outcomes valid for THIS pass: clean cached verdicts + fresh results *)
   let settled = Hashtbl.create (List.length slots + 1) in
   List.iter
@@ -666,7 +777,7 @@ let validate t =
       | None -> ())
     clean;
   Hashtbl.iter
-    (fun id (r : Checker.result) -> Hashtbl.replace settled id r.Checker.outcome)
+    (fun id ((r : Checker.result), _) -> Hashtbl.replace settled id r.Checker.outcome)
     fresh;
   (* dirty entailed FDs: skip when every entailer settled Satisfied,
      check otherwise.  Iterate because entailers may themselves be
@@ -676,7 +787,7 @@ let validate t =
   let check_now s =
     let strategy = (plan s).Planner.strategy in
     let r = Checker.check_spec ~pipeline:t.pipeline ~strategy t.index (spec_of s.reg) in
-    Hashtbl.replace fresh s.reg.id r;
+    Hashtbl.replace fresh s.reg.id (r, false);
     Hashtbl.replace settled s.reg.id r.Checker.outcome
   in
   let pending = ref stale_ent in

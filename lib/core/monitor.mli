@@ -25,7 +25,16 @@
     column of one of its tables grew since the last completed pass —
     quantifiers range over whole dictionaries, so a code interned
     through another table can flip a verdict that no changed row
-    reached. *)
+    reached.
+
+    With [jobs > 1] a pass pools its stale batch only when the pool
+    pays for itself: when the batch's measured sequential cost W (the
+    sum of its constraints' mean check times on the calling domain)
+    exceeds P plus the pooled span (the longest of W / jobs and the
+    batch's dearest check).  P is the pool's fixed cost: a cold start
+    priced from the store's size, which each pooled pass after the one
+    that started the pool moves a quarter of the way to its own wall
+    time minus its span. *)
 
 type registered = {
   id : int;
@@ -40,9 +49,12 @@ type registered = {
   mutable last_rate : Checker.rate option;
       (** measured rate of the last fresh soft check; [None] for hard
           constraints and never-checked soft ones *)
-  mutable checks_run : int;
+  mutable checks_run : int;  (** fresh checks run on the calling domain *)
   mutable checks_skipped : int;  (** passes that kept its cached verdict *)
-  mutable total_check_ms : float;  (** cumulative time of fresh checks *)
+  mutable total_check_ms : float;
+      (** cumulative time of those checks: the measured sequential cost
+          the pool gate of {!validate} reads (a check run on a pool
+          worker counts in neither field) *)
   mutable entailed_by : int list option;
       (** register-time implication dedup (Kenig–Suciu direction):
           [Some ids] when this FD is in the Armstrong closure of the
@@ -76,16 +88,21 @@ val planning : t -> planning
 val set_planning : t -> planning -> unit
 
 val jobs : t -> int
-(** Current validation parallelism (1 = sequential, the default). *)
+(** The recorded validation width (1 = sequential, the default),
+    whether or not a pool has started. *)
 
 val set_jobs : t -> int -> unit
-(** Validate with [n] worker domains, each holding a private replica
-    of the index store; replicas refresh lazily after updates.  Values
-    [<= 1] (and {!stop}) release the pool and validate on the calling
+(** Let validation use up to [n] worker domains.  Only the width is
+    recorded: the first {!validate} pass that pays for a pool starts
+    one, whose workers each hold a private replica of the index store,
+    refreshed lazily after updates.  A changed width (and {!stop})
+    joins a started pool; values [<= 1] validate on the calling
     domain.  Verdicts are identical either way. *)
 
 val stop : t -> unit
-(** Join any worker domains; the monitor stays usable sequentially. *)
+(** [set_jobs t 1]: join the worker domains if a pool started (a
+    monitor whose pool never started has none to join); the monitor
+    stays usable sequentially. *)
 
 val constraints : t -> registered list
 (** The registered constraints, oldest first. *)
@@ -122,11 +139,11 @@ val insert : t -> table_name:string -> int array -> unit
 (** Rows are coded [int array]s.  Marks stale the constraints with an
     occurrence over the table whose constants the row carries and whose
     blockers let the change through; the existence tests of one
-    mutation make at most one pass over each table they read.  In parallel
-    mode the mutation is delta-noted to the replica set
-    ({!Replica.note_insert}) rather than invalidating it: the next
-    validation catches workers up by replaying the row ops instead of
-    copying the master. *)
+    mutation make at most one pass over each table they read.  Once a
+    pass has started the pool, the mutation is delta-noted to its
+    replica set ({!Replica.note_insert}) rather than invalidating it:
+    the next pooled pass catches workers up by replaying the row ops
+    instead of copying the master. *)
 
 val delete : t -> table_name:string -> int array -> bool
 (** Delete one occurrence of a coded row; [false] when it was absent.
@@ -134,9 +151,20 @@ val delete : t -> table_name:string -> int array -> bool
     nothing. *)
 
 val replica_stats : t -> Replica.stats option
-(** Hydration-mode telemetry of the worker replica set ([None] when
-    sequential): how many worker refreshes were cheap delta catch-ups
-    versus copies of the master. *)
+(** Hydration-mode telemetry of the worker replica set ([None] until a
+    pass starts the pool): how many worker refreshes were cheap delta
+    catch-ups versus copies of the master. *)
+
+type pool_stats = {
+  started : bool;  (** a pass has started the pool *)
+  pooled_passes : int;  (** passes whose stale batch ran on the pool *)
+  sequential_passes : int;
+      (** passes whose non-empty stale batch ran on the calling domain *)
+  price_ms : float;  (** P, the fixed cost the next pooled pass is priced at *)
+}
+
+val pool_stats : t -> pool_stats
+(** The pool gate's state; field reads only. *)
 
 type report = {
   constraint_ : registered;
@@ -153,7 +181,11 @@ val validate : t -> report list
     or has a dictionary behind one of its tables' columns that grew
     since the last completed pass; reuse the cached verdict of every
     other.  Stale hard and soft constraints run as one batch through
-    {!Checker.check_spec}, pooled when [jobs > 1].  Under [Planned] the
+    {!Checker.check_spec}.  With [jobs > 1] the batch is pooled when
+    every constraint in it has been checked on this monitor before and
+    its measured cost W exceeds P plus its pooled span (see the top of
+    this interface); the first such pass starts the pool.  Every input
+    of that decision is a field read.  Under [Planned] the
     planner chooses each strategy, planned costs order the parallel
     pool, results feed the planner back, and a stale hard FD entailed
     by currently-holding hard FDs is settled as satisfied without a

@@ -202,9 +202,25 @@ let stats_json t =
           ("deferred_rebuilds", T.Int (mem (fun ls -> ls.Core.Index.deferred_rebuilds)));
         ] );
     ("tables", T.Obj tables);
+    ( "pool",
+      (* the pool gate, over shards: started when any shard's pool has,
+         passes summed, and the highest P a shard prices its next
+         pooled pass at *)
+      let pools = Array.map (fun s -> Core.Monitor.pool_stats (Shard.monitor s)) shards in
+      let sum f = T.Int (Array.fold_left (fun n st -> n + f st) 0 pools) in
+      T.Obj
+        [
+          ("started", T.Bool (Array.exists (fun st -> st.Core.Monitor.started) pools));
+          ("pooled_passes", sum (fun st -> st.Core.Monitor.pooled_passes));
+          ("sequential_passes", sum (fun st -> st.Core.Monitor.sequential_passes));
+          ( "price_ms",
+            T.Float (Array.fold_left (fun m st -> Float.max m st.Core.Monitor.price_ms) 0. pools)
+          );
+        ] );
     ( "hydration",
-      (* replica refresh telemetry summed over parallel shards: delta
-         catch-ups are the cheap path the mutation journal buys *)
+      (* replica refresh telemetry summed over the shards whose pool
+         started: delta catch-ups are the cheap path the mutation
+         journal buys *)
       match
         List.filter_map
           (fun s -> Core.Monitor.replica_stats (Shard.monitor s))

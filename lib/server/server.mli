@@ -57,9 +57,10 @@ type config = {
   max_line : int;  (** max request-line bytes before the session is killed *)
   max_sessions : int;
   jobs : int;
-      (** worker domains per shard for the coalesced validate passes
-          ({!Core.Monitor.set_jobs}); the event loop itself stays
-          single-threaded.  1 = validate inline. *)
+      (** at most this many worker domains per shard for the
+          coalesced validate passes, started by the first pass that
+          pays for them ({!Core.Monitor.set_jobs}); the event loop
+          itself stays single-threaded.  1 = validate inline. *)
   shards : int;  (** serving-tier shard count (used by [fcv serve] to size {!Tier.recover}) *)
   group_commit_window : int;
       (** release acknowledgements after at most this many journaled

@@ -438,7 +438,6 @@ let constraints t =
 (* -- lifecycle ------------------------------------------------------------- *)
 
 let set_jobs t n = Array.iter (fun s -> Core.Monitor.set_jobs (Shard.monitor s) n) t.shards
-let stop_jobs t = Array.iter (fun s -> Core.Monitor.stop (Shard.monitor s)) t.shards
 let gc t = Array.fold_left (fun acc s -> acc + Core.Monitor.gc (Shard.monitor s)) 0 t.shards
 
 (* A committed rotation covers every applied mutation, so a snapshot

@@ -100,7 +100,8 @@ val auto_snapshot : t -> every:int -> unit
     their last rotation — per-shard snapshot lifecycle. *)
 
 val set_jobs : t -> int -> unit
-val stop_jobs : t -> unit
+(** {!Core.Monitor.set_jobs} on every shard; {!close} joins any started
+    pool. *)
 
 val gc : t -> int
 (** Reclaim memory on every shard; total nodes reclaimed. *)

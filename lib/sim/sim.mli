@@ -12,8 +12,11 @@
     - record a per-shard {e oracle}: each shard's state digest
       (extensional database + constraint registry + tombstones +
       verdicts) after each of its journaled records on a never-crashed
-      run, plus a sequential-vs-parallel validation parity check;
-    - run once fault-free and once per reachable fault point —
+      run;
+    - run once fault-free (whose clean restart must also give each
+      shard's sequential verdicts from a pooled check of its
+      registered specs, {!Core.Checker.check_all_pooled} on a started
+      two-worker pool) and once per reachable fault point —
       the points cover every per-shard durable effect, including
       between two shards' WAL appends of one routed burst and
       mid-rotation of one shard's snapshot — crashing there,

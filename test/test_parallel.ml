@@ -18,6 +18,13 @@ let with_pool ~jobs f =
   let pool = Pool.create ~name:"test" ~jobs () in
   Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () -> f pool)
 
+(* Price every registered constraint's measured history far above any
+   pool's cost, through the fields the gate reads. *)
+let price_high monitor =
+  List.iter
+    (fun r -> r.Core.Monitor.total_check_ms <- 1e6 *. float_of_int r.Core.Monitor.checks_run)
+    (Core.Monitor.constraints monitor)
+
 (* -- pool ------------------------------------------------------------------- *)
 
 (* Results keep submission order however the scheduler interleaves the
@@ -213,7 +220,8 @@ let test_check_all_parallel_matches_sequential () =
 (* The monitor end of the wiring: parallel validation returns the same
    reports — soft rates included, as decimal-string counts — replicas
    survive update + invalidate cycles, and stop() releases the
-   workers. *)
+   workers.  The first pass measures every constraint on the calling
+   domain; the priced history then pools every later batch. *)
 let test_monitor_parallel_validate () =
   let run jobs =
     let db = Gen.random_db 23 in
@@ -237,6 +245,8 @@ let test_monitor_parallel_validate () =
       (Core.Monitor.add monitor "holds >= 0.5 . forall a, b . r(a, b) -> (exists c . s(b, c))");
     ignore (Core.Monitor.add monitor "holds >= 0.9 . forall a . t(a) -> (exists b . r(a, b))");
     let first = outcomes () in
+    (* measured now: price the history so that every later batch pools *)
+    price_high monitor;
     (* cached pass, then dirty one table and revalidate *)
     let cached = outcomes () in
     Core.Monitor.insert monitor ~table_name:"t" [| 0 |];
@@ -245,6 +255,8 @@ let test_monitor_parallel_validate () =
     let after_delete = outcomes () in
     Core.Monitor.insert monitor ~table_name:"r" [| 0; 0 |];
     let after_r_insert = outcomes () in
+    Alcotest.(check bool) "pooled when jobs > 1" (jobs > 1)
+      ((Core.Monitor.pool_stats monitor).Core.Monitor.pooled_passes > 0);
     Core.Monitor.stop monitor;
     (first, cached, after_insert, after_delete, after_r_insert)
   in
@@ -510,56 +522,127 @@ let test_replica_fresh_domain_copies () =
   Alcotest.(check bool) "verdicts agree" true
     ((C.check fresh parity_formula).C.outcome = (C.check index parity_formula).C.outcome)
 
-(* The monitor end of the delta wiring: streamed updates delta-note
-   instead of invalidating, so the second parallel validation catches
-   up the workers that have a replica without copying the master. *)
-let test_monitor_delta_hydration () =
-  (* dirty BOTH watched tables so the revalidation has two stale
-     constraints and takes the pooled path: on Gen.random_db 23 no r
-     row has a = 2 and no s row has b = 0, so neither row's join
-     partner blocks it *)
-  let mutate m =
-    Core.Monitor.insert m ~table_name:"t" [| 2 |];
-    ignore (Core.Monitor.delete m ~table_name:"t" [| 2 |]);
-    Core.Monitor.insert m ~table_name:"r" [| 0; 0 |];
-    ignore (Core.Monitor.delete m ~table_name:"r" [| 0; 0 |])
-  in
-  let add_constraints m =
-    ignore (Core.Monitor.add m "forall a, b . r(a, b) -> (exists c . s(b, c))");
-    ignore (Core.Monitor.add m "forall a . t(a) -> (exists b . r(a, b))")
-  in
-  let seq_verdicts =
-    let m2 = Core.Monitor.create (Core.Index.create (Gen.random_db 23)) in
-    add_constraints m2;
-    ignore (Core.Monitor.validate m2);
-    mutate m2;
-    Core.Monitor.verdicts m2
-  in
+(* -- the monitor's pool gate ------------------------------------------------- *)
+
+(* On Gen.random_db 23 (r = {(0,2), (1,2), (1,4)}, s has no b = 0,
+   t = {(2)}) [pair_r] holds and [pair_t] is violated; an r(2, 0) row
+   reaches both (no s row has b = 0, and t(2) is present) and flips
+   both verdicts. *)
+let pair_r = "forall a, b . r(a, b) -> (exists c . s(b, c))"
+let pair_t = "forall a . t(a) -> (exists b . r(a, b))"
+let flip = [| 2; 0 |]
+
+let pair_monitor ~jobs =
   let monitor = Core.Monitor.create (Core.Index.create (Gen.random_db 23)) in
-  Core.Monitor.set_jobs monitor 2;
-  add_constraints monitor;
+  Core.Monitor.set_jobs monitor jobs;
+  ignore (Core.Monitor.add monitor pair_r);
+  ignore (Core.Monitor.add monitor pair_t);
+  monitor
+
+(* A pass's reports against fresh checks on the master. *)
+let check_fresh monitor what =
+  let index = Core.Monitor.index monitor in
+  List.iter
+    (fun rep ->
+      let r = rep.Core.Monitor.constraint_ in
+      let spec = { F.threshold = r.Core.Monitor.threshold; formula = r.Core.Monitor.formula } in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %s = a fresh check" what r.Core.Monitor.source)
+        true
+        (rep.Core.Monitor.outcome = (C.check_spec index spec).C.outcome))
+    (Core.Monitor.validate monitor)
+
+let outcomes monitor = List.map snd (Core.Monitor.verdicts monitor)
+
+let test_cheap_batch_starts_no_pool () =
+  let monitor = pair_monitor ~jobs:2 in
   ignore (Core.Monitor.validate monitor);
-  mutate monitor;
-  let par_verdicts = Core.Monitor.verdicts monitor in
+  Core.Monitor.insert monitor ~table_name:"r" flip;
+  let reports = Core.Monitor.validate monitor in
+  Alcotest.(check int) "both constraints re-checked" 2
+    (List.length (List.filter (fun r -> r.Core.Monitor.fresh) reports));
+  Alcotest.(check (list bool)) "both verdicts flipped" [ true; false ]
+    (List.map (fun r -> r.Core.Monitor.outcome = C.Violated) reports);
+  Alcotest.(check bool) "no replica set" true (Core.Monitor.replica_stats monitor = None);
+  let st = Core.Monitor.pool_stats monitor in
+  Alcotest.(check int) "width recorded" 2 (Core.Monitor.jobs monitor);
+  Alcotest.(check bool) "pool not started" false st.Core.Monitor.started;
+  Alcotest.(check int) "two sequential passes" 2 st.Core.Monitor.sequential_passes;
+  Alcotest.(check int) "no pooled pass" 0 st.Core.Monitor.pooled_passes;
+  Alcotest.(check bool) "a cold start has a price" true (st.Core.Monitor.price_ms > 0.);
+  Core.Monitor.stop monitor
+
+let test_unmeasured_batch_stays_local () =
+  let monitor = pair_monitor ~jobs:2 in
+  ignore (Core.Monitor.validate monitor);
+  price_high monitor;
+  (* a new constraint over r: the next batch holds one never checked *)
+  ignore (Core.Monitor.add monitor "forall a, b . r(a, b) -> (exists c . s(b, c) and t(a))");
+  Core.Monitor.insert monitor ~table_name:"r" flip;
+  check_fresh monitor "with an unmeasured constraint";
+  Alcotest.(check bool) "an unmeasured batch starts no pool" true
+    (Core.Monitor.replica_stats monitor = None);
+  (* once measured, the same batch pays *)
+  ignore (Core.Monitor.delete monitor ~table_name:"r" flip);
+  check_fresh monitor "once measured";
+  let st = Core.Monitor.pool_stats monitor in
+  Alcotest.(check bool) "the measured batch started the pool" true st.Core.Monitor.started;
+  Alcotest.(check int) "one pooled pass" 1 st.Core.Monitor.pooled_passes;
+  Core.Monitor.stop monitor
+
+(* The monitor end of the delta wiring: a batch priced above P pools;
+   a mutation made before the pool started reaches the workers through
+   their first copy of the master, and later streamed updates
+   delta-note instead of invalidating, so later pooled passes catch the
+   workers up without copying the master again. *)
+let test_monitor_delta_hydration () =
+  let monitor = pair_monitor ~jobs:2 in
+  let before = outcomes monitor in
+  Alcotest.(check bool) "measured on the calling domain first" true
+    (Core.Monitor.replica_stats monitor = None);
+  price_high monitor;
+  Core.Monitor.insert monitor ~table_name:"r" flip;
+  check_fresh monitor "first pooled pass";
   (match Core.Monitor.replica_stats monitor with
   | Some st ->
-    (* which worker domain claims which task is the scheduler's
-       business, so assert the scheduling-independent shape: copies
-       are bounded by the worker count (never paid per epoch), every
-       worker that ran a task in both passes caught up by replaying
-       the 4 row ops, and one that sat out the first pass copied the
-       master instead — each constraint is its own task, so one worker
-       or both may have run in each pass *)
-    Alcotest.(check bool) "full hydrations bounded by workers" true
-      (st.Core.Replica.full <= 2);
-    Alcotest.(check bool) "every pass refreshed a replica" true
-      (st.Core.Replica.full + st.Core.Replica.delta >= 2);
-    Alcotest.(check int) "the row epoch was replayed, not rehydrated"
-      (4 * st.Core.Replica.delta) st.Core.Replica.delta_ops
-  | None -> Alcotest.fail "parallel monitor should expose replica stats");
+    Alcotest.(check bool) "the first pass copied the master" true
+      (st.Core.Replica.full >= 1 && st.Core.Replica.full <= 2);
+    Alcotest.(check int) "nothing to replay yet" 0 st.Core.Replica.delta
+  | None -> Alcotest.fail "a batch priced above P should start the pool");
+  Alcotest.(check bool) "the pre-pool insert reached the workers" true
+    (outcomes monitor <> before);
+  (* three more pooled passes, one streamed row op each: each refreshes
+     a replica, and at most one worker is still without one *)
+  List.iter
+    (fun insert ->
+      if insert then Core.Monitor.insert monitor ~table_name:"r" flip
+      else ignore (Core.Monitor.delete monitor ~table_name:"r" flip);
+      check_fresh monitor (if insert then "after an insert" else "after a delete"))
+    [ false; true; false ];
+  Alcotest.(check bool) "back to the base verdicts" true (outcomes monitor = before);
+  (match Core.Monitor.replica_stats monitor with
+  | Some st ->
+    Alcotest.(check bool) "copies bounded by the workers" true (st.Core.Replica.full <= 2);
+    Alcotest.(check bool) "streamed ops replayed by delta" true (st.Core.Replica.delta >= 2);
+    Alcotest.(check bool) "each catch-up replayed at least one op" true
+      (st.Core.Replica.delta_ops >= st.Core.Replica.delta)
+  | None -> Alcotest.fail "the pool should still run");
+  Alcotest.(check int) "four pooled passes" 4
+    (Core.Monitor.pool_stats monitor).Core.Monitor.pooled_passes;
   Core.Monitor.stop monitor;
-  Alcotest.(check bool) "verdicts match the sequential monitor" true
-    (par_verdicts = seq_verdicts)
+  Alcotest.(check bool) "stop joins the pool" true (Core.Monitor.replica_stats monitor = None)
+
+let test_stop_before_start () =
+  let monitor = pair_monitor ~jobs:2 in
+  ignore (Core.Monitor.validate monitor);
+  Core.Monitor.stop monitor;
+  Core.Monitor.stop monitor;
+  Alcotest.(check int) "sequential width" 1 (Core.Monitor.jobs monitor);
+  price_high monitor;
+  Core.Monitor.insert monitor ~table_name:"r" flip;
+  check_fresh monitor "after stop";
+  Alcotest.(check bool) "no pool after stop" false
+    (Core.Monitor.pool_stats monitor).Core.Monitor.started
 
 (* -- one task per constraint: costs and strategies -------------------------- *)
 
@@ -673,6 +756,12 @@ let () =
         test_replica_fresh_domain_copies;
       Alcotest.test_case "monitor: row epochs hydrate via delta" `Quick
         test_monitor_delta_hydration;
+      Alcotest.test_case "monitor: a cheap batch starts no pool" `Quick
+        test_cheap_batch_starts_no_pool;
+      Alcotest.test_case "monitor: an unmeasured batch never pools" `Quick
+        test_unmeasured_batch_stays_local;
+      Alcotest.test_case "monitor: stop before the pool started" `Quick
+        test_stop_before_start;
       Alcotest.test_case "checker: costs are only a scheduling hint" `Quick
         test_costs_are_only_a_hint;
       Gen.qcheck_case prop_batching_differential;
