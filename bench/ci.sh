@@ -6,8 +6,8 @@
 # keep two-constraint passes that cost less than its worker pool on the
 # calling domain: fcv client stats shows the pool never started), a
 # node-budget smoke test (a
-# negative --max-nodes is a usage error; a budget the indices exceed
-# is one message and exit 2), a bad-constraint smoke test (fcv check
+# negative --max-nodes and a -j outside 1..128 are usage errors; a
+# budget the indices exceed is one message and exit 2), a bad-constraint smoke test (fcv check
 # reports each bad constraint in its input position, identically at
 # -j 1 and -j 2, and exits 2, as do fcv monitor, explain and bench; a
 # parse error names its line), a
@@ -200,6 +200,25 @@ if [ "$rc" != 2 ] || [ "$(wc -l <"$SMOKE/budget.err")" != 1 ] ||
   cat "$SMOKE/budget.err" >&2
   exit 1
 fi
+# A -j outside 1..128 is a usage error too, rejected before any worker
+# domain starts (serve would otherwise record the width and fail its
+# first validate pass that pays for a pool).
+bad_jobs() {
+  j=$1
+  shift
+  rc=0
+  "$FCV" "$@" -d "$SMOKE/data" -j "$j" >/dev/null 2>"$SMOKE/jobs.err" || rc=$?
+  if [ "$rc" != 124 ] || ! grep -q "invalid value '$j'" "$SMOKE/jobs.err"; then
+    echo "FAIL: fcv $1 -j $j exited $rc, expected the usage-error code 124:" >&2
+    cat "$SMOKE/jobs.err" >&2
+    exit 1
+  fi
+}
+for j in 0 129; do
+  bad_jobs "$j" check -c "$SMOKE/policy.txt"
+  bad_jobs "$j" bench -c "$SMOKE/policy.txt"
+  bad_jobs "$j" serve --sock "$SMOKE/jobs.sock"
+done
 echo "node-budget smoke test passed"
 
 echo "== bad-constraint smoke test (fcv check -j 1 and -j 2, monitor, explain, bench)"

@@ -53,28 +53,34 @@ let strategy_arg =
   let doc = "Variable ordering: prob-converge | max-inf-gain | random | optimal." in
   Arg.(value & opt string "prob-converge" & info [ "s"; "strategy" ] ~docv:"STRATEGY" ~doc)
 
+(* An integer in [lo, hi]; anything else is a usage error (exit 124). *)
+let int_in ~lo ~hi ~expected =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= lo && n <= hi -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "invalid value '%s', expected %s" s expected))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let max_nodes_arg =
   let doc = "BDD node budget; past it the checker falls back to SQL (0 = unlimited)." in
-  let non_negative =
-    let parse s =
-      match int_of_string_opt s with
-      | Some n when n >= 0 -> Ok n
-      | _ -> Error (`Msg (Printf.sprintf "invalid value '%s', expected a non-negative integer" s))
-    in
-    Arg.conv (parse, Format.pp_print_int)
-  in
+  let non_negative = int_in ~lo:0 ~hi:max_int ~expected:"a non-negative integer" in
   Arg.(value & opt non_negative 1_000_000 & info [ "max-nodes" ] ~docv:"N" ~doc)
 
 let jobs_arg =
+  let widest = Fcv_util.Pool.max_jobs in
   let doc =
-    "Worker domains for parallel validation (1 = sequential).  $(b,check) and \
-     $(b,bench) check their batch on $(docv) workers; $(b,serve) keeps at most \
-     $(docv), started by the first validate pass whose measured cost pays for \
-     them, and validates cheaper passes on the calling domain.  Each worker checks \
-     against a private replica of the logical indices, so verdicts are identical \
-     to a sequential run."
+    Printf.sprintf
+      "Worker domains for parallel validation, 1..%d (1 = sequential).  $(b,check) \
+       and $(b,bench) check their batch on $(docv) workers; $(b,serve) keeps at \
+       most $(docv), started by the first validate pass whose measured cost pays \
+       for them, and validates cheaper passes on the calling domain.  Each worker \
+       checks against a private replica of the logical indices, so verdicts are \
+       identical to a sequential run."
+      widest
   in
-  Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
+  let width = int_in ~lo:1 ~hi:widest ~expected:(Printf.sprintf "an integer in 1..%d" widest) in
+  Arg.(value & opt width 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
 let telemetry_arg =
   let doc =

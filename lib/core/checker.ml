@@ -315,7 +315,7 @@ let check ?pipeline ?strategy index constraint_ =
 
     Each constraint is one task, claimed through the pool's atomic
     cursor ({!Fcv_util.Pool.run_ordered}) most expensive first by
-    [costs] (the caller's milliseconds, planned or measured), so the
+    [costs] (the caller's measured milliseconds), so the
     long poles start first.  A [None] cost is not measured: those
     tasks run before every costed one, in input order. *)
 let check_all_pooled ?pipeline ?costs ?strategies ~pool replica specs =

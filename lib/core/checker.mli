@@ -153,14 +153,14 @@ val check_all_pooled :
 
     Each constraint is one task, claimed through the pool's atomic
     cursor ({!Fcv_util.Pool.run_ordered}) most expensive first by
-    [costs] (milliseconds, from the caller's planner or measured
-    history).  A [None] cost means "not measured": those tasks run
-    before every costed one, in input order, and ties keep input
-    order.  Costs only order the work; verdicts are identical to the
-    sequential run.  [strategies] gives one {!strategy} per
-    constraint (default all [Auto]).  Results come back in input
-    order; if a check raised, the first failure in input order is
-    re-raised after every task has settled.
+    [costs] (milliseconds; the monitor passes each constraint's
+    {!Planner.measured_ms}).  A [None] cost means "not measured":
+    those tasks run before every costed one, in input order, and ties
+    keep input order.  Costs only order the work; verdicts are
+    identical to the sequential run.  [strategies] gives one
+    {!strategy} per constraint (default all [Auto]).  Results come back
+    in input order; if a check raised, the first failure in input order
+    is re-raised after every task has settled.
     @raise Invalid_argument if [costs] or [strategies] is given with
     the wrong length. *)
 

@@ -348,10 +348,14 @@ let entry_spec entry =
 (** Rebuild one entry from the current base table (same attributes,
     same strategy), replacing it in the store.  Used when an update
     falls outside the entry's frozen domain capacity: the new entry's
-    blocks are wide enough for the grown dictionaries.  The old
-    blocks' levels are abandoned until the next level recycle (rebuilds
-    are O(log |dom|) per attribute since block widths double).  The
-    old entry is removed only once the replacement is built, so a
+    blocks are sized to the grown dictionaries.  Each block's domain is
+    its dictionary's size at build time
+    ({!Fcv_relation.Encode.alloc_blocks}), not a power of two, and
+    {!update_entry} refuses any code at or past it, so every value the
+    dictionary has not seen before rebuilds the entries over its column
+    (a stream of new keys pays one rebuild apiece).  The old blocks'
+    levels are abandoned until the next level recycle.  The old entry
+    is removed only once the replacement is built, so a
     {!Fcv_bdd.Manager.Node_limit} or {!Fcv_bdd.Manager.Level_limit}
     escaping mid-build leaves the store consistent. *)
 let rebuild_entry t entry =

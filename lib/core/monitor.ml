@@ -30,11 +30,13 @@
 
     A pass pools its stale batch only when the pool pays for itself,
     pricing it as Postgres prices a plan, startup plus run: the batch's
-    measured sequential cost W (each constraint's mean check time on
-    the calling domain) must exceed P + span, where span is the longest
-    of W / jobs and the dearest single check, and P is the pool's fixed
-    cost: a cold start priced from the store's size, then moved toward
-    what each later pooled pass measures. *)
+    measured sequential cost W must exceed P + span, where span is the
+    longest of W / jobs and the dearest single check, and P is the
+    pool's fixed cost: a cold start priced from the store's size, then
+    moved toward what each later pooled pass measures.  A constraint's
+    cost is the one record the {!Planner} keeps for it: the EWMA of the
+    side its strategy runs this pass, measured on the calling domain
+    ({!Planner.measured_ms}). *)
 
 module R = Fcv_relation
 module M = Fcv_bdd.Manager
@@ -53,11 +55,6 @@ type registered = {
   mutable last_rate : Checker.rate option;
       (** measured rate of the last fresh soft check; [None] for hard
           constraints and never-checked soft ones *)
-  mutable checks_run : int;  (** fresh checks run on the calling domain *)
-  mutable checks_skipped : int;  (** skipped because no mutation reached it *)
-  mutable total_check_ms : float;
-      (** cumulative time of those checks: the sequential cost the pool
-          gate reads, so a worker's slower check is not folded in *)
   mutable entailed_by : int list option;
       (** Kenig–Suciu implication dedup: [Some ids] when this FD is in
           the Armstrong closure of the other registered FDs — it can be
@@ -65,10 +62,10 @@ type registered = {
 }
 
 (** How validation picks the check engine.  [Planned] (the default)
-    asks the {!Planner} per constraint and feeds results back;
-    [Forced s] pins one {!Checker.strategy} for every constraint —
-    [Forced Auto] is the paper's blind try-BDD-first thresholding (the
-    bench baseline). *)
+    asks the {!Planner} per constraint; [Forced s] pins one
+    {!Checker.strategy} for every constraint — [Forced Auto] is the
+    paper's blind try-BDD-first thresholding (the bench baseline).
+    Either way every result feeds the planner's history back. *)
 type planning = Planned | Forced of Checker.strategy
 
 (* Per-constraint state beside the public record: the planner history
@@ -122,9 +119,8 @@ type pool = { workers : Fcv_util.Pool.t; replica : Replica.t; mutable overhead_m
 
 type t = {
   index : Index.t;
-  pipeline : Checker.pipeline;
   planner : Planner.t;
-  mutable planning : planning;
+  planning : planning;
   mutable slots : slot list;
       (** stored {b newest first} so registration is O(1); every
           external view reverses (see {!constraints}) *)
@@ -142,11 +138,9 @@ type t = {
       (** [None] disables automatic reclamation; on by default *)
 }
 
-let create ?(pipeline = Checker.default_pipeline) ?(planning = Planned)
-    ?(gc = Some Lifecycle.default_policy) index =
+let create ?(planning = Planned) ?(gc = Some Lifecycle.default_policy) index =
   {
     index;
-    pipeline;
     planner = Planner.create ();
     planning;
     slots = [];
@@ -162,8 +156,6 @@ let create ?(pipeline = Checker.default_pipeline) ?(planning = Planned)
 let index t = t.index
 let constraints t = List.rev_map (fun s -> s.reg) t.slots
 let planner t = t.planner
-let planning t = t.planning
-let set_planning t p = t.planning <- p
 let jobs t = t.jobs
 
 (** Set the validation parallelism: only the width is recorded, and
@@ -398,9 +390,6 @@ let add ?id t source =
       tables = Formula.relations formula;
       last_outcome = None;
       last_rate = None;
-      checks_run = 0;
-      checks_skipped = 0;
-      total_check_ms = 0.;
       entailed_by = None;
     }
   in
@@ -614,27 +603,19 @@ let grown s =
   go 0
 
 (* The span a pooled run of the batch is predicted to take, when P plus
-   that span is below W, the batch's measured sequential cost; [None]
-   keeps the batch on the calling domain, as it does any batch holding
-   a constraint never checked on this monitor (measure first).  Every
-   input is a field read. *)
-let pooled_span t batch =
+   that span is below W, the sum of the batch's measured [costs];
+   [None] keeps the batch on the calling domain, as it does any batch
+   holding a cost not yet measured there (measure first).  Every input
+   is a field read. *)
+let pooled_span t costs =
   let rec measure w longest = function
-    | [] -> Some (w, longest)
-    | s :: rest ->
-      let r = s.reg in
-      if r.checks_run = 0 then None
-      else
-        let mean = r.total_check_ms /. float_of_int r.checks_run in
-        measure (w +. mean) (Float.max longest mean) rest
-  in
-  if t.jobs <= 1 then None
-  else
-    match measure 0. 0. batch with
-    | Some (w, longest) ->
+    | [] ->
       let span = Float.max (w /. float_of_int t.jobs) longest in
       if w > pool_price t +. span then Some span else None
-    | None -> None
+    | None :: _ -> None
+    | Some c :: rest -> measure (w +. c) (Float.max longest c) rest
+  in
+  if t.jobs <= 1 then None else measure 0. 0. costs
 
 let start_pool t =
   match t.par with
@@ -655,15 +636,15 @@ let start_pool t =
     dictionary behind a column of one of its tables grew since the
     last completed pass; otherwise the cached verdict is returned.
     Stale hard and soft constraints are checked as one batch, pooled
-    when [jobs > 1] and the pool pays for itself ({!pooled_span}); the
-    first such pass starts the pool.  Under [Planned] (the default)
-    the {!Planner} chooses each stale constraint's strategy, planned
-    costs order the parallel pool, every fresh result is fed back, and
-    FDs entailed by currently-holding FDs are settled without a check.
-    Only checks run on the calling domain add to a constraint's
-    [checks_run] and [total_check_ms].  A completed pass clears the
-    stale flags and records the dictionary sizes; a pass that raises
-    leaves them, so the next one re-checks. *)
+    when [jobs > 1] and the pool pays for itself ({!pooled_span}), most
+    expensive first; the first such pass starts the pool.  Under
+    [Planned] (the default) the {!Planner} chooses each stale
+    constraint's strategy and FDs entailed by currently-holding FDs are
+    settled without a check.  Every fresh result feeds the planner's
+    history, which takes time only from checks run on the calling
+    domain and prices the gate and the pool order.  A completed pass
+    clears the stale flags and records the dictionary sizes; a pass
+    that raises leaves them, so the next one re-checks. *)
 let validate t =
   (* reclamation happens here, strictly before any check compiles
      against the manager — never mid-check *)
@@ -677,15 +658,11 @@ let validate t =
   (* registered-record bookkeeping happens on the calling domain only:
      in the parallel path workers return bare Checker.results and the
      mutations below run once the whole batch is in *)
-  let fresh_report s (r, on_worker) =
+  let fresh_report s (r, timed) =
     let reg = s.reg in
-    if planned then Planner.observe t.planner s.history r;
+    Planner.observe ~timed s.history r;
     reg.last_outcome <- Some r.Checker.outcome;
     (match r.Checker.rate with Some _ as rt -> reg.last_rate <- rt | None -> ());
-    if not on_worker then begin
-      reg.checks_run <- reg.checks_run + 1;
-      reg.total_check_ms <- reg.total_check_ms +. r.Checker.elapsed_ms
-    end;
     if T.enabled () then T.incr (T.counter "monitor.checks_run");
     {
       constraint_ = reg;
@@ -696,7 +673,6 @@ let validate t =
     }
   in
   let cached_report reg =
-    reg.checks_skipped <- reg.checks_skipped + 1;
     if T.enabled () then T.incr (T.counter "monitor.checks_skipped");
     match reg.last_outcome with
     | Some outcome ->
@@ -707,7 +683,6 @@ let validate t =
     (* sound: every entailer settled Satisfied this pass, and the
        Armstrong closure guarantees the entailed FD then holds too *)
     reg.last_outcome <- Some Checker.Satisfied;
-    reg.checks_skipped <- reg.checks_skipped + 1;
     if T.enabled () then begin
       T.incr (T.counter "monitor.checks_skipped");
       T.incr (T.counter "planner.entailed_skips")
@@ -725,35 +700,24 @@ let validate t =
   let stale_main, stale_ent =
     if planned then List.partition (fun s -> s.reg.entailed_by = None) stale else (stale, [])
   in
-  let plan s = Planner.plan t.planner t.index s.history in
-  let strategies, costs =
-    List.split
-      (List.map
-         (fun s ->
-           let reg = s.reg in
-           match t.planning with
-           | Planned ->
-             (* the planner's costed estimate orders the pool *)
-             let p = plan s in
-             (p.Planner.strategy, Some p.Planner.cost_ms)
-           | Forced strategy ->
-             (* measured per-constraint history orders the pool *)
-             ( strategy,
-               if reg.checks_run > 0 then
-                 Some (reg.total_check_ms /. float_of_int reg.checks_run)
-               else None ))
-         stale_main)
+  let strategy s =
+    match t.planning with
+    | Planned -> (Planner.plan t.planner t.index s.history).Planner.strategy
+    | Forced strategy -> strategy
   in
+  let strategies = List.map strategy stale_main in
+  (* each constraint's measured cost for the side it runs this pass:
+     the gate's W and the pool's expensive-first order *)
+  let costs = List.map2 (fun s st -> Planner.measured_ms s.history st) stale_main strategies in
   let specs = List.map (fun s -> spec_of s.reg) stale_main in
   let pooled, results =
-    match pooled_span t stale_main with
+    match pooled_span t costs with
     | Some span ->
       let warm = t.par <> None in
       let p = start_pool t in
       let t0 = Fcv_util.Timer.now () in
       let results =
-        Checker.check_all_pooled ~pipeline:t.pipeline ~costs ~strategies ~pool:p.workers
-          p.replica specs
+        Checker.check_all_pooled ~costs ~strategies ~pool:p.workers p.replica specs
       in
       if warm then begin
         let overhead = Float.max 0. (((Fcv_util.Timer.now () -. t0) *. 1000.) -. span) in
@@ -763,11 +727,12 @@ let validate t =
       (true, results)
     | None ->
       if stale_main <> [] then t.sequential_passes <- t.sequential_passes + 1;
-      (false, Checker.check_all ~pipeline:t.pipeline ~strategies t.index specs)
+      (false, Checker.check_all ~strategies t.index specs)
   in
-  (* each fresh result, with whether a pool worker produced it *)
+  (* each fresh result, with whether it was timed on the calling
+     domain (a pool worker's was not) *)
   let fresh = Hashtbl.create (List.length stale + 1) in
-  List.iter2 (fun s r -> Hashtbl.replace fresh s.reg.id (r, pooled)) stale_main results;
+  List.iter2 (fun s r -> Hashtbl.replace fresh s.reg.id (r, not pooled)) stale_main results;
   (* outcomes valid for THIS pass: clean cached verdicts + fresh results *)
   let settled = Hashtbl.create (List.length slots + 1) in
   List.iter
@@ -785,9 +750,8 @@ let validate t =
      by checking the lowest id *)
   let skipped_ent = Hashtbl.create 8 in
   let check_now s =
-    let strategy = (plan s).Planner.strategy in
-    let r = Checker.check_spec ~pipeline:t.pipeline ~strategy t.index (spec_of s.reg) in
-    Hashtbl.replace fresh s.reg.id (r, false);
+    let r = Checker.check_spec ~strategy:(strategy s) t.index (spec_of s.reg) in
+    Hashtbl.replace fresh s.reg.id (r, true);
     Hashtbl.replace settled s.reg.id r.Checker.outcome
   in
   let pending = ref stale_ent in

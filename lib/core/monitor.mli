@@ -28,13 +28,16 @@
     reached.
 
     With [jobs > 1] a pass pools its stale batch only when the pool
-    pays for itself: when the batch's measured sequential cost W (the
-    sum of its constraints' mean check times on the calling domain)
+    pays for itself: when the batch's measured sequential cost W
     exceeds P plus the pooled span (the longest of W / jobs and the
-    batch's dearest check).  P is the pool's fixed cost: a cold start
-    priced from the store's size, which each pooled pass after the one
-    that started the pool moves a quarter of the way to its own wall
-    time minus its span. *)
+    batch's dearest check).  A constraint's cost is the one record the
+    {!Planner} keeps of it, {!Planner.measured_ms} for the strategy it
+    runs this pass: the EWMA of that side's checks on the calling
+    domain (a check run on a pool worker counts its trips but not its
+    time).  P is the pool's fixed cost: a cold start priced from the
+    store's size, which each pooled pass after the one that started the
+    pool moves a quarter of the way to its own wall time minus its
+    span. *)
 
 type registered = {
   id : int;
@@ -49,12 +52,6 @@ type registered = {
   mutable last_rate : Checker.rate option;
       (** measured rate of the last fresh soft check; [None] for hard
           constraints and never-checked soft ones *)
-  mutable checks_run : int;  (** fresh checks run on the calling domain *)
-  mutable checks_skipped : int;  (** passes that kept its cached verdict *)
-  mutable total_check_ms : float;
-      (** cumulative time of those checks: the measured sequential cost
-          the pool gate of {!validate} reads (a check run on a pool
-          worker counts in neither field) *)
   mutable entailed_by : int list option;
       (** register-time implication dedup (Kenig–Suciu direction):
           [Some ids] when this FD is in the Armstrong closure of the
@@ -63,29 +60,24 @@ type registered = {
 }
 
 (** Validation strategy selection: [Planned] (default) consults the
-    {!Planner} per constraint and learns from every result; [Forced s]
-    pins one strategy for every constraint (ablations, benchmarks) —
-    [Forced Auto] is the paper's blind try-BDD-first thresholding. *)
+    {!Planner} per constraint; [Forced s] pins one strategy for every
+    constraint (ablations, benchmarks) — [Forced Auto] is the paper's
+    blind try-BDD-first thresholding.  Either way every result feeds
+    the planner's history, which prices the pool gate. *)
 type planning = Planned | Forced of Checker.strategy
 
 type t
 
-val create :
-  ?pipeline:Checker.pipeline ->
-  ?planning:planning ->
-  ?gc:Lifecycle.policy option ->
-  Index.t ->
-  t
+val create : ?planning:planning -> ?gc:Lifecycle.policy option -> Index.t -> t
 (** [gc] is the automatic-reclamation policy run between validations
-    (default {!Lifecycle.default_policy}; [None] disables). *)
+    (default {!Lifecycle.default_policy}; [None] disables).  Checks run
+    {!Checker.default_pipeline}. *)
 
 val index : t -> Index.t
 
 val planner : t -> Planner.t
-
-val planning : t -> planning
-
-val set_planning : t -> planning -> unit
+(** The planner whose history records every constraint's check
+    cost. *)
 
 val jobs : t -> int
 (** The recorded validation width (1 = sequential, the default),
@@ -182,17 +174,17 @@ val validate : t -> report list
     since the last completed pass; reuse the cached verdict of every
     other.  Stale hard and soft constraints run as one batch through
     {!Checker.check_spec}.  With [jobs > 1] the batch is pooled when
-    every constraint in it has been checked on this monitor before and
-    its measured cost W exceeds P plus its pooled span (see the top of
-    this interface); the first such pass starts the pool.  Every input
-    of that decision is a field read.  Under [Planned] the
-    planner chooses each strategy, planned costs order the parallel
-    pool, results feed the planner back, and a stale hard FD entailed
-    by currently-holding hard FDs is settled as satisfied without a
-    check ([fresh = false]).  Soft constraints never participate in
-    entailment.  Stale flags and recorded dictionary sizes reset only
-    when a pass completes, so the pass after one that raised re-checks
-    what it left unchecked. *)
+    every constraint in it has a measured cost for the strategy it
+    runs this pass and their sum W exceeds P plus the pooled span (see
+    the top of this interface); the first such pass starts the pool,
+    and its workers claim the dearest checks first.  Every input of
+    that decision is a field read.  Every fresh result feeds the
+    planner's history back.  Under [Planned] the planner chooses each
+    strategy, and a stale hard FD entailed by currently-holding hard
+    FDs is settled as satisfied without a check ([fresh = false]).
+    Soft constraints never participate in entailment.  Stale flags and
+    recorded dictionary sizes reset only when a pass completes, so the
+    pass after one that raised re-checks what it left unchecked. *)
 
 val violated : t -> registered list
 

@@ -24,21 +24,20 @@ type plan = {
   strategy : Checker.strategy;
   est_bdd_ms : float;
   est_sql_ms : float;
-  cost_ms : float;
   reason : string;
   probe : bool;
   tree : node;
 }
 
-type config = {
-  ewma_alpha : float;
-  trip_demote : int;
-  probe_every : int;
-  drift_band : float;
-}
-
-let default_config =
-  { ewma_alpha = 0.3; trip_demote = 2; probe_every = 16; drift_band = 2.0 }
+(* The learning constants: the newest measurement's weight in a side's
+   EWMA, the consecutive budget trips that plan a constraint straight
+   to SQL, the SQL-planned runs between ε-probes, and the factor of
+   size drift a cached plan survives (shrinking below its inverse also
+   forgets trip evidence). *)
+let ewma_alpha = 0.3
+let trip_demote = 2
+let probe_every = 16
+let drift_band = 2.0
 
 (* Per-constraint state: the spec, method EWMAs, trip evidence, probe
    clock and the cached plan.  Looked up by the printed spec, so
@@ -66,7 +65,6 @@ and cached = {
 }
 
 type t = {
-  cfg : config;
   tbl : (string, history) Hashtbl.t;
   mutable hits : int;
   mutable misses : int;
@@ -76,17 +74,7 @@ type t = {
 
 type stats = { hits : int; misses : int; probes : int; replans : int }
 
-let create ?(config = default_config) () =
-  {
-    cfg = config;
-    tbl = Hashtbl.create 32;
-    hits = 0;
-    misses = 0;
-    probes = 0;
-    replans = 0;
-  }
-
-let config t = t.cfg
+let create () = { tbl = Hashtbl.create 32; hits = 0; misses = 0; probes = 0; replans = 0 }
 
 let stats (t : t) =
   { hits = t.hits; misses = t.misses; probes = t.probes; replans = t.replans }
@@ -200,11 +188,11 @@ let fingerprint index f =
       acc +. cardinality index.Index.db rel)
     0. (Formula.relations f)
 
-let within_band cfg now was =
+let within_band now was =
   if was <= 0. then now <= 0.
   else
     let r = now /. was in
-    r <= cfg.drift_band && r >= 1. /. cfg.drift_band
+    r <= drift_band && r >= 1. /. drift_band
 
 (* -- decision --------------------------------------------------------------- *)
 
@@ -224,11 +212,11 @@ let choice_of = function Tripped | Sql_cheaper -> Use_sql | Soft | Bdd_cheaper -
 
 (* The decision and both blended estimates; the flip test in
    {!observe} reads only the choice, so no reason is printed here. *)
-let decide cfg h ~model_bdd ~model_sql =
+let decide h ~model_bdd ~model_sql =
   let est_bdd = blend ~model:model_bdd ~measured:h.bdd_ms ~n:h.bdd_n in
   let est_sql = blend ~model:model_sql ~measured:h.sql_ms ~n:h.sql_n in
   let why =
-    if h.consec_trips >= cfg.trip_demote then Tripped
+    if h.consec_trips >= trip_demote then Tripped
     else if not (Formula.is_hard h.spec) then Soft
     else if est_bdd <= est_sql then Bdd_cheaper
     else Sql_cheaper
@@ -242,6 +230,14 @@ let reason h why ~est_bdd ~est_sql =
   | Soft -> "soft spec: no SQL rate query, only the naive recount — BDD until it trips"
   | Bdd_cheaper -> Printf.sprintf "est BDD %.3f ms <= est SQL %.3f ms" est_bdd est_sql
   | Sql_cheaper -> Printf.sprintf "est SQL %.3f ms < est BDD %.3f ms" est_sql est_bdd
+
+let strategy_of = function Use_bdd -> Checker.Auto | Use_sql -> Checker.Force_sql
+
+(* The side a strategy runs ([Auto]: the guarded BDD pipeline, trips
+   included) as measured on the calling domain. *)
+let measured_ms h = function
+  | Checker.Auto -> if h.bdd_n > 0 then Some h.bdd_ms else None
+  | Checker.Force_sql -> if h.sql_n > 0 then Some h.sql_ms else None
 
 (* -- plan trees ------------------------------------------------------------- *)
 
@@ -283,7 +279,7 @@ let make_tree index f h ~choice ~est_bdd ~est_sql =
       op = "bdd-pipeline";
       detail = "";
       est_ms = est_bdd;
-      actual_ms = (if h.bdd_n > 0 then Some h.bdd_ms else None);
+      actual_ms = measured_ms h Checker.Auto;
       chosen = bdd_chosen;
       children =
         (head :: scan_nodes bdd_chosen) @ [ leaf ~chosen:bdd_chosen "verdict" ~detail:"O(1)" 0. ];
@@ -302,7 +298,7 @@ let make_tree index f h ~choice ~est_bdd ~est_sql =
       op = "sql-violation-query";
       detail = "";
       est_ms = est_sql;
-      actual_ms = (if h.sql_n > 0 then Some h.sql_ms else None);
+      actual_ms = measured_ms h Checker.Force_sql;
       chosen = not bdd_chosen;
       children =
         (if atoms > 1 then
@@ -318,17 +314,11 @@ let make_tree index f h ~choice ~est_bdd ~est_sql =
          else sql_scans);
     }
   in
-  let chosen_est = if bdd_chosen then est_bdd else est_sql in
-  let chosen_actual =
-    if bdd_chosen then (if h.bdd_n > 0 then Some h.bdd_ms else None)
-    else if h.sql_n > 0 then Some h.sql_ms
-    else None
-  in
   {
     op = "constraint";
     detail = Formula.to_string f;
-    est_ms = chosen_est;
-    actual_ms = chosen_actual;
+    est_ms = (if bdd_chosen then est_bdd else est_sql);
+    actual_ms = measured_ms h (strategy_of choice);
     chosen = true;
     children = [ bdd_branch; sql_branch ];
   }
@@ -336,10 +326,9 @@ let make_tree index f h ~choice ~est_bdd ~est_sql =
 let make_plan index f h ~choice ~reason ~est_bdd ~est_sql ~probe =
   {
     choice;
-    strategy = (match choice with Use_bdd -> Checker.Auto | Use_sql -> Checker.Force_sql);
+    strategy = strategy_of choice;
     est_bdd_ms = est_bdd;
     est_sql_ms = est_sql;
-    cost_ms = (match choice with Use_bdd -> est_bdd | Use_sql -> est_sql);
     reason;
     probe;
     tree = make_tree index f h ~choice ~est_bdd ~est_sql;
@@ -349,18 +338,16 @@ let make_plan index f h ~choice ~reason ~est_bdd ~est_sql ~probe =
    re-stamp the branch (and root) actuals from the live history so a
    cache hit still reports what the last runs measured. *)
 let refresh_actuals h p =
-  let bdd_a = if h.bdd_n > 0 then Some h.bdd_ms else None in
-  let sql_a = if h.sql_n > 0 then Some h.sql_ms else None in
   let branch n =
     match n.op with
-    | "bdd-pipeline" -> { n with actual_ms = bdd_a }
-    | "sql-violation-query" -> { n with actual_ms = sql_a }
+    | "bdd-pipeline" -> { n with actual_ms = measured_ms h Checker.Auto }
+    | "sql-violation-query" -> { n with actual_ms = measured_ms h Checker.Force_sql }
     | _ -> n
   in
   let tree =
     {
       p.tree with
-      actual_ms = (if p.choice = Use_bdd then bdd_a else sql_a);
+      actual_ms = measured_ms h p.strategy;
       children = List.map branch p.tree.children;
     }
   in
@@ -373,7 +360,7 @@ let c_miss = T.counter "planner.miss"
 let c_probe = T.counter "planner.probe"
 let c_replans = T.counter "planner.replans"
 
-let plan t index h =
+let plan (t : t) index h =
   let f = h.spec.Formula.formula in
   let version = index.Index.structure_version in
   let fp = fingerprint index f in
@@ -382,13 +369,13 @@ let plan t index h =
        the budget, so the trip evidence (and the stale BDD timing it
        came with) no longer describes this constraint *)
     (match h.cached with
-    | Some c when fp < c.fingerprint /. t.cfg.drift_band ->
+    | Some c when fp < c.fingerprint /. drift_band ->
       h.consec_trips <- 0;
       h.bdd_n <- 0
     | _ -> ());
     let model_bdd = estimate_bdd_ms index f in
     let model_sql = estimate_sql_ms index f in
-    let why, est_bdd, est_sql = decide t.cfg h ~model_bdd ~model_sql in
+    let why, est_bdd, est_sql = decide h ~model_bdd ~model_sql in
     let p =
       make_plan index f h ~choice:(choice_of why) ~reason:(reason h why ~est_bdd ~est_sql)
         ~est_bdd ~est_sql ~probe:false
@@ -406,8 +393,8 @@ let plan t index h =
     p
   in
   match h.cached with
-  | Some c when c.version = version && within_band t.cfg fp c.fingerprint ->
-    if c.cplan.choice = Use_sql && h.since_probe >= t.cfg.probe_every then begin
+  | Some c when c.version = version && within_band fp c.fingerprint ->
+    if c.cplan.choice = Use_sql && h.since_probe >= probe_every then begin
       (* ε-probe: run the guarded BDD pipeline once so the BDD-side
          estimate tracks reality; the cached SQL plan stays *)
       h.since_probe <- 0;
@@ -418,7 +405,6 @@ let plan t index h =
           c.cplan with
           choice = Use_bdd;
           strategy = Checker.Auto;
-          cost_ms = c.cplan.est_bdd_ms;
           reason = "ε-probe: re-measuring the BDD pipeline";
           probe = true;
         }
@@ -431,17 +417,23 @@ let plan t index h =
     end
   | _ -> recompute ()
 
-let ewma alpha old n x = if n <= 0 then x else (alpha *. x) +. ((1. -. alpha) *. old)
+let ewma old n x = if n <= 0 then x else (ewma_alpha *. x) +. ((1. -. ewma_alpha) *. old)
 
-let observe t h (r : Checker.result) =
-  let cfg = t.cfg in
+(* A worker's result ([timed = false]) moves the trip evidence and can
+   flip the cached choice, but its time, measured on another domain
+   against a replica, never enters the EWMAs. *)
+let observe ?(timed = true) h (r : Checker.result) =
   let note_bdd x =
-    h.bdd_ms <- ewma cfg.ewma_alpha h.bdd_ms h.bdd_n x;
-    h.bdd_n <- h.bdd_n + 1
+    if timed then begin
+      h.bdd_ms <- ewma h.bdd_ms h.bdd_n x;
+      h.bdd_n <- h.bdd_n + 1
+    end
   in
   let note_sql x =
-    h.sql_ms <- ewma cfg.ewma_alpha h.sql_ms h.sql_n x;
-    h.sql_n <- h.sql_n + 1
+    if timed then begin
+      h.sql_ms <- ewma h.sql_ms h.sql_n x;
+      h.sql_n <- h.sql_n + 1
+    end
   in
   (match r.Checker.method_used with
   | Checker.Bdd ->
@@ -461,7 +453,7 @@ let observe t h (r : Checker.result) =
      cached choice, drop the plan so the next [plan] re-decides *)
   match h.cached with
   | Some c ->
-    let why, _, _ = decide cfg h ~model_bdd:c.model_bdd ~model_sql:c.model_sql in
+    let why, _, _ = decide h ~model_bdd:c.model_bdd ~model_sql:c.model_sql in
     if choice_of why <> c.cplan.choice then h.cached <- None
   | None -> ()
 
@@ -525,7 +517,7 @@ let plan_json p =
       ("strategy", T.String (Checker.strategy_name p.strategy));
       ("est_bdd_ms", T.Float p.est_bdd_ms);
       ("est_sql_ms", T.Float p.est_sql_ms);
-      ("cost_ms", T.Float p.cost_ms);
+      ("cost_ms", T.Float (if p.choice = Use_bdd then p.est_bdd_ms else p.est_sql_ms));
       ("reason", T.String p.reason);
       ("probe", T.Bool p.probe);
       ("tree", node_json p.tree);

@@ -6,21 +6,25 @@
     every time.  This module chooses {e before} paying: per-strategy
     cost estimates from index statistics (entry node counts, block
     widths / domain sizes, sat-counts, table cardinalities) are blended
-    with measured per-constraint history (an EWMA of elapsed ms per
-    method), and the cheaper side wins.
+    with measured per-constraint history (an EWMA, weight 0.3 on the
+    newest run, of elapsed ms per side), and the cheaper side wins.
+
+    The history is the one record of what a constraint's check costs:
+    its EWMAs take time only from checks run on the calling domain,
+    and {!measured_ms} is what the monitor prices and orders a pooled
+    batch by.
 
     Online learning closes the loop ({!observe}): a constraint that
-    keeps tripping the budget ([trip_demote] consecutive trips) is
-    planned straight to SQL; one whose watched data shrank well below
-    what tripped the budget is re-promoted (the trip evidence is
-    forgotten and the model re-decides); and a deterministic ε-probe
-    re-runs the guarded BDD pipeline every [probe_every]-th execution
-    of an SQL-demoted constraint so its BDD-side estimate never goes
-    stale.
+    trips the budget twice in a row is planned straight to SQL; one
+    whose watched data shrank below half of what tripped the budget is
+    re-promoted (the trip evidence is forgotten and the model
+    re-decides); and a deterministic ε-probe re-runs the guarded BDD
+    pipeline after every 16 executions of an SQL-demoted constraint so
+    its BDD-side estimate never goes stale.
 
     Plans are cached per constraint and invalidated by
-    {!Index.t.structure_version} bumps, by size drift beyond
-    [drift_band], and by decision flips detected during feedback.
+    {!Index.t.structure_version} bumps, by size drift beyond a factor
+    of 2, and by decision flips detected during feedback.
     Telemetry counters: [planner.hit], [planner.miss], [planner.probe],
     [planner.replans].
 
@@ -54,8 +58,6 @@ type plan = {
           BDD) for [Use_bdd] and probes, [Force_sql] for [Use_sql] *)
   est_bdd_ms : float;  (** blended estimate of the BDD side *)
   est_sql_ms : float;  (** blended estimate of the SQL side *)
-  cost_ms : float;
-      (** estimate of the chosen side — the pool-ordering key *)
   reason : string;  (** why this choice, for EXPLAIN output *)
   probe : bool;  (** an ε-probe execution, not a steady-state choice *)
   tree : node;  (** root: the constraint; children: both strategies *)
@@ -63,27 +65,9 @@ type plan = {
 
 (** {1 The planner} *)
 
-type config = {
-  ewma_alpha : float;  (** weight of the newest measurement (default 0.3) *)
-  trip_demote : int;
-      (** consecutive budget trips before a constraint is planned
-          straight to SQL regardless of estimates (default 2) *)
-  probe_every : int;
-      (** every n-th execution of an SQL-demoted constraint re-probes
-          the guarded BDD pipeline (default 16) *)
-  drift_band : float;
-      (** cached plans survive size drift within a factor of this;
-          shrinking below [1/drift_band] also forgets trip evidence —
-          the re-promotion rule (default 2.0) *)
-}
-
-val default_config : config
-
 type t
 
-val create : ?config:config -> unit -> t
-
-val config : t -> config
+val create : unit -> t
 
 type history
 (** One spec's learning state: its per-method EWMAs, trip evidence,
@@ -103,12 +87,21 @@ val plan : t -> Index.t -> history -> plan
     SQL rate query), so a soft spec is planned to [Use_sql] only by
     trip demotion, never on estimated cost. *)
 
-val observe : t -> history -> Checker.result -> unit
-(** Feed a measured result back: updates the per-method EWMAs and trip
-    counts, and drops the cached plan when the evidence now favours
-    the other strategy.  A budget-tripping fallback charges the BDD
-    side the {e full} price actually paid (abandoned attempt +
-    fallback). *)
+val observe : ?timed:bool -> history -> Checker.result -> unit
+(** Feed a result back: updates the per-side EWMAs and trip counts,
+    and drops the cached plan when the evidence now favours the other
+    strategy.  A budget-tripping fallback charges the BDD side the
+    {e full} price actually paid (abandoned attempt + fallback).
+    [timed] (default [true]) is [false] for a result a pool worker
+    produced: it still counts its trip, resets the trip streak on a
+    clean BDD run and can retire the cached plan, but its time, taken
+    on another domain against a replica, enters neither EWMA. *)
+
+val measured_ms : history -> Checker.strategy -> float option
+(** The EWMA of the side [strategy] runs, as measured on the calling
+    domain; [None] before that side has run there.  [Auto]'s side is
+    the guarded BDD pipeline, a trip charged its abandoned attempt
+    plus the fallback; [Force_sql]'s is the BDD-free engine. *)
 
 val invalidate : t -> unit
 (** Drop every cached plan (history survives). *)
@@ -138,7 +131,8 @@ val render : plan -> string
     then the plan tree with estimated and last-actual cost per node. *)
 
 val plan_json : plan -> Fcv_util.Telemetry.json
-(** The same plan as JSON (the [explain] protocol op's payload). *)
+(** The same plan as JSON (the [explain] protocol op's payload), whose
+    [cost_ms] is the chosen side's estimate. *)
 
 (** {1 FD implication} *)
 

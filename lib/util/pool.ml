@@ -33,9 +33,12 @@ let worker t () =
   in
   loop ()
 
+let max_jobs = 128
+
 let create ?(name = "pool") ~jobs () =
-  if jobs < 1 || jobs > 128 then
-    invalid_arg (Printf.sprintf "Pool.create: jobs must be in [1, 128] (got %d)" jobs);
+  if jobs < 1 || jobs > max_jobs then
+    invalid_arg
+      (Printf.sprintf "Pool.create: jobs must be in [1, %d] (got %d)" max_jobs jobs);
   let t =
     {
       name;

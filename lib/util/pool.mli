@@ -17,9 +17,12 @@
 
 type t
 
+val max_jobs : int
+(** The widest pool {!create} spawns: 128 worker domains. *)
+
 val create : ?name:string -> jobs:int -> unit -> t
-(** Spawn [jobs] worker domains ([1 <= jobs <= 128]).  [name] labels
-    telemetry.  @raise Invalid_argument on a size out of range. *)
+(** Spawn [jobs] worker domains ([1 <= jobs <= max_jobs]).  [name]
+    labels telemetry.  @raise Invalid_argument on a size out of range. *)
 
 val size : t -> int
 (** The number of worker domains. *)

@@ -18,11 +18,28 @@ let with_pool ~jobs f =
   let pool = Pool.create ~name:"test" ~jobs () in
   Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () -> f pool)
 
-(* Price every registered constraint's measured history far above any
-   pool's cost, through the fields the gate reads. *)
+(* A registered constraint's record in its monitor's planner. *)
+let history_of monitor r =
+  Core.Planner.history (Core.Monitor.planner monitor)
+    { F.threshold = r.Core.Monitor.threshold; formula = r.Core.Monitor.formula }
+
+(* Price every registered constraint's history far above any pool's
+   cost on both sides, through the planner record the gate reads. *)
 let price_high monitor =
   List.iter
-    (fun r -> r.Core.Monitor.total_check_ms <- 1e6 *. float_of_int r.Core.Monitor.checks_run)
+    (fun r ->
+      let slow method_used =
+        {
+          C.outcome = C.Satisfied;
+          method_used;
+          elapsed_ms = 1e6;
+          bdd_overhead_ms = 0.;
+          fallback_ms = 0.;
+          rewritten = r.Core.Monitor.formula;
+          rate = None;
+        }
+      in
+      List.iter (Core.Planner.observe (history_of monitor r)) [ slow C.Bdd; slow C.Sql ])
     (Core.Monitor.constraints monitor)
 
 (* -- pool ------------------------------------------------------------------- *)
@@ -532,8 +549,8 @@ let pair_r = "forall a, b . r(a, b) -> (exists c . s(b, c))"
 let pair_t = "forall a . t(a) -> (exists b . r(a, b))"
 let flip = [| 2; 0 |]
 
-let pair_monitor ~jobs =
-  let monitor = Core.Monitor.create (Core.Index.create (Gen.random_db 23)) in
+let pair_monitor ?planning ~jobs () =
+  let monitor = Core.Monitor.create ?planning (Core.Index.create (Gen.random_db 23)) in
   Core.Monitor.set_jobs monitor jobs;
   ignore (Core.Monitor.add monitor pair_r);
   ignore (Core.Monitor.add monitor pair_t);
@@ -555,7 +572,7 @@ let check_fresh monitor what =
 let outcomes monitor = List.map snd (Core.Monitor.verdicts monitor)
 
 let test_cheap_batch_starts_no_pool () =
-  let monitor = pair_monitor ~jobs:2 in
+  let monitor = pair_monitor ~jobs:2 () in
   ignore (Core.Monitor.validate monitor);
   Core.Monitor.insert monitor ~table_name:"r" flip;
   let reports = Core.Monitor.validate monitor in
@@ -572,8 +589,8 @@ let test_cheap_batch_starts_no_pool () =
   Alcotest.(check bool) "a cold start has a price" true (st.Core.Monitor.price_ms > 0.);
   Core.Monitor.stop monitor
 
-let test_unmeasured_batch_stays_local () =
-  let monitor = pair_monitor ~jobs:2 in
+let unmeasured_batch_stays_local ?planning () =
+  let monitor = pair_monitor ?planning ~jobs:2 () in
   ignore (Core.Monitor.validate monitor);
   price_high monitor;
   (* a new constraint over r: the next batch holds one never checked *)
@@ -590,13 +607,42 @@ let test_unmeasured_batch_stays_local () =
   Alcotest.(check int) "one pooled pass" 1 st.Core.Monitor.pooled_passes;
   Core.Monitor.stop monitor
 
+let test_unmeasured_batch_stays_local () = unmeasured_batch_stays_local ()
+
+(* A Forced monitor prices its gate from the same planner history:
+   priced high there, its batch pools once every constraint in it has
+   run its forced strategy on the calling domain. *)
+let test_forced_monitor_prices_through_planner () =
+  unmeasured_batch_stays_local ~planning:(Core.Monitor.Forced C.Auto) ()
+
+(* A pooled pass's checks ran on workers: the costs the next gate reads
+   are where the last calling-domain runs left them. *)
+let test_pooled_pass_keeps_costs () =
+  let monitor = pair_monitor ~jobs:2 () in
+  ignore (Core.Monitor.validate monitor);
+  price_high monitor;
+  let costs () =
+    List.map
+      (fun r ->
+        let h = history_of monitor r in
+        (Core.Planner.measured_ms h C.Auto, Core.Planner.measured_ms h C.Force_sql))
+      (Core.Monitor.constraints monitor)
+  in
+  let before = costs () in
+  Core.Monitor.insert monitor ~table_name:"r" flip;
+  check_fresh monitor "a pooled pass";
+  Alcotest.(check int) "the pass pooled" 1
+    (Core.Monitor.pool_stats monitor).Core.Monitor.pooled_passes;
+  Alcotest.(check bool) "its costs unchanged" true (costs () = before);
+  Core.Monitor.stop monitor
+
 (* The monitor end of the delta wiring: a batch priced above P pools;
    a mutation made before the pool started reaches the workers through
    their first copy of the master, and later streamed updates
    delta-note instead of invalidating, so later pooled passes catch the
    workers up without copying the master again. *)
 let test_monitor_delta_hydration () =
-  let monitor = pair_monitor ~jobs:2 in
+  let monitor = pair_monitor ~jobs:2 () in
   let before = outcomes monitor in
   Alcotest.(check bool) "measured on the calling domain first" true
     (Core.Monitor.replica_stats monitor = None);
@@ -633,7 +679,7 @@ let test_monitor_delta_hydration () =
   Alcotest.(check bool) "stop joins the pool" true (Core.Monitor.replica_stats monitor = None)
 
 let test_stop_before_start () =
-  let monitor = pair_monitor ~jobs:2 in
+  let monitor = pair_monitor ~jobs:2 () in
   ignore (Core.Monitor.validate monitor);
   Core.Monitor.stop monitor;
   Core.Monitor.stop monitor;
@@ -760,6 +806,10 @@ let () =
         test_cheap_batch_starts_no_pool;
       Alcotest.test_case "monitor: an unmeasured batch never pools" `Quick
         test_unmeasured_batch_stays_local;
+      Alcotest.test_case "monitor: a Forced Auto gate reads the planner" `Quick
+        test_forced_monitor_prices_through_planner;
+      Alcotest.test_case "monitor: a pooled pass leaves the gate's costs" `Quick
+        test_pooled_pass_keeps_costs;
       Alcotest.test_case "monitor: stop before the pool started" `Quick
         test_stop_before_start;
       Alcotest.test_case "checker: costs are only a scheduling hint" `Quick

@@ -85,7 +85,7 @@ let test_estimates_monotone () =
    first plan onto the BDD branch. *)
 let plan_bdd_first p index f =
   for _ = 1 to 3 do
-    P.observe p (P.history p (F.hard f)) (result ~method_used:C.Sql ~elapsed_ms:5.0 f)
+    P.observe (P.history p (F.hard f)) (result ~method_used:C.Sql ~elapsed_ms:5.0 f)
   done;
   let p1 = P.plan p index (P.history p (F.hard f)) in
   Alcotest.(check bool) "expensive SQL history plans BDD" true (p1.P.choice = P.Use_bdd);
@@ -99,8 +99,8 @@ let test_trip_demotion () =
   ignore (plan_bdd_first p index f);
   (* trip_demote = 2 consecutive budget trips flip the plan to SQL
      regardless of the estimates *)
-  P.observe p (P.history p (F.hard f)) (trip f);
-  P.observe p (P.history p (F.hard f)) (trip f);
+  P.observe (P.history p (F.hard f)) (trip f);
+  P.observe (P.history p (F.hard f)) (trip f);
   let p2 = P.plan p index (P.history p (F.hard f)) in
   check "demoted straight to SQL" true (p2.P.choice = P.Use_sql);
   check "demotion hands the checker Force_sql" true (p2.P.strategy = C.Force_sql);
@@ -115,12 +115,40 @@ let test_bdd_success_resets_trips () =
   ignore (plan_bdd_first p index f);
   (* trip, clean BDD run, trip: never 2 consecutive, so whatever the
      estimates say, the demotion rule must not be the reason *)
-  P.observe p (P.history p (F.hard f)) (trip f);
-  P.observe p (P.history p (F.hard f)) (result ~method_used:C.Bdd ~elapsed_ms:0.01 f);
-  P.observe p (P.history p (F.hard f)) (trip f);
+  P.observe (P.history p (F.hard f)) (trip f);
+  P.observe (P.history p (F.hard f)) (result ~method_used:C.Bdd ~elapsed_ms:0.01 f);
+  P.observe (P.history p (F.hard f)) (trip f);
   let p2 = P.plan p index (P.history p (F.hard f)) in
   check "no demotion without consecutive trips" false
     (contains p2.P.reason "consecutive budget trips")
+
+(* A pool worker's result is untimed: neither side's measured cost
+   moves, yet its trip evidence counts — two untimed trips demote, and
+   an untimed clean BDD run resets the streak. *)
+let test_untimed_results () =
+  let db = Gen.random_db 5 in
+  let f = parse "forall x, y . r(x, y) -> (exists c . s(y, c))" in
+  let index = index_of db [ f ] in
+  let p = P.create () in
+  let h = P.history p (F.hard f) in
+  let costs () = (P.measured_ms h C.Auto, P.measured_ms h C.Force_sql) in
+  P.observe ~timed:false h (result ~method_used:C.Bdd ~elapsed_ms:7.0 f);
+  check "an untimed run measures nothing" true (costs () = (None, None));
+  ignore (plan_bdd_first p index f);
+  P.observe h (result ~method_used:C.Bdd ~elapsed_ms:0.5 f);
+  check "timed runs measure each side" true (costs () = (Some 0.5, Some 5.0));
+  P.observe ~timed:false h (trip f);
+  P.observe ~timed:false h (result ~method_used:C.Bdd ~elapsed_ms:100. f);
+  P.observe ~timed:false h (trip f);
+  check "untimed results leave both costs" true (costs () = (Some 0.5, Some 5.0));
+  let p2 = P.plan p index h in
+  check "an untimed clean BDD run resets the streak" true
+    (p2.P.choice = P.Use_bdd && not (contains p2.P.reason "consecutive budget trips"));
+  P.observe ~timed:false h (trip f);
+  let p3 = P.plan p index h in
+  check "two untimed trips demote to SQL" true
+    (p3.P.choice = P.Use_sql && contains p3.P.reason "consecutive budget trips");
+  check "and still leave both costs" true (costs () = (Some 0.5, Some 5.0))
 
 let test_shrink_repromotes () =
   let db = chain_db ~dom:32 ~rows:28 in
@@ -128,8 +156,8 @@ let test_shrink_repromotes () =
   let index = index_of db [ f ] in
   let p = P.create () in
   ignore (plan_bdd_first p index f);
-  P.observe p (P.history p (F.hard f)) (trip f);
-  P.observe p (P.history p (F.hard f)) (trip f);
+  P.observe (P.history p (F.hard f)) (trip f);
+  P.observe (P.history p (F.hard f)) (trip f);
   let p2 = P.plan p index (P.history p (F.hard f)) in
   check "demoted after the trips" true (p2.P.choice = P.Use_sql);
   (* the watched data shrinks far below what tripped the budget *)
@@ -145,7 +173,7 @@ let test_cache_probe_and_stats () =
   let db = Gen.random_db 7 in
   let f = parse "forall x, y . r(x, y) -> (exists c . s(y, c))" in
   let index = index_of db [ f ] in
-  let p = P.create ~config:{ P.default_config with P.probe_every = 2 } () in
+  let p = P.create () in
   ignore (plan_bdd_first p index f);
   let s = P.stats p in
   check_int "first plan is a miss" 1 s.P.misses;
@@ -160,14 +188,19 @@ let test_cache_probe_and_stats () =
   check_int "version bump forces a replan" 1 s.P.replans;
   check_int "still a single miss" 1 s.P.misses;
   (* demote to a cached SQL plan, then count to the ε-probe *)
-  P.observe p (P.history p (F.hard f)) (trip f);
-  P.observe p (P.history p (F.hard f)) (trip f);
+  P.observe (P.history p (F.hard f)) (trip f);
+  P.observe (P.history p (F.hard f)) (trip f);
   let p2 = P.plan p index (P.history p (F.hard f)) in
   check "cached plan is SQL" true (p2.P.choice = P.Use_sql);
-  ignore (P.plan p index (P.history p (F.hard f))) (* hit: since_probe 0 -> 1 *);
-  ignore (P.plan p index (P.history p (F.hard f))) (* hit: since_probe 1 -> 2 *);
+  (* the probe clock counts the SQL plan's cache hits: 16 of them, each
+     a plain SQL run, then the probe *)
+  for i = 1 to 16 do
+    let hit = P.plan p index (P.history p (F.hard f)) in
+    check (Printf.sprintf "SQL run %d is no probe" i) true
+      ((not hit.P.probe) && hit.P.choice = P.Use_sql)
+  done;
   let probe = P.plan p index (P.history p (F.hard f)) in
-  check "every probe_every-th SQL execution probes" true probe.P.probe;
+  check "the run after the 16th SQL hit probes" true probe.P.probe;
   check "the probe runs the BDD side" true (probe.P.choice = P.Use_bdd);
   check "under the budget-guarded Auto strategy" true (probe.P.strategy = C.Auto);
   check_int "probe counted" 1 (P.stats p).P.probes;
@@ -198,8 +231,8 @@ let test_soft_twin_plans_bdd () =
   let soft = { F.threshold = 0.9; formula = f } in
   let p1 = P.plan p index (P.history p soft) in
   check "its soft twin plans BDD" true (p1.P.choice = P.Use_bdd && p1.P.strategy = C.Auto);
-  P.observe p (P.history p soft) (trip f);
-  P.observe p (P.history p soft) (trip f);
+  P.observe (P.history p soft) (trip f);
+  P.observe (P.history p soft) (trip f);
   let p2 = P.plan p index (P.history p soft) in
   check "two trips demote the soft twin" true
     (p2.P.choice = P.Use_sql && p2.P.strategy = C.Force_sql);
@@ -300,8 +333,14 @@ let test_monitor_entailment_skip () =
   (* explain exposes a costed plan for registered constraints *)
   (match M.explain planned (List.hd regs).M.id with
   | Some (_, plan) ->
+    let chosen = if plan.P.choice = P.Use_bdd then plan.P.est_bdd_ms else plan.P.est_sql_ms in
     check "explain returns a costed tree" true
-      (plan.P.tree.P.children <> [] && plan.P.cost_ms >= 0.)
+      (plan.P.tree.P.children <> [] && plan.P.tree.P.est_ms = chosen);
+    check "its JSON cost_ms is the chosen side's estimate" true
+      (match P.plan_json plan with
+      | Fcv_util.Telemetry.Obj kv ->
+        List.assoc_opt "cost_ms" kv = Some (Fcv_util.Telemetry.Float chosen)
+      | _ -> false)
   | None -> Alcotest.fail "explain lost a registered constraint");
   check "explain on an unknown id is None" true (M.explain planned 999 = None)
 
@@ -358,7 +397,7 @@ let prop_pick_within_2x =
         let p = P.create () in
         let measure strategy =
           let r = C.check ~strategy index f in
-          P.observe p (P.history p (F.hard f)) r;
+          P.observe (P.history p (F.hard f)) r;
           (r.C.outcome, r.C.elapsed_ms +. r.C.bdd_overhead_ms)
         in
         let bdd_outcome, bdd_ms = measure C.Auto in
@@ -379,6 +418,7 @@ let suite =
     Alcotest.test_case "consecutive trips demote to SQL" `Quick test_trip_demotion;
     Alcotest.test_case "a clean BDD run resets the trip streak" `Quick
       test_bdd_success_resets_trips;
+    Alcotest.test_case "untimed results count trips, not time" `Quick test_untimed_results;
     Alcotest.test_case "shrinking data re-promotes to BDD" `Quick test_shrink_repromotes;
     Alcotest.test_case "cache, version bump, ε-probe, stats" `Quick
       test_cache_probe_and_stats;

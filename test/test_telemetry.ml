@@ -376,7 +376,7 @@ let test_planner_counters () =
   let f = Core.Fol_parser.of_string fallback_constraint in
   let index = Core.Index.create db in
   Core.Checker.ensure_indices index [ f ];
-  let p = P.create ~config:{ P.default_config with P.probe_every = 1 } () in
+  let p = P.create () in
   (* expensive measured SQL history pins the first plan to BDD *)
   let slow_sql =
     {
@@ -390,15 +390,19 @@ let test_planner_counters () =
     }
   in
   let trip = { slow_sql with Core.Checker.elapsed_ms = 1.0; bdd_overhead_ms = 3.0 } in
-  List.iter (P.observe p (P.history p (Core.Formula.hard f))) [ slow_sql; slow_sql; slow_sql ];
+  List.iter (P.observe (P.history p (Core.Formula.hard f))) [ slow_sql; slow_sql; slow_sql ];
   ignore (P.plan p index (P.history p (Core.Formula.hard f))) (* miss *);
   ignore (P.plan p index (P.history p (Core.Formula.hard f))) (* hit *);
-  List.iter (P.observe p (P.history p (Core.Formula.hard f))) [ trip; trip ]
+  List.iter (P.observe (P.history p (Core.Formula.hard f))) [ trip; trip ]
   (* decision flip drops the cache *);
   ignore (P.plan p index (P.history p (Core.Formula.hard f))) (* replan, cached SQL *);
-  ignore (P.plan p index (P.history p (Core.Formula.hard f))) (* hit (probe clock 0 -> 1) *);
+  for _ = 1 to 16 do
+    ignore (P.plan p index (P.history p (Core.Formula.hard f))) (* hit (probe clock +1) *)
+  done;
   ignore (P.plan p index (P.history p (Core.Formula.hard f))) (* ε-probe *);
-  let counters = [ ("planner.hit", 2); ("planner.miss", 1); ("planner.probe", 1); ("planner.replans", 1) ] in
+  let counters =
+    [ ("planner.hit", 17); ("planner.miss", 1); ("planner.probe", 1); ("planner.replans", 1) ]
+  in
   List.iter
     (fun (name, expect) -> check_int name expect (T.counter_value (T.counter name)))
     counters;
