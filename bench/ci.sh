@@ -177,6 +177,38 @@ then
   cat "$SMOKE/stats.json" >&2
   exit 1
 fi
+# a real validate reply through an independent client and parser:
+# fcv client validate prints text, so Python sends the request line
+# itself and reads the daemon's reply with json.loads
+if ! python3 - "$SOCK" <<'EOF'
+import json, socket, sys
+s = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+s.connect(sys.argv[1])
+s.sendall(b'{"id":1,"op":"validate"}\n')
+line = b""
+while not line.endswith(b"\n"):
+    chunk = s.recv(65536)
+    if not chunk:
+        break
+    line += chunk
+reply = json.loads(line)
+reports = reply["reports"]
+num = lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
+ok = (reply["ok"] is True and reply["id"] == 1 and len(reports) == 2
+      and all(isinstance(r["constraint"], int) and not isinstance(r["constraint"], bool)
+              and isinstance(r["source"], str)
+              and r["outcome"] in ("satisfied", "violated")
+              and isinstance(r["fresh"], bool) and num(r["ms"])
+              for r in reports)
+      and reply["violated"] == sum(r["outcome"] == "violated" for r in reports))
+if not ok:
+    print(line.decode(errors="replace"), file=sys.stderr)
+sys.exit(0 if ok else 1)
+EOF
+then
+  echo "FAIL: the daemon's validate reply does not read as the protocol says" >&2
+  exit 1
+fi
 "$FCV" client --sock "$SOCK" shutdown >/dev/null
 wait "$SERVE_PID"
 SERVE_PID=""

@@ -24,32 +24,66 @@ type json =
 module Json = struct
   exception Parse_error of string
 
-  let escape buf s =
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string buf "\\\""
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | '\n' -> Buffer.add_string buf "\\n"
-        | '\r' -> Buffer.add_string buf "\\r"
-        | '\t' -> Buffer.add_string buf "\\t"
-        | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char buf c)
-      s
+  (* The writer appends straight into one buffer: runs of bytes that
+     need no escaping are copied whole, and numbers are written digit
+     by digit, with no intermediate string. *)
+
+  let hex_digits = "0123456789abcdef"
+
+  (* The end of the run from [i] that needs no escaping. *)
+  let rec clean_run s i n =
+    if i < n then
+      let c = String.unsafe_get s i in
+      if c >= ' ' && c <> '"' && c <> '\\' then clean_run s (i + 1) n else i
+    else n
+
+  (* [s] from byte [i] on, escaped *)
+  let rec escape buf s i =
+    let n = String.length s in
+    let j = clean_run s i n in
+    if j > i then Buffer.add_substring buf s i (j - i);
+    if j < n then begin
+      (match String.unsafe_get s j with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\r' -> Buffer.add_string buf "\\r"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | c ->
+        Buffer.add_string buf "\\u00";
+        Buffer.add_char buf hex_digits.[Char.code c lsr 4];
+        Buffer.add_char buf hex_digits.[Char.code c land 15]);
+      escape buf s (j + 1)
+    end
+
+  (* The decimal digits of [n <= 0], without its sign: counting on the
+     negative side keeps [min_int] exact. *)
+  let rec add_digits buf n =
+    if n <= -10 then add_digits buf (n / 10);
+    Buffer.add_char buf (Char.unsafe_chr (Char.code '0' - (n mod 10)))
+
+  (* The primitive [Printf]'s [%g] ends in. *)
+  external format_float : string -> float -> string = "caml_format_float"
 
   let rec write buf = function
     | Null -> Buffer.add_string buf "null"
     | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-    | Int i -> Buffer.add_string buf (string_of_int i)
+    | Int i ->
+      if i < 0 then Buffer.add_char buf '-';
+      add_digits buf (if i < 0 then i else -i)
     | Float f ->
-      if Float.is_nan f then Buffer.add_string buf "null"
-      else if Float.is_integer f && Float.abs f < 1e15 then
-        Buffer.add_string buf (Printf.sprintf "%.1f" f)
-      else Buffer.add_string buf (Printf.sprintf "%.12g" f)
+      (* JSON has no infinities or NaN *)
+      if not (Float.is_finite f) then Buffer.add_string buf "null"
+      else if Float.is_integer f && Float.abs f < 1e15 then begin
+        (* exact as an int; printed as [%.1f] would, [-0.0] included *)
+        if Float.sign_bit f then Buffer.add_char buf '-';
+        add_digits buf (-int_of_float (Float.abs f));
+        Buffer.add_string buf ".0"
+      end
+      else Buffer.add_string buf (format_float "%.12g" f)
     | String s ->
       Buffer.add_char buf '"';
-      escape buf s;
+      escape buf s 0;
       Buffer.add_char buf '"'
     | List xs ->
       Buffer.add_char buf '[';
@@ -65,19 +99,22 @@ module Json = struct
         (fun i (k, v) ->
           if i > 0 then Buffer.add_char buf ',';
           Buffer.add_char buf '"';
-          escape buf k;
+          escape buf k 0;
           Buffer.add_string buf "\":";
           write buf v)
         fields;
       Buffer.add_char buf '}'
 
+  (* Sized for a reply line: a mutation's ack and a WAL record fit, and
+     a buffer this small is still a minor-heap allocation (a larger
+     start made each short line pay for a major-heap block). *)
   let to_string j =
-    let buf = Buffer.create 128 in
+    let buf = Buffer.create 1024 in
     write buf j;
     Buffer.contents buf
 
   (* Minimal recursive-descent parser, sufficient for round-tripping
-     our own output (and any plain JSON without exotic unicode). *)
+     our own output and plain JSON; [\uXXXX] escapes decode to UTF-8. *)
   let of_string s =
     let n = String.length s in
     let pos = ref 0 in
@@ -102,6 +139,22 @@ module Json = struct
       end
       else fail ("expected " ^ word)
     in
+    (* the four hex digits after the 'u' at [!pos]; moves past them *)
+    let hex4 () =
+      if !pos + 4 >= n then fail "truncated \\u escape";
+      let digit = function
+        | '0' .. '9' as c -> Char.code c - Char.code '0'
+        | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
+        | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
+        | _ -> fail "bad \\u escape"
+      in
+      let v = ref 0 in
+      for k = 1 to 4 do
+        v := (!v lsl 4) lor digit s.[!pos + k]
+      done;
+      pos := !pos + 5;
+      !v
+    in
     let parse_string () =
       expect '"';
       let buf = Buffer.create 16 in
@@ -124,15 +177,21 @@ module Json = struct
                | 'b' -> Buffer.add_char buf '\b'; advance ()
                | 'f' -> Buffer.add_char buf '\012'; advance ()
                | 'u' ->
-                 if !pos + 4 >= n then fail "truncated \\u escape";
-                 let hex = String.sub s (!pos + 1) 4 in
+                 let code = hex4 () in
                  let code =
-                   try int_of_string ("0x" ^ hex) with _ -> fail "bad \\u escape"
+                   if code >= 0xDC00 && code <= 0xDFFF then fail "lone surrogate"
+                   else if code >= 0xD800 && code <= 0xDBFF then begin
+                     (* a high surrogate only as the first of a pair *)
+                     if !pos + 1 >= n || s.[!pos] <> '\\' || s.[!pos + 1] <> 'u' then
+                       fail "lone surrogate";
+                     advance ();
+                     let low = hex4 () in
+                     if low < 0xDC00 || low > 0xDFFF then fail "lone surrogate";
+                     0x10000 + ((code - 0xD800) lsl 10) + (low - 0xDC00)
+                   end
+                   else code
                  in
-                 (* ASCII round-trips exactly (all we emit); others are
-                    replaced rather than UTF-8 encoded *)
-                 Buffer.add_char buf (if code < 128 then Char.chr code else '?');
-                 pos := !pos + 5
+                 Buffer.add_utf_8_uchar buf (Uchar.of_int code)
                | _ -> fail "bad escape");
             go ()
           | c ->

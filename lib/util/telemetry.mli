@@ -34,10 +34,13 @@ module Json : sig
   exception Parse_error of string
 
   val to_string : json -> string
-  (** Compact one-line serialisation (valid JSON). *)
+  (** Compact one-line serialisation (valid JSON): a non-finite
+      [Float] is written as [null]. *)
 
   val of_string : string -> json
-  (** Parse one JSON value.  @raise Parse_error on malformed input. *)
+  (** Parse one JSON value; a [\uXXXX] escape decodes to UTF-8, a
+      surrogate pair to one character.  @raise Parse_error on
+      malformed input, a surrogate outside a pair included. *)
 
   val member : string -> json -> json option
   (** Field lookup on [Obj]; [None] otherwise. *)

@@ -1,8 +1,9 @@
-(** Constraint-service tests: the wire protocol, WAL durability and
+(** Constraint-service tests: the wire protocol (a validate reply's
+    exact bytes, escaped and raw UTF-8 rows), WAL durability and
     torn-tail tolerance, snapshot/recovery parity against an
     uninterrupted run, and the live daemon — concurrent sessions,
-    update coalescing, malformed-input isolation, timeouts, and the
-    end-to-end crash/restart scenario.
+    update coalescing, malformed-input isolation, timeouts, the
+    session limit, and the end-to-end crash/restart scenario.
 
     The daemon tests exploit {!Fcv_server.Server.poll}: most drive the
     event loop and raw client sockets deterministically from one
@@ -191,6 +192,56 @@ let enrolment = "forall s . student(s, _, _) -> (exists c . takes(s, c))"
 let referential = "forall s, c . takes(s, c) -> (exists a . course(c, a))"
 let sources = [ curriculum; enrolment; referential ]
 
+(* A validate reply's exact bytes: a fresh report with a non-integral
+   [ms], a cached one, and a soft one with its rate fields, in the
+   field order of the daemon's report encoding. *)
+let test_validate_reply_golden () =
+  let report ?rate id source outcome fresh ms =
+    T.Obj
+      ([
+         ("constraint", T.Int id);
+         ("source", T.String source);
+         ("outcome", T.String outcome);
+         ("fresh", T.Bool fresh);
+         ("ms", T.Float ms);
+       ]
+      @
+      match rate with
+      | None -> []
+      | Some (ratio, threshold, violations, bindings) ->
+        [
+          ("rate", T.Float ratio);
+          ("threshold", T.Float threshold);
+          ("violations", T.String violations);
+          ("bindings", T.String bindings);
+        ])
+  in
+  let line =
+    P.ok_line ~id:(T.Int 12)
+      [
+        ("violated", T.Int 1);
+        ( "reports",
+          T.List
+            [
+              report 0 referential "violated" true 0.0417;
+              report 1 enrolment "satisfied" false 0.0;
+              report ~rate:(0.0625, 0.9, "3", "48") 2 ("holds >= 0.9 . " ^ curriculum) "satisfied"
+                true 1.25;
+            ] );
+      ]
+  in
+  check_str "reply bytes"
+    (String.concat ""
+       [
+         {|{"id":12,"ok":true,"violated":1,"reports":[{"constraint":0,"source":"forall s, c . takes(s, c) -> (exists a . course(c, a))"|};
+         {|,"outcome":"violated","fresh":true,"ms":0.0417}|};
+         {|,{"constraint":1,"source":"forall s . student(s, _, _) -> (exists c . takes(s, c))"|};
+         {|,"outcome":"satisfied","fresh":false,"ms":0.0}|};
+         {|,{"constraint":2,"source":"holds >= 0.9 . forall s . student(s, 0, _) -> (exists c . course(c, 0) and takes(s, c))"|};
+         {|,"outcome":"satisfied","fresh":true,"ms":1.25,"rate":0.0625,"threshold":0.9,"violations":"3","bindings":"48"}]}|};
+       ])
+    line
+
 let outcome_name = function
   | Core.Checker.Satisfied -> "satisfied"
   | Core.Checker.Violated -> "violated"
@@ -212,6 +263,34 @@ let verdicts_of_body body =
            | _ -> Alcotest.fail "malformed report")
          reports)
   | _ -> Alcotest.fail "validate response without reports"
+
+(* Python's json.dumps escapes non-ASCII: a row spelled with \u escapes
+   and the same row in raw UTF-8 parse to the same bytes, and the WAL
+   replays them unchanged.  A lone surrogate is a parse error. *)
+let test_escaped_row_reaches_the_wal () =
+  let city = "Montr\xc3\xa9al" and astral = "\xf0\x9f\x98\x80" in
+  let expected = P.Insert ("city", [ city; astral ]) in
+  let raw = Printf.sprintf {|{"op":"insert","table":"city","row":["%s","%s"]}|} city astral in
+  let escaped = {|{"op":"insert","table":"city","row":["Montr\u00e9al","\ud83d\ude00"]}|} in
+  let parse line =
+    match P.parse_request line with
+    | Ok (_, req) -> req
+    | Error (_, msg) -> Alcotest.failf "%s: %s" line msg
+  in
+  check "raw spelling" true (parse raw = expected);
+  check "escaped spelling, same bytes" true (parse escaped = expected);
+  let path = St.wal_path ~dir:(tmpdir ()) ~gen:0 in
+  let wal = W.open_ path in
+  W.append wal (parse escaped);
+  W.append wal (parse raw);
+  W.close wal;
+  let got = ref [] in
+  check_int "both records replayed" 2 (W.replay path ~f:(fun r -> got := r :: !got));
+  check "replayed unchanged" true (!got = [ expected; expected ]);
+  check_str "lone surrogate" "parse_error"
+    (match P.parse_request {|{"op":"insert","table":"city","row":["\ud83d"]}|} with
+    | Error (c, _) -> P.error_code_name c
+    | Ok _ -> "ok")
 
 let test_db_dump_roundtrip () =
   let db = make_base () in
@@ -595,6 +674,39 @@ let test_oversized_line_rejected () =
   Unix.close fd;
   S.stop srv
 
+(* max_sessions: a connection past the limit gets the [internal]
+   refusal and is closed; once a session closes, a new one is served. *)
+let test_session_limit () =
+  let srv, sock = in_memory_server ~tweak:(fun c -> { c with S.max_sessions = 2 }) () in
+  let ping fd =
+    raw_send fd (P.request_to_line P.Ping);
+    match pump srv fd ~want:1 with [ l ], _ -> (P.parse_response l).P.ok | _ -> false
+  in
+  let fd1 = raw_connect sock and fd2 = raw_connect sock in
+  check "first session served" true (ping fd1);
+  check "second session served" true (ping fd2);
+  let fd3 = raw_connect sock in
+  let lines, eof = pump srv fd3 ~want:2 in
+  (match lines with
+  | [ l ] ->
+    let r = P.parse_response l in
+    check "refused" false r.P.ok;
+    check "internal code" true (T.Json.member "error" r.P.body = Some (T.String "internal"))
+  | _ -> Alcotest.fail "expected exactly the session-limit refusal");
+  check "refused connection closed" true eof;
+  Unix.close fd3;
+  Unix.close fd1;
+  (* the round that reads session 1's EOF drops it *)
+  for _ = 1 to 3 do
+    ignore (S.poll ~timeout:0.01 srv)
+  done;
+  let fd4 = raw_connect sock in
+  check "a new session is served once one closed" true (ping fd4);
+  check "the other session is still served" true (ping fd2);
+  Unix.close fd2;
+  Unix.close fd4;
+  S.stop srv
+
 (* -- end to end ------------------------------------------------------------ *)
 
 (* The acceptance scenario: three constraints registered over a
@@ -759,9 +871,12 @@ let suite =
     Alcotest.test_case "request roundtrip" `Quick test_request_roundtrip;
     Alcotest.test_case "request errors" `Quick test_request_errors;
     Alcotest.test_case "response lines" `Quick test_response_lines;
+    Alcotest.test_case "validate reply golden bytes" `Quick test_validate_reply_golden;
     Alcotest.test_case "update stream" `Quick test_update_stream;
     Alcotest.test_case "code_row" `Quick test_code_row;
     Alcotest.test_case "wal roundtrip / torn tail" `Quick test_wal_roundtrip_and_torn_tail;
+    Alcotest.test_case "escaped and raw UTF-8 rows journal alike" `Quick
+      test_escaped_row_reaches_the_wal;
     Alcotest.test_case "db dump roundtrip" `Quick test_db_dump_roundtrip;
     Alcotest.test_case "crash recovery parity" `Quick
       test_crash_recovery_matches_uninterrupted_run;
@@ -777,6 +892,7 @@ let suite =
     Alcotest.test_case "malformed-input isolation" `Quick test_malformed_input_isolation;
     Alcotest.test_case "partial-line timeout" `Quick test_partial_line_timeout;
     Alcotest.test_case "oversized line rejected" `Quick test_oversized_line_rejected;
+    Alcotest.test_case "session limit refuses, then serves" `Quick test_session_limit;
     Alcotest.test_case "e2e crash/restart parity" `Quick test_e2e_crash_restart_parity;
     Alcotest.test_case "pipelined burst answered in order" `Quick
       test_pipelined_burst_in_order;

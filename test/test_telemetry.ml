@@ -5,7 +5,10 @@
     a correct fallback verdict, on the generic compile path and on
     FD-shaped hard and soft specs alike), with the [check.done]
     event's kernel deltas checked against [Manager.stats] on the BDD
-    route, on the trip and on a re-check after it. *)
+    route, on the trip and on a re-check after it; and the JSON writer
+    against the one it replaced (the same bytes on finite values, a
+    parse round trip, [null] for non-finite floats, [\u] escapes
+    decoded to UTF-8). *)
 
 module T = Fcv_util.Telemetry
 
@@ -413,6 +416,188 @@ let test_planner_counters () =
   check_int "stats.replans agrees" s.P.replans
     (T.counter_value (T.counter "planner.replans"))
 
+(* -- the JSON writer against the one it replaced -------------------------------- *)
+
+(* The writer as it was before it copied clean runs whole and wrote
+   numbers without [Printf]: the reference the current one must match
+   byte for byte on every finite value. *)
+module Reference = struct
+  let escape buf s =
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | c when Char.code c < 0x20 ->
+          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buf c)
+      s
+
+  let rec write buf = function
+    | T.Null -> Buffer.add_string buf "null"
+    | T.Bool b -> Buffer.add_string buf (if b then "true" else "false")
+    | T.Int i -> Buffer.add_string buf (string_of_int i)
+    | T.Float f ->
+      if Float.is_nan f then Buffer.add_string buf "null"
+      else if Float.is_integer f && Float.abs f < 1e15 then
+        Buffer.add_string buf (Printf.sprintf "%.1f" f)
+      else Buffer.add_string buf (Printf.sprintf "%.12g" f)
+    | T.String s ->
+      Buffer.add_char buf '"';
+      escape buf s;
+      Buffer.add_char buf '"'
+    | T.List xs ->
+      Buffer.add_char buf '[';
+      List.iteri
+        (fun i x ->
+          if i > 0 then Buffer.add_char buf ',';
+          write buf x)
+        xs;
+      Buffer.add_char buf ']'
+    | T.Obj fields ->
+      Buffer.add_char buf '{';
+      List.iteri
+        (fun i (k, v) ->
+          if i > 0 then Buffer.add_char buf ',';
+          Buffer.add_char buf '"';
+          escape buf k;
+          Buffer.add_string buf "\":";
+          write buf v)
+        fields;
+      Buffer.add_char buf '}'
+
+  let to_string j =
+    let buf = Buffer.create 128 in
+    write buf j;
+    Buffer.contents buf
+end
+
+(* Strings over all 256 bytes, with the ones the writer escapes (and
+   their neighbours) drawn often. *)
+let json_string_gen =
+  let specials = [ '"'; '\\'; '/'; '\n'; '\r'; '\t'; '\b'; '\000'; '\031'; ' '; '\127'; '\128'; '\195'; '\255' ] in
+  QCheck.Gen.(string_size ~gen:(frequency [ (3, char); (2, oneofl specials) ]) (0 -- 24))
+
+let json_int_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, int);
+        (3, small_signed_int);
+        (1, oneofl [ min_int; max_int; min_int + 1; max_int - 1; 0; -1; 1; 9; 10; -10 ]);
+      ])
+
+(* Finite floats from every branch of the writer: signed zeros,
+   integral values on both sides of 1e15, subnormals, random bit
+   patterns and plain fractions. *)
+let finite_float_gen =
+  let finite f = if Float.is_finite f then f else 0.5 in
+  let sign neg f = if neg then -.f else f in
+  QCheck.Gen.(
+    frequency
+      [
+        ( 2,
+          oneofl
+            [
+              0.0; -0.0; 1e15; -1e15; 1e15 -. 1.; 1e15 +. 2.; -.(1e15 -. 1.); 999_999_999_999_999.5;
+              Float.min_float; -.Float.min_float; 4.9e-324; Float.max_float; -.Float.max_float;
+              0.1; 1e-7; 0.0417; 2.5e-5;
+            ] );
+        (3, map Float.of_int (int_range (-4_000_000_000_000_000) 4_000_000_000_000_000));
+        (2, map Float.of_int small_signed_int);
+        (2, map2 (fun neg bits -> sign neg (Int64.float_of_bits (Int64.of_int bits))) bool (int_bound 0xF_FFFF_FFFF_FFFF));
+        (3, map (fun bits -> finite (Int64.float_of_bits bits)) int64);
+        (2, map finite float);
+      ])
+
+(* Floats whose text reads back as the same value: integral, below 1e15. *)
+let exact_float_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, oneofl [ 0.0; -0.0; 1e15 -. 1.; -.(1e15 -. 1.) ]);
+        (2, map Float.of_int (int_range (-999_999_999_999_999) 999_999_999_999_999));
+        (2, map Float.of_int small_signed_int);
+      ])
+
+let json_gen float_gen =
+  QCheck.Gen.(
+    sized
+    @@ fix (fun self n ->
+           let leaf =
+             frequency
+               [
+                 (1, return T.Null);
+                 (1, map (fun b -> T.Bool b) bool);
+                 (3, map (fun i -> T.Int i) json_int_gen);
+                 (3, map (fun f -> T.Float f) float_gen);
+                 (3, map (fun s -> T.String s) json_string_gen);
+               ]
+           in
+           if n <= 0 then leaf
+           else
+             frequency
+               [
+                 (3, leaf);
+                 (1, map (fun xs -> T.List xs) (list_size (0 -- 4) (self (n / 3))));
+                 ( 1,
+                   map (fun fs -> T.Obj fs) (list_size (0 -- 4) (pair json_string_gen (self (n / 3))))
+                 );
+               ]))
+
+let prop_writer_matches_reference =
+  QCheck.Test.make ~count:2000 ~name:"JSON writer: the reference's bytes on finite values"
+    (QCheck.make ~print:(fun j -> String.escaped (Reference.to_string j)) (json_gen finite_float_gen))
+    (fun j -> T.Json.to_string j = Reference.to_string j)
+
+let prop_json_round_trip =
+  QCheck.Test.make ~count:2000 ~name:"JSON: of_string (to_string j) = j without fractions"
+    (QCheck.make ~print:(fun j -> String.escaped (T.Json.to_string j)) (json_gen exact_float_gen))
+    (fun j -> T.Json.of_string (T.Json.to_string j) = j)
+
+let test_json_writer_edges () =
+  List.iter
+    (fun j -> check_string (Reference.to_string j) (Reference.to_string j) (T.Json.to_string j))
+    [
+      T.Int min_int; T.Int max_int; T.Int 0; T.Int (-7);
+      T.Float (-0.0); T.Float 0.0; T.Float (1e15 -. 1.); T.Float 1e15; T.Float (-1e15);
+      T.Float 4.9e-324; T.Float Float.max_float; T.Float 0.0417; T.Float nan;
+      T.String ""; T.String "\"\\\n\r\t\b\012\000\031\127\128\255"; T.String "plain run";
+      T.Obj [ ("k\"ey", T.List []); ("", T.Obj []) ];
+    ]
+
+(* JSON has no infinities: they are written as null, as NaN is, and
+   read back as null. *)
+let test_json_non_finite () =
+  let j = T.List [ T.Float infinity; T.Float neg_infinity; T.Float nan; T.Obj [ ("x", T.Float infinity) ] ] in
+  check_string "written as null" {|[null,null,null,{"x":null}]|} (T.Json.to_string j);
+  check "read back as null" true
+    (T.Json.of_string (T.Json.to_string j) = T.List [ T.Null; T.Null; T.Null; T.Obj [ ("x", T.Null) ] ])
+
+(* \uXXXX escapes decode to UTF-8; a surrogate pair joins into one
+   astral character, and a surrogate out of a pair is malformed. *)
+let test_json_unicode_escapes () =
+  let str s =
+    match T.Json.of_string s with T.String v -> v | _ -> Alcotest.failf "%s: not a string" s
+  in
+  check_string "two-byte" "Montr\xc3\xa9al" (str {|"Montr\u00e9al"|});
+  check_string "upper-case hex" "\xc3\xa9" (str {|"\u00E9"|});
+  check_string "three-byte" "\xe2\x82\xac" (str {|"\u20ac"|});
+  check_string "surrogate pair" "\xf0\x9f\x98\x80" (str {|"\ud83d\ude00"|});
+  check_string "ASCII and control characters" "A\001" (str {|"A\u0001"|});
+  List.iter
+    (fun s ->
+      match T.Json.of_string s with
+      | exception T.Json.Parse_error _ -> ()
+      | j -> Alcotest.failf "parsed %S to %s" s (T.Json.to_string j))
+    [
+      {|"\ud83d"|}; {|"\ude00"|}; {|"\ud83dx"|}; {|"\ud83dxude00"|}; {|"\ud83d\ud83d"|};
+      {|"\ud83d\|}; {|"\u00g1"|}; {|"\u12"|};
+    ]
+
 let suite =
   [
     Alcotest.test_case "counter semantics" `Quick (with_telemetry test_counters);
@@ -433,6 +618,11 @@ let suite =
       (with_telemetry test_projected_vars);
     Alcotest.test_case "entry projections: built once, then hit" `Quick
       (with_telemetry test_projection_cache_counters);
+    Alcotest.test_case "JSON writer: edge values as the reference" `Quick test_json_writer_edges;
+    Alcotest.test_case "JSON: non-finite floats written as null" `Quick test_json_non_finite;
+    Alcotest.test_case "JSON: \\u escapes decode to UTF-8" `Quick test_json_unicode_escapes;
+    Gen.qcheck_case prop_writer_matches_reference;
+    Gen.qcheck_case prop_json_round_trip;
   ]
 
 let () = Registry.register "telemetry" suite
