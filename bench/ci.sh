@@ -2,6 +2,7 @@
 # CI gate: format check, full build, the test suite with a pinned
 # QCheck seed, the approx suite under QCheck seeds 1..40, the sql,
 # to_sql, differential, parallel, parallel_delta and monitor suites
+# under QCheck seeds 1..20, the index, compile and metamorphic suites
 # under QCheck seeds 1..20, a daemon smoke test (its -j 2 daemon must
 # keep two-constraint passes that cost less than its worker pool on the
 # calling domain: fcv client stats shows the pool never started), a
@@ -85,6 +86,11 @@ sweep approx 40
 # cached verdicts against fresh checks after mutation bursts (monitor)
 # sweep twenty more seeds, about 2 s each.
 sweep '^(sql|to_sql|differential|parallel|parallel_delta|monitor)$' 20
+# The suites over the index's cached projections and their renamed
+# forms (index), the compiled atoms that read them (compile) and the
+# verdicts under semantics-preserving rewrites of data and formulas
+# (metamorphic) sweep twenty more seeds, about 1.3 s each.
+sweep '^(index|compile|metamorphic)$' 20
 
 echo "== daemon smoke test (fcv serve / fcv client)"
 FCV=./_build/default/bin/fcv.exe

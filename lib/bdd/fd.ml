@@ -126,16 +126,30 @@ let exists_bits m b f = Ops.exists m (Array.to_list b.levels) f
 
 let forall_bits m b f = Ops.forall m (Array.to_list b.levels) f
 
+(** Rename each [(src, dst)] block onto [dst] at once, every [dst] at
+    least as wide as its [src]: bits pair up by position, and [dst]'s
+    extra high bits, unconstrained after the rename, are clamped to 0
+    so codes stay exact. *)
+let rename_onto m f renames =
+  if f = M.zero then f
+  else begin
+    let pairs, high =
+      List.fold_left
+        (fun (pairs, high) (src, dst) ->
+          let ws = width src and wd = width dst in
+          if wd < ws then invalid_arg "Fd.rename_onto: target narrower than source";
+          ( List.init ws (fun j -> (level_of_bit src j, level_of_bit dst j)) @ pairs,
+            List.init (wd - ws) (fun j -> (level_of_bit dst (ws + j), false)) @ high ))
+        ([], []) renames
+    in
+    let f = if pairs = [] then f else Ops.replace m f pairs in
+    if high = [] then f else Ops.band m f (cube m high)
+  end
+
 (** Rename block [src] to block [dst] (same domain). *)
 let rename m f ~src ~dst =
   if src.dom_size <> dst.dom_size then invalid_arg "Fd.rename: domain mismatch";
-  if src.levels = dst.levels then f
-  else begin
-    let pairs =
-      List.init (width src) (fun i -> (src.levels.(i), dst.levels.(i)))
-    in
-    Ops.replace m f pairs
-  end
+  if src.levels = dst.levels then f else rename_onto m f [ (src, dst) ]
 
 (** Set the bits of [b] in an evaluation environment to code [c]. *)
 let set_env b c env =

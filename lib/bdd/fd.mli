@@ -58,6 +58,12 @@ val forall_bits : Manager.t -> block -> int -> int
 val rename : Manager.t -> int -> src:block -> dst:block -> int
 (** Rename block [src] to [dst] (same domain size). *)
 
+val rename_onto : Manager.t -> int -> (block * block) list -> int
+(** Rename each [(src, dst)] block onto [dst] in one simultaneous
+    replace; each [dst] is at least as wide as its [src], and its
+    extra high bits are clamped to 0.
+    @raise Invalid_argument on a target narrower than its source. *)
+
 val set_env : block -> int -> bool array -> unit
 (** Write a code's bits into an evaluation environment. *)
 

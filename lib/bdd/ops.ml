@@ -33,61 +33,56 @@ let op_eval op a b =
 let term_bool id = id = M.one
 let bool_term b = if b then M.one else M.zero
 
-(* Short-circuit rules: given the op and one (possibly two) terminal
-   operands, produce the result without recursion when determined. *)
+(* Short-circuit rules: the result when the op and one (possibly two)
+   terminal or equal operands determine it without recursion, else
+   [-1] (node ids are never negative). *)
 let shortcut op f g =
-  if M.is_terminal f && M.is_terminal g then
-    Some (bool_term (op_eval op (term_bool f) (term_bool g)))
+  if M.is_terminal f && M.is_terminal g then bool_term (op_eval op (term_bool f) (term_bool g))
   else
-    match (op, f, g) with
-    | And, _, _ when f = M.zero || g = M.zero -> Some M.zero
-    | And, _, _ when f = M.one -> Some g
-    | And, _, _ when g = M.one -> Some f
-    | And, _, _ when f = g -> Some f
-    | Or, _, _ when f = M.one || g = M.one -> Some M.one
-    | Or, _, _ when f = M.zero -> Some g
-    | Or, _, _ when g = M.zero -> Some f
-    | Or, _, _ when f = g -> Some f
-    | Xor, _, _ when f = M.zero -> Some g
-    | Xor, _, _ when g = M.zero -> Some f
-    | Xor, _, _ when f = g -> Some M.zero
-    | Imp, _, _ when f = M.zero -> Some M.one
-    | Imp, _, _ when f = M.one -> Some g
-    | Imp, _, _ when g = M.one -> Some M.one
-    | Imp, _, _ when f = g -> Some M.one
-    | Iff, _, _ when f = M.one -> Some g
-    | Iff, _, _ when g = M.one -> Some f
-    | Iff, _, _ when f = g -> Some M.one
-    | Diff, _, _ when f = M.zero || g = M.one -> Some M.zero
-    | Diff, _, _ when g = M.zero -> Some f
-    | Diff, _, _ when f = g -> Some M.zero
-    | (And | Or | Xor | Imp | Iff | Diff), _, _ -> None
+    match op with
+    | And ->
+      if f = M.zero || g = M.zero then M.zero
+      else if f = M.one then g
+      else if g = M.one || f = g then f
+      else -1
+    | Or ->
+      if f = M.one || g = M.one then M.one
+      else if f = M.zero then g
+      else if g = M.zero || f = g then f
+      else -1
+    | Xor ->
+      if f = M.zero then g else if g = M.zero then f else if f = g then M.zero else -1
+    | Imp ->
+      if f = M.zero || g = M.one || f = g then M.one else if f = M.one then g else -1
+    | Iff -> if f = M.one then g else if g = M.one then f else if f = g then M.one else -1
+    | Diff ->
+      if f = M.zero || g = M.one || f = g then M.zero else if g = M.zero then f else -1
 
 (* Commutative ops get normalised operand order to double cache hits. *)
-let normalise op f g =
-  match op with
-  | And | Or | Xor | Iff -> if f <= g then (f, g) else (g, f)
-  | Imp | Diff -> (f, g)
+let commutative = function And | Or | Xor | Iff -> true | Imp | Diff -> false
 
+(* No step allocates: the shortcut is an int, a commutative op swaps
+   its operands by recursing, and the cofactors are plain ints. *)
 let rec apply_rec m op f g =
-  match shortcut op f g with
-  | Some r -> r
-  | None -> (
-    let f, g = normalise op f g in
+  let r = shortcut op f g in
+  if r >= 0 then r
+  else if g < f && commutative op then apply_rec m op g f
+  else begin
     let code = op_code op in
     let r = M.cache_find m code f g in
     if r >= 0 then r
     else begin
       let vf = M.var m f and vg = M.var m g in
-      let v = min vf vg in
-      let f0, f1 = if vf = v then (M.low m f, M.high m f) else (f, f) in
-      let g0, g1 = if vg = v then (M.low m g, M.high m g) else (g, g) in
+      let v = if vf <= vg then vf else vg in
+      let f0 = if vf = v then M.low m f else f and f1 = if vf = v then M.high m f else f in
+      let g0 = if vg = v then M.low m g else g and g1 = if vg = v then M.high m g else g in
       let r0 = apply_rec m op f0 g0 in
       let r1 = apply_rec m op f1 g1 in
       let r = M.mk m v r0 r1 in
       M.cache_add m code f g r;
       r
-    end)
+    end
+  end
 
 let apply m op f g =
   if !Fcv_util.Telemetry.on then M.count_op m M.op_apply;
@@ -132,11 +127,11 @@ let rec ite_rec m f g h =
     if r >= 0 then r
     else begin
       let vf = M.var m f and vg = M.var m g and vh = M.var m h in
-      let v = min vf (min vg vh) in
-      let split x vx = if vx = v then (M.low m x, M.high m x) else (x, x) in
-      let f0, f1 = split f vf in
-      let g0, g1 = split g vg in
-      let h0, h1 = split h vh in
+      let v = if vf <= vg then vf else vg in
+      let v = if vh < v then vh else v in
+      let f0 = if vf = v then M.low m f else f and f1 = if vf = v then M.high m f else f in
+      let g0 = if vg = v then M.low m g else g and g1 = if vg = v then M.high m g else g in
+      let h0 = if vh = v then M.low m h else h and h1 = if vh = v then M.high m h else h in
       let r0 = ite_rec m f0 g0 h0 in
       let r1 = ite_rec m f1 g1 h1 in
       let r = M.mk m v r0 r1 in
@@ -246,15 +241,15 @@ let appquant m op quant levels f g =
       let vf = M.var m f and vg = M.var m g in
       if min vf vg > deepest then apply m op f g
       else
-        match shortcut op f g with
-        | Some r when M.is_terminal r -> r
-        | _ ->
+        let r = shortcut op f g in
+        if r >= 0 && M.is_terminal r then r
+        else
           let r = M.quant_cache_find m sig_ f g in
           if r >= 0 then r
           else begin
-            let v = min vf vg in
-            let f0, f1 = if vf = v then (M.low m f, M.high m f) else (f, f) in
-            let g0, g1 = if vg = v then (M.low m g, M.high m g) else (g, g) in
+            let v = if vf <= vg then vf else vg in
+            let f0 = if vf = v then M.low m f else f and f1 = if vf = v then M.high m f else f in
+            let g0 = if vg = v then M.low m g else g and g1 = if vg = v then M.high m g else g in
             let r0 = go f0 g0 in
             let r1 = go f1 g1 in
             let r = if set.(v) then apply m quant r0 r1 else M.mk m v r0 r1 in

@@ -350,23 +350,19 @@ let ind_holds index ~r ~attrs_r ~s ~attrs_s =
     invalid_arg "Fd_check.ind_holds: attribute lists differ in length";
   let resolve = resolve ~who:"Fd_check.ind_holds" index in
   let entry_r, _, keep_r, others_r = resolve ~table_name:r attrs_r in
-  let entry_s, _, keep_s, others_s = resolve ~table_name:s attrs_s in
+  let entry_s, pos_s, keep_s, others_s = resolve ~table_name:s attrs_s in
   List.iter2
     (fun br bs ->
       if br.Fd.dom_size <> bs.Fd.dom_size then
         invalid_arg "Fd_check.ind_holds: attributes over different domains")
     keep_r keep_s;
-  let m = Index.mgr index in
   let proj_r = Index.projection index entry_r ~fix:[] ~drop:others_r in
-  let proj_s = Index.projection index entry_s ~fix:[] ~drop:others_s in
-  (* rename S's projection onto R's blocks, then π_R \ π_S must be empty *)
-  let pairs =
-    List.concat (List.map2 (fun br bs ->
-        List.init (Fd.width bs) (fun i -> (bs.Fd.levels.(i), br.Fd.levels.(i))))
-        keep_r keep_s)
+  (* S's projection renamed onto R's blocks, then π_R \ π_S must be
+     empty *)
+  let proj_s =
+    Index.projection index entry_s ~fix:[] ~drop:others_s ~rename:(List.combine pos_s keep_r)
   in
-  let proj_s' = if pairs = [] then proj_s else O.replace m proj_s pairs in
-  O.is_false (O.bdiff m proj_r proj_s')
+  O.is_false (O.bdiff (Index.mgr index) proj_r proj_s)
 
 (** The violating lhs values: those determining more than one rhs
     tuple.  Returned as decoded value tuples, one list per lhs

@@ -18,8 +18,9 @@ module Fd = Fcv_bdd.Fd
    last {!compact}. *)
 type projection = { at : int; bdd : int; mutable read : bool }
 
-(* sorted fixed (position, code) pairs, sorted dropped positions *)
-type projection_key = (int * int) list * int list
+(* sorted fixed (position, code) pairs, sorted dropped positions, and
+   the renamed positions with their targets' levels, sorted *)
+type projection_key = (int * int) list * int list * (int * int array) list
 
 type entry = {
   table : R.Table.t;
@@ -243,37 +244,83 @@ let slot_of entry p =
   in
   go 0
 
+(* Is [b] an attribute block of an entry of the store? *)
+let is_entry_block t b =
+  List.exists (fun e -> Array.exists (fun b' -> b'.Fd.levels = b.Fd.levels) e.blocks) t.entries
+
 (** The entry's root restricted to the codes at the [fix] positions,
-    with the [drop] positions' blocks ∃-projected out (positions are
-    schema positions of indexed attributes).  Cached on the entry with
-    the root it was computed at: a miss starts from the cached
-    projection of the same root with the largest fixed and dropped
-    subsets, restricts the rest of [fix], then projects the rest of
-    [drop].  Nothing is cached when the node budget trips. *)
-let projection t entry ~fix ~drop =
+    with the [drop] positions' blocks ∃-projected out, then each
+    [rename] position's block renamed onto its target block (positions
+    are schema positions of indexed attributes).  Cached on the entry
+    with the root it was computed at.  An un-renamed miss starts from
+    the cached un-renamed projection of the same root with the largest
+    fixed and dropped subsets, restricts the rest of [fix], then
+    projects the rest of [drop]; a renamed miss starts from the
+    un-renamed projection.  A rename onto a block no entry owns (a
+    scratch block) is computed but not cached, and nothing is cached
+    when the node budget trips. *)
+let rec projection ?(rename = []) t entry ~fix ~drop =
   let fix = List.sort_uniq compare fix and drop = List.sort_uniq compare drop in
+  let block p = entry.blocks.(slot_of entry p) in
   List.iter
     (fun (p, code) ->
-      let b = entry.blocks.(slot_of entry p) in
+      let b = block p in
       if code < 0 || code >= b.Fd.dom_size || List.mem p drop then
         invalid_arg "Index.projection: bad fixed position or code")
     fix;
-  if fix = [] && drop = [] then entry.root
-  else
-    let module T = Fcv_util.Telemetry in
-    let key = (fix, drop) in
-    let root = entry.root in
+  let rename =
+    List.sort (fun (p, _) (q, _) -> compare p q)
+      (List.filter (fun (p, b) -> b.Fd.levels <> (block p).Fd.levels) rename)
+  in
+  let rec distinct = function
+    | (p, _) :: ((q, _) :: _ as rest) -> p <> q && distinct rest
+    | _ -> true
+  in
+  if
+    (not (distinct rename))
+    || List.exists
+         (fun (p, b) ->
+           List.mem_assoc p fix || List.mem p drop || Fd.width b < Fd.width (block p))
+         rename
+  then invalid_arg "Index.projection: bad renamed position or target";
+  let module T = Fcv_util.Telemetry in
+  let root = entry.root in
+  let lookup key =
     match Hashtbl.find_opt entry.projections key with
     | Some p when p.at = root ->
       p.read <- true;
       if T.enabled () then T.incr (T.counter "index.projection_hits");
-      p.bdd
-    | _ ->
+      Some p.bdd
+    | _ -> None
+  in
+  let store key bdd =
+    Hashtbl.replace entry.projections key { at = root; bdd; read = true };
+    if T.enabled () then T.incr (T.counter "index.projection_builds");
+    bdd
+  in
+  if rename <> [] then begin
+    let key = (fix, drop, List.map (fun (p, b) -> (p, b.Fd.levels)) rename) in
+    match lookup key with
+    | Some bdd -> bdd
+    | None ->
+      let bdd =
+        Fd.rename_onto t.mgr (projection t entry ~fix ~drop)
+          (List.map (fun (p, b) -> (block p, b)) rename)
+      in
+      (* a cached BDD uses only entry levels, never scratch blocks *)
+      if List.for_all (fun (_, b) -> is_entry_block t b) rename then store key bdd else bdd
+  end
+  else if fix = [] && drop = [] then root
+  else
+    let key = (fix, drop, []) in
+    match lookup key with
+    | Some bdd -> bdd
+    | None ->
       let base_fix, base_drop, base =
         Hashtbl.fold
-          (fun (f, d) p ((bf, bd, _) as best) ->
+          (fun (f, d, r) p ((bf, bd, _) as best) ->
             if
-              p.at = root
+              r = [] && p.at = root
               && List.length f + List.length d > List.length bf + List.length bd
               && List.for_all (fun x -> List.mem x fix) f
               && List.for_all (fun p -> List.mem p drop) d
@@ -281,7 +328,6 @@ let projection t entry ~fix ~drop =
             else best)
           entry.projections ([], [], root)
       in
-      let block p = entry.blocks.(slot_of entry p) in
       let literals =
         List.concat_map
           (fun ((p, code) as x) ->
@@ -298,10 +344,7 @@ let projection t entry ~fix ~drop =
       in
       let m = t.mgr in
       let bdd = if literals = [] then base else O.restrict m base literals in
-      let bdd = if levels = [] then bdd else O.exists m levels bdd in
-      Hashtbl.replace entry.projections key { at = root; bdd; read = true };
-      if T.enabled () then T.incr (T.counter "index.projection_builds");
-      bdd
+      store key (if levels = [] then bdd else O.exists m levels bdd)
 
 let minterm t entry sub =
   Fd.tuple_minterm t.mgr (List.init (Array.length sub) (fun i -> (entry.blocks.(i), sub.(i))))

@@ -9,9 +9,10 @@ type projection = {
 }
 (** A projection of an entry cached by {!val-projection}. *)
 
-type projection_key = (int * int) list * int list
-(** Sorted fixed [(position, code)] pairs and sorted dropped
-    positions (schema positions of indexed attributes). *)
+type projection_key = (int * int) list * int list * (int * int array) list
+(** Sorted fixed [(position, code)] pairs, sorted dropped positions,
+    and the renamed positions with their target blocks' levels, sorted
+    by position (schema positions of indexed attributes). *)
 
 type entry = {
   table : Fcv_relation.Table.t;
@@ -120,14 +121,18 @@ val slot_of : entry -> int -> int
     set) recomputes once.
 
     A projection is cached under its {!projection_key}: the sorted
-    fixed [(position, code)] pairs and the sorted dropped positions.
-    Its BDD uses only the entry's own levels.  A miss starts from the
-    cached projection of the same root whose fixed and dropped sets
-    are the largest subsets of the requested ones (so π{_ lhs} comes
-    from π{_ lhs ∪ rhs}), restricts the remaining fixed codes, then
-    projects the remaining dropped blocks.  A
-    {!Fcv_bdd.Manager.Node_limit} raised inside leaves the cache as it
-    was.
+    fixed [(position, code)] pairs, the sorted dropped positions, and
+    the renamed positions with their targets' levels.  An un-renamed
+    projection's BDD uses only the entry's own levels; a renamed one
+    only entry levels, never scratch blocks: a rename onto a block no
+    entry owns is computed and not cached.  An un-renamed miss starts
+    from the cached un-renamed projection of the same root whose fixed
+    and dropped sets are the largest subsets of the requested ones (so
+    π{_ lhs} comes from π{_ lhs ∪ rhs}; renamed keys are never a base),
+    restricts the remaining fixed codes, then projects the remaining
+    dropped blocks.  A renamed miss renames the un-renamed projection
+    (read through the cache).  A {!Fcv_bdd.Manager.Node_limit} raised
+    inside caches nothing for the key being built.
 
     {!compact} renumbers the store but keeps every entry's BDD, so it
     carries the counts over to the remapped roots.  It keeps and
@@ -148,15 +153,25 @@ val entry_rows : t -> entry -> float
 (** Distinct indexed rows: the root's sat-count over the entry's own
     levels. *)
 
-val projection : t -> entry -> fix:(int * int) list -> drop:int list -> int
+val projection :
+  ?rename:(int * Fcv_bdd.Fd.block) list ->
+  t ->
+  entry ->
+  fix:(int * int) list ->
+  drop:int list ->
+  int
 (** The entry's root restricted to the code at each [fix] position,
-    with the [drop] positions' blocks ∃-projected out (positions are
-    schema positions of the entry's attributes).  Cached per root, see
-    above; telemetry counts [index.projection_builds] and
-    [index.projection_hits].
+    with the [drop] positions' blocks ∃-projected out, then each
+    [rename] position's block renamed onto its target
+    ({!Fcv_bdd.Fd.rename_onto}: a wider target's extra high bits are
+    clamped to 0).  Positions are schema positions of the entry's
+    attributes; a target with the position's own levels is no rename.
+    Cached per root, see above; telemetry counts
+    [index.projection_builds] and [index.projection_hits].
     @raise Invalid_argument on a position the entry does not index, a
-    code outside its block's domain, or a position both fixed and
-    dropped.
+    code outside its block's domain, a position both fixed and
+    dropped, a renamed position that is fixed, dropped or renamed
+    twice, or a target narrower than its position's block.
     @raise Fcv_bdd.Manager.Node_limit past the node budget (nothing
     is cached then). *)
 

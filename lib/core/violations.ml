@@ -66,25 +66,25 @@ let analyze_over ?width index constraint_ =
   if witnesses = [] then None
   else begin
     let ctx = Compile.make_ctx index typing in
-    let m = Compile.mgr ctx in
-    let root = Compile.compile ctx matrix in
-    (* a witness whose atoms all compiled to constants (an empty
-       projection, with no entry block wide enough to claim) has no
-       block yet, but still ranges over its whole domain *)
-    let blocks = List.map (fun x -> (x, Compile.home ctx x)) witnesses in
-    let guard =
-      List.fold_left (fun acc (_, b) -> O.band m acc (Fd.valid m b)) M.one blocks
-    in
-    let root = O.band m guard root in
-    (* project away any non-witness levels (inner quantifications leave
-       none, but scratch equality blocks may remain) *)
-    let witness_levels =
-      List.concat_map (fun (_, b) -> Array.to_list b.Fd.levels) blocks
-    in
-    let support = M.support m root in
-    let extra = List.filter (fun l -> not (List.mem l witness_levels)) support in
-    let root = if extra = [] then root else O.exists m extra root in
-    Some
+    let build () =
+      let m = Compile.mgr ctx in
+      let root = Compile.compile ctx matrix in
+      (* a witness whose atoms all compiled to constants (an empty
+         projection, with no entry block wide enough to claim) has no
+         block yet, but still ranges over its whole domain *)
+      let blocks = List.map (fun x -> (x, Compile.home ctx x)) witnesses in
+      let guard =
+        List.fold_left (fun acc (_, b) -> O.band m acc (Fd.valid m b)) M.one blocks
+      in
+      let root = O.band m guard root in
+      (* project away any non-witness levels (inner quantifications
+         leave none, but scratch equality blocks may remain) *)
+      let witness_levels =
+        List.concat_map (fun (_, b) -> Array.to_list b.Fd.levels) blocks
+      in
+      let support = M.support m root in
+      let extra = List.filter (fun l -> not (List.mem l witness_levels)) support in
+      let root = if extra = [] then root else O.exists m extra root in
       {
         ctx;
         index;
@@ -94,11 +94,23 @@ let analyze_over ?width index constraint_ =
         root;
         matrix;
       }
+    in
+    (* a budget trip in the build returns the borrowed scratch blocks
+       before it escapes *)
+    match build () with
+    | a -> Some a
+    | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      Compile.release ctx;
+      Printexc.raise_with_backtrace e bt
   end
 
 let analyze index constraint_ = analyze_over index constraint_
 
 let release a = Compile.release a.ctx
+
+(* [f a], then [a]'s scratch blocks back to the pool, on every exit. *)
+let with_analyzer a f = Fun.protect ~finally:(fun () -> release a) (fun () -> f a)
 
 (** Exact number of violating bindings, straight off the BDD. *)
 let witness_count a = Sat.count_over (Compile.mgr a.ctx) a.root ~levels:a.levels
@@ -147,9 +159,7 @@ let soft_counts index constraint_ =
   match analyze_over ~width index constraint_ with
   | None -> None
   | Some a ->
-    Fun.protect
-      ~finally:(fun () -> release a)
-      (fun () ->
+    with_analyzer a (fun a ->
         let violations = witness_count_exact a in
         let total = support_count_exact a ~renamed in
         Some (violations, total))
@@ -425,19 +435,9 @@ let patterns ?limit a =
     Returns [None] when ¬C has no leading existential block to
     witness. *)
 let enumerate ?limit index constraint_ =
-  match analyze index constraint_ with
-  | None -> None
-  | Some a ->
-    let result = witness_list ?limit a in
-    release a;
-    Some result
+  Option.map (fun a -> with_analyzer a (witness_list ?limit)) (analyze index constraint_)
 
 (** Number of violating bindings (exact model count over the witness
     blocks), without enumerating them. *)
 let count index constraint_ =
-  match analyze index constraint_ with
-  | None -> None
-  | Some a ->
-    let c = witness_count a in
-    release a;
-    Some c
+  Option.map (fun a -> with_analyzer a witness_count) (analyze index constraint_)

@@ -37,7 +37,9 @@ val soft_counts : Index.t -> Formula.t -> (Fcv_bdd.Nat.t * Fcv_bdd.Nat.t) option
     the compilation.  The session borrows scratch blocks from the
     index; {!release} returns them — results must be read before
     releasing, and the underlying index must not be mutated while a
-    session is open. *)
+    session is open.  A budget trip inside {!analyze} returns the
+    blocks it borrowed before it escapes, and {!enumerate}, {!count}
+    and {!soft_counts} release on every exit. *)
 
 type analyzer
 

@@ -113,17 +113,22 @@ module Json = struct
     write buf j;
     Buffer.contents buf
 
-  (* Minimal recursive-descent parser, sufficient for round-tripping
-     our own output and plain JSON; [\uXXXX] escapes decode to UTF-8. *)
+  (* Recursive-descent parser for JSON text: numbers only in JSON's
+     grammar (an [Int] when the number has no fraction or exponent and
+     fits), no raw control bytes in strings, and [\uXXXX] escapes
+     decoded to UTF-8.  A string's runs of plain bytes are copied
+     whole. *)
   let of_string s =
     let n = String.length s in
     let pos = ref 0 in
     let fail msg = raise (Parse_error (Printf.sprintf "%s at offset %d" msg !pos)) in
-    let peek () = if !pos < n then Some s.[!pos] else None in
+    (* the byte at [!pos]; NUL past the end, which no valid text holds
+       outside a string *)
+    let peek () = if !pos < n then String.unsafe_get s !pos else '\000' in
     let advance () = incr pos in
     let rec skip_ws () =
       match peek () with
-      | Some (' ' | '\t' | '\n' | '\r') ->
+      | ' ' | '\t' | '\n' | '\r' ->
         advance ();
         skip_ws ()
       | _ -> ()
@@ -155,79 +160,112 @@ module Json = struct
       pos := !pos + 5;
       !v
     in
+    (* the escape whose backslash is at [!pos], into [buf] *)
+    let unescape buf =
+      advance ();
+      if !pos >= n then fail "unterminated escape";
+      let add c =
+        Buffer.add_char buf c;
+        advance ()
+      in
+      match s.[!pos] with
+      | '"' -> add '"'
+      | '\\' -> add '\\'
+      | '/' -> add '/'
+      | 'n' -> add '\n'
+      | 'r' -> add '\r'
+      | 't' -> add '\t'
+      | 'b' -> add '\b'
+      | 'f' -> add '\012'
+      | 'u' ->
+        let code = hex4 () in
+        let code =
+          if code >= 0xDC00 && code <= 0xDFFF then fail "lone surrogate"
+          else if code >= 0xD800 && code <= 0xDBFF then begin
+            (* a high surrogate only as the first of a pair *)
+            if !pos + 1 >= n || s.[!pos] <> '\\' || s.[!pos + 1] <> 'u' then
+              fail "lone surrogate";
+            advance ();
+            let low = hex4 () in
+            if low < 0xDC00 || low > 0xDFFF then fail "lone surrogate";
+            0x10000 + ((code - 0xD800) lsl 10) + (low - 0xDC00)
+          end
+          else code
+        in
+        Buffer.add_utf_8_uchar buf (Uchar.of_int code)
+      | _ -> fail "bad escape"
+    in
+    (* the run of plain bytes from [!pos] up to its closing quote or
+       first escape; a string without escapes is one [String.sub] *)
     let parse_string () =
       expect '"';
-      let buf = Buffer.create 16 in
-      let rec go () =
-        if !pos >= n then fail "unterminated string"
-        else
-          match s.[!pos] with
-          | '"' -> advance ()
-          | '\\' ->
-            advance ();
-            (if !pos >= n then fail "unterminated escape"
-             else
-               match s.[!pos] with
-               | '"' -> Buffer.add_char buf '"'; advance ()
-               | '\\' -> Buffer.add_char buf '\\'; advance ()
-               | '/' -> Buffer.add_char buf '/'; advance ()
-               | 'n' -> Buffer.add_char buf '\n'; advance ()
-               | 'r' -> Buffer.add_char buf '\r'; advance ()
-               | 't' -> Buffer.add_char buf '\t'; advance ()
-               | 'b' -> Buffer.add_char buf '\b'; advance ()
-               | 'f' -> Buffer.add_char buf '\012'; advance ()
-               | 'u' ->
-                 let code = hex4 () in
-                 let code =
-                   if code >= 0xDC00 && code <= 0xDFFF then fail "lone surrogate"
-                   else if code >= 0xD800 && code <= 0xDBFF then begin
-                     (* a high surrogate only as the first of a pair *)
-                     if !pos + 1 >= n || s.[!pos] <> '\\' || s.[!pos + 1] <> 'u' then
-                       fail "lone surrogate";
-                     advance ();
-                     let low = hex4 () in
-                     if low < 0xDC00 || low > 0xDFFF then fail "lone surrogate";
-                     0x10000 + ((code - 0xD800) lsl 10) + (low - 0xDC00)
-                   end
-                   else code
-                 in
-                 Buffer.add_utf_8_uchar buf (Uchar.of_int code)
-               | _ -> fail "bad escape");
-            go ()
-          | c ->
-            Buffer.add_char buf c;
-            advance ();
-            go ()
-      in
-      go ();
-      Buffer.contents buf
+      let start = !pos in
+      let j = clean_run s start n in
+      if j < n && s.[j] = '"' then begin
+        pos := j + 1;
+        String.sub s start (j - start)
+      end
+      else begin
+        let buf = Buffer.create (j - start + 16) in
+        let rec go i =
+          let j = clean_run s i n in
+          Buffer.add_substring buf s i (j - i);
+          pos := j;
+          if j >= n then fail "unterminated string"
+          else
+            match s.[j] with
+            | '"' -> advance ()
+            | '\\' ->
+              unescape buf;
+              go !pos
+            | _ -> fail "raw control byte in string"
+        in
+        go start;
+        Buffer.contents buf
+      end
     in
+    (* an optional minus, then 0 or a digit run not starting with 0,
+       an optional fraction of one or more digits, and an optional
+       exponent: e or E, an optional sign, one or more digits *)
     let parse_number () =
       let start = !pos in
-      let is_num_char c =
-        match c with
-        | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-        | _ -> false
+      let digits () =
+        let from = !pos in
+        while !pos < n && s.[!pos] >= '0' && s.[!pos] <= '9' do
+          advance ()
+        done;
+        if !pos = from then fail "bad number"
       in
-      while !pos < n && is_num_char s.[!pos] do
-        advance ()
-      done;
+      if peek () = '-' then advance ();
+      (match peek () with
+      | '0' -> advance ()
+      | '1' .. '9' -> digits ()
+      | _ -> fail "bad number");
+      let integral = ref true in
+      if peek () = '.' then begin
+        advance ();
+        integral := false;
+        digits ()
+      end;
+      (match peek () with
+      | 'e' | 'E' ->
+        advance ();
+        integral := false;
+        (match peek () with '+' | '-' -> advance () | _ -> ());
+        digits ()
+      | _ -> ());
       let text = String.sub s start (!pos - start) in
-      match int_of_string_opt text with
+      match if !integral then int_of_string_opt text else None with
       | Some i -> Int i
-      | None -> (
-        match float_of_string_opt text with
-        | Some f -> Float f
-        | None -> fail "bad number")
+      | None -> Float (float_of_string text)
     in
     let rec parse_value () =
       skip_ws ();
       match peek () with
-      | None -> fail "unexpected end of input"
-      | Some '{' ->
+      | '{' ->
         advance ();
         skip_ws ();
-        if peek () = Some '}' then begin
+        if peek () = '}' then begin
           advance ();
           Obj []
         end
@@ -240,20 +278,20 @@ module Json = struct
             let v = parse_value () in
             skip_ws ();
             match peek () with
-            | Some ',' ->
+            | ',' ->
               advance ();
               fields ((k, v) :: acc)
-            | Some '}' ->
+            | '}' ->
               advance ();
               List.rev ((k, v) :: acc)
             | _ -> fail "expected ',' or '}'"
           in
           Obj (fields [])
         end
-      | Some '[' ->
+      | '[' ->
         advance ();
         skip_ws ();
-        if peek () = Some ']' then begin
+        if peek () = ']' then begin
           advance ();
           List []
         end
@@ -262,21 +300,22 @@ module Json = struct
             let v = parse_value () in
             skip_ws ();
             match peek () with
-            | Some ',' ->
+            | ',' ->
               advance ();
               elems (v :: acc)
-            | Some ']' ->
+            | ']' ->
               advance ();
               List.rev (v :: acc)
             | _ -> fail "expected ',' or ']'"
           in
           List (elems [])
         end
-      | Some '"' -> String (parse_string ())
-      | Some 't' -> literal "true" (Bool true)
-      | Some 'f' -> literal "false" (Bool false)
-      | Some 'n' -> literal "null" Null
-      | Some _ -> parse_number ()
+      | '"' -> String (parse_string ())
+      | 't' -> literal "true" (Bool true)
+      | 'f' -> literal "false" (Bool false)
+      | 'n' -> literal "null" Null
+      | '-' | '0' .. '9' -> parse_number ()
+      | _ -> if !pos >= n then fail "unexpected end of input" else fail "unexpected byte"
     in
     let v = parse_value () in
     skip_ws ();

@@ -39,8 +39,11 @@ module Json : sig
 
   val of_string : string -> json
   (** Parse one JSON value; a [\uXXXX] escape decodes to UTF-8, a
-      surrogate pair to one character.  @raise Parse_error on
-      malformed input, a surrogate outside a pair included. *)
+      surrogate pair to one character.  Numbers follow JSON's grammar;
+      one without fraction or exponent that fits an [int] is an
+      [Int], any other a [Float].  @raise Parse_error on text that is
+      not JSON: a surrogate outside a pair, a raw control byte in a
+      string, or a number such as [+1], [01], [5.] or [.5]. *)
 
   val member : string -> json -> json option
   (** Field lookup on [Obj]; [None] otherwise. *)

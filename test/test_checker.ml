@@ -314,6 +314,53 @@ let test_many_repeated_checks_reuse_scratch_levels () =
     true
     (after - before <= 16)
 
+(* A budget trip inside the violation analysis returns the borrowed
+   scratch blocks before it escapes.  The self-join's o2 finds its
+   orders block held by o1 and borrows a scratch block; each call runs
+   after a compaction with the budget 20 nodes above the store, past
+   the cached projections, so it trips after the borrow.  Repeated
+   tripped counts, and repeated tripped soft checks (the FD fast path
+   off, so they count through {!Core.Violations.soft_counts}) that fall
+   back to the naive recount, leave the level count where the first
+   call left it. *)
+let test_tripped_analysis_returns_scratch () =
+  let module M = Fcv_bdd.Manager in
+  let gen =
+    Fcv_datagen.Retail.generate (Fcv_util.Rng.create 5)
+      { Fcv_datagen.Retail.default with customers = 20; products = 5; orders = 40 }
+  in
+  let source = "forall o1, o2, c . orders(o1, c, _, _, _) and orders(o2, c, _, _, _) -> o1 = o2" in
+  let f = parse source in
+  let spec = Core.Fol_parser.spec_of_string ("holds >= 0.9 . " ^ source) in
+  let pipeline = { C.default_pipeline with C.use_fd_fast_path = false } in
+  let index = Core.Index.create gen.Fcv_datagen.Retail.db in
+  C.ensure_indices index [ f ];
+  let m = Core.Index.mgr index in
+  (* untripped first: the projections are cached, the scratch block pooled *)
+  ignore (Core.Violations.count index f);
+  let untripped = C.check_spec ~pipeline index spec in
+  check "untripped soft check on BDD" true (untripped.C.method_used = C.Bdd);
+  let tight call =
+    ignore (Core.Index.compact index);
+    M.set_max_nodes m (M.size m + 20);
+    Fun.protect ~finally:(fun () -> M.set_max_nodes m 0) call;
+    M.nvars m
+  in
+  let levels what call =
+    let first = tight call in
+    for i = 2 to 5 do
+      check_int (Printf.sprintf "%s: levels after tripped call %d" what i) first (tight call)
+    done
+  in
+  levels "count" (fun () ->
+      check "count trips" true
+        (match Core.Violations.count index f with exception M.Node_limit _ -> true | _ -> false));
+  levels "soft check" (fun () ->
+      let r = C.check_spec ~pipeline index spec in
+      check "soft check falls back to naive" true (r.C.method_used = C.Naive);
+      check "same rate" true (r.C.rate = untripped.C.rate);
+      check "same verdict" true (r.C.outcome = untripped.C.outcome))
+
 (* A check pays for its own BDD work only, never for the garbage the
    store has accumulated: the kernel counters it snapshots around the
    call are constant-time reads.  The padding is over a million
@@ -469,6 +516,8 @@ let suite =
     Alcotest.test_case "FD fast path = compiled" `Quick test_fd_fast_path_agrees_with_compiler;
     Alcotest.test_case "fallback on tiny budget" `Quick test_fallback_on_tiny_budget;
     Alcotest.test_case "scratch levels recycled over repeated checks" `Quick test_many_repeated_checks_reuse_scratch_levels;
+    Alcotest.test_case "a tripped analysis returns its scratch blocks" `Quick
+      test_tripped_analysis_returns_scratch;
     Alcotest.test_case "check cost independent of store size" `Quick
       test_check_cost_independent_of_store_size;
     Alcotest.test_case "open formulas rejected" `Quick test_open_formula_rejected;

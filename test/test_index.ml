@@ -141,30 +141,85 @@ let entry_levels (e : I.entry) =
   Array.sort compare levels;
   levels
 
-(* Projection keys over an entry's attributes: each attribute dropped
-   alone, all but the first dropped, the first fixed to a code (alone,
-   and with the last dropped). *)
-let projection_keys (e : I.entry) =
+module Fd = Fcv_bdd.Fd
+
+(* A block of another entry of [index] at least as wide as [e]'s block
+   at position [p] (strictly wider with [~wider]): a rename target. *)
+let rename_target index (e : I.entry) p ~wider =
+  let w = Fd.width e.I.blocks.(I.slot_of e p) in
+  List.find_map
+    (fun (e' : I.entry) ->
+      if e' == e then None
+      else
+        Array.find_opt
+          (fun b -> if wider then Fd.width b > w else Fd.width b >= w)
+          e'.I.blocks)
+    (I.entries index)
+
+(* Projection keys over an entry's attributes, as (fix, drop, rename):
+   each attribute dropped alone, all but the first dropped, the first
+   fixed to a code (alone, and with the last dropped); then renamed
+   keys onto other entries' blocks: the first attribute of the whole
+   root, the last with the first fixed, and the first with the last
+   dropped onto a wider block (its extra high bits clamped). *)
+let projection_keys index (e : I.entry) =
   let attrs = Array.to_list e.I.attrs in
   let first = List.hd attrs and last = List.nth attrs (List.length attrs - 1) in
-  let code = 2 mod e.I.blocks.(0).Fcv_bdd.Fd.dom_size in
-  List.map (fun p -> ([], [ p ])) attrs
-  @ [ ([], List.tl attrs); ([ (first, code) ], []) ]
-  @ if last <> first then [ ([ (first, code) ], [ last ]) ] else []
+  let code = 2 mod e.I.blocks.(0).Fd.dom_size in
+  let plain =
+    List.map (fun p -> ([], [ p ])) attrs
+    @ [ ([], List.tl attrs); ([ (first, code) ], []) ]
+    @ if last <> first then [ ([ (first, code) ], [ last ]) ] else []
+  in
+  let renamed =
+    List.filter_map
+      (fun (fix, drop, p, wider) ->
+        Option.map (fun b -> (fix, drop, [ (p, b) ])) (rename_target index e p ~wider))
+      (([], [], first, false)
+      ::
+      (if last <> first then [ ([ (first, code) ], [], last, false); ([], [ last ], first, true) ]
+       else []))
+  in
+  List.map (fun (fix, drop) -> (fix, drop, [])) plain @ renamed
 
-(* The projection computed afresh from the root, restrict then ∃. *)
-let fresh_projection m (e : I.entry) (fix, drop) =
+(* The key a (fix, drop, rename) request is cached under. *)
+let cache_key (fix, drop, rename) =
+  ( List.sort compare fix,
+    List.sort compare drop,
+    List.sort compare (List.map (fun (p, b) -> (p, b.Fd.levels)) rename) )
+
+(* The projection computed afresh from the root: restrict, ∃, then
+   the simultaneous replace of each renamed block onto its target and
+   the clamp of a wider target's extra high bits to 0. *)
+let fresh_projection m (e : I.entry) (fix, drop, rename) =
   let block p = e.I.blocks.(I.slot_of e p) in
   let literals =
     List.concat_map
       (fun (p, code) ->
         let b = block p in
-        List.init (Fcv_bdd.Fd.width b) (fun j ->
-            (Fcv_bdd.Fd.level_of_bit b j, Fcv_util.Bits.test code j)))
+        List.init (Fd.width b) (fun j -> (Fd.level_of_bit b j, Fcv_util.Bits.test code j)))
       fix
   in
-  let levels = List.concat_map (fun p -> Array.to_list (block p).Fcv_bdd.Fd.levels) drop in
-  Fcv_bdd.Ops.exists m levels (Fcv_bdd.Ops.restrict m e.I.root literals)
+  let levels = List.concat_map (fun p -> Array.to_list (block p).Fd.levels) drop in
+  let projected = Fcv_bdd.Ops.exists m levels (Fcv_bdd.Ops.restrict m e.I.root literals) in
+  let pairs =
+    List.concat_map
+      (fun (p, b) ->
+        let src = block p in
+        List.init (Fd.width src) (fun j -> (Fd.level_of_bit src j, Fd.level_of_bit b j)))
+      rename
+  in
+  let high =
+    List.concat_map
+      (fun (p, b) ->
+        let ws = Fd.width (block p) in
+        List.init (Fd.width b - ws) (fun j -> (Fd.level_of_bit b (ws + j), false)))
+      rename
+  in
+  let renamed = Fcv_bdd.Ops.replace m projected pairs in
+  Fcv_bdd.Ops.band m renamed (Fd.cube m high)
+
+let read index (e : I.entry) (fix, drop, rename) = I.projection index e ~fix ~drop ~rename
 
 let cached (e : I.entry) = Hashtbl.length e.I.projections
 
@@ -209,11 +264,9 @@ let test_entry_stats_follow_root () =
           (Fcv_bdd.Sat.count_over m e.I.root ~levels:(entry_levels e))
           (I.entry_rows index e);
         List.iter
-          (fun ((fix, drop) as key) ->
-            check_int (what ^ ": projection")
-              (fresh_projection m e key)
-              (I.projection index e ~fix ~drop))
-          (projection_keys e))
+          (fun key ->
+            check_int (what ^ ": projection") (fresh_projection m e key) (read index e key))
+          (projection_keys index e))
       (I.entries index);
     let copy = Core.Index_io.load_string db (Core.Index_io.save_string index) in
     List.iter
@@ -244,6 +297,19 @@ let test_entry_stats_follow_root () =
     expect (Printf.sprintf "round %d, insert into %s" round table_name)
   in
   let version = index.I.structure_version in
+  check "every entry has a renamed key" true
+    (List.for_all
+       (fun e -> List.exists (fun (_, _, r) -> r <> []) (projection_keys index e))
+       (I.entries index));
+  check "some renamed key clamps a wider target" true
+    (List.exists
+       (fun e ->
+         List.exists
+           (function
+             | _, _, [ (p, b) ] -> Fd.width b > Fd.width e.I.blocks.(I.slot_of e p)
+             | _ -> false)
+           (projection_keys index e))
+       (I.entries index));
   expect "built";
   for round = 1 to 12 do
     List.iter (move round) [ "takes"; "takes"; "student"; "course" ];
@@ -261,10 +327,10 @@ let test_entry_stats_follow_root () =
             check
               (Printf.sprintf "round %d: projection carried over by compaction" round)
               true
-              (match Hashtbl.find_opt e.I.projections key with
+              (match Hashtbl.find_opt e.I.projections (cache_key key) with
               | Some p -> p.I.at = e.I.root && not p.I.read
               | None -> false))
-          (projection_keys e))
+          (projection_keys index e))
       (I.entries index);
     expect (Printf.sprintf "round %d, compacted" round)
   done;
@@ -291,8 +357,8 @@ let test_projections_through_compaction () =
   let idx = I.create db in
   let e = I.add idx ~table_name:"t" ~strategy:Core.Ordering.Prob_converge () in
   let m = I.mgr idx in
-  let read (fix, drop) = I.projection idx e ~fix ~drop in
-  let k1 = ([], [ 2 ]) and k2 = ([ (0, 3) ], [ 1 ]) and k3 = ([], [ 1; 2 ]) in
+  let read key = read idx e key in
+  let k1 = ([], [ 2 ], []) and k2 = ([ (0, 3) ], [ 1 ], []) and k3 = ([], [ 1; 2 ], []) in
   List.iter (fun k -> ignore (read k)) [ k1; k2; k3 ];
   check_int "three keys cached" 3 (cached e);
   let live_is_size what =
@@ -344,6 +410,161 @@ let test_projection_budget_trip () =
   let naive = if Core.Naive_eval.holds db f then Core.Checker.Satisfied else Core.Checker.Violated in
   check "fallback verdict = naive" true (r.Core.Checker.outcome = naive);
   check_int "still nothing cached" 0 (cached e)
+
+(* make_db's table with a second entry over its first and last columns,
+   whose blocks lie below the full entry's: renaming the full entry's
+   first block onto the second entry's breaks the level order, so the
+   rename rebuilds nodes. *)
+let two_entries seed =
+  let db, _, _ = make_db seed ~rows:150 in
+  let idx = I.create db in
+  let e = I.add idx ~table_name:"t" ~strategy:(Core.Ordering.Fixed [| 0; 1; 2 |]) () in
+  let e2 = I.add idx ~table_name:"t" ~attrs:[ "a"; "c" ] ~strategy:(Core.Ordering.Fixed [| 0; 1 |]) () in
+  (idx, e, e2)
+
+let renamed_keys (e : I.entry) =
+  Hashtbl.fold (fun (_, _, r) _ n -> if r <> [] then n + 1 else n) e.I.projections 0
+
+(* A Node_limit inside a rename caches nothing: the base projection it
+   starts from stays as it was, and no renamed key appears. *)
+let test_rename_budget_trip () =
+  let idx, e, e2 = two_entries 10 in
+  let m = I.mgr idx in
+  let key = ([], [ 1 ], [ (0, e2.I.blocks.(0)) ]) in
+  ignore (read idx e ([], [ 1 ], []));
+  check_int "the base is cached" 1 (cached e);
+  M.set_max_nodes m (M.size m);
+  check "the rename trips the budget" true
+    (match read idx e key with exception M.Node_limit _ -> true | _ -> false);
+  check_int "nothing more cached after the trip" 1 (cached e);
+  check_int "no renamed key" 0 (renamed_keys e);
+  M.set_max_nodes m 0;
+  let fresh = fresh_projection m e key in
+  check_int "the rename once the budget allows" fresh (read idx e key);
+  check_int "then cached" 1 (renamed_keys e);
+  check_int "then hit" fresh (read idx e key)
+
+(* A rename onto a scratch block is computed but not cached: a cached
+   BDD uses only entry levels.  Neither does a check cache one: in a
+   self-join with the FD fast path off, the second atom's c2 finds its
+   block held by the first atom's c1 and lands on a scratch block. *)
+let test_rename_onto_scratch_uncached () =
+  let idx, e, _ = two_entries 11 in
+  let m = I.mgr idx in
+  let scratch = I.borrow_scratch idx ~dom_size:9 in
+  let key = ([], [ 1 ], [ (0, scratch) ]) in
+  let fresh = fresh_projection m e key in
+  check_int "the rename onto scratch" fresh (read idx e key);
+  check_int "only the base is cached" 1 (cached e);
+  check_int "no renamed key" 0 (renamed_keys e);
+  let idx, _, _ = two_entries 12 in
+  let f = Core.Fol_parser.of_string "forall a, c1, c2 . t(a, _, c1) and t(a, _, c2) -> c1 = c2" in
+  let pipeline = { Core.Checker.default_pipeline with Core.Checker.use_fd_fast_path = false } in
+  let check_once () =
+    let r = Core.Checker.check ~pipeline idx f in
+    check "self join on BDD" true (r.Core.Checker.method_used = Core.Checker.Bdd);
+    check "verdict = naive" (Core.Naive_eval.holds idx.I.db f)
+      (r.Core.Checker.outcome = Core.Checker.Satisfied)
+  in
+  check_once ();
+  check "the check borrowed a scratch block" true (Hashtbl.length idx.I.scratch_pool > 0);
+  check_once ();
+  List.iter (fun e -> check_int "no renamed key cached" 0 (renamed_keys e)) (I.entries idx)
+
+(* A copy carries a renamed projection: the copy's entry holds the key
+   at its own root, and reading it there builds nothing and equals the
+   rename computed afresh on the copy. *)
+let test_copy_carries_rename () =
+  let idx, e, e2 = two_entries 13 in
+  let key = ([ (0, 4) ], [], [ (2, e2.I.blocks.(0)) ]) in
+  let on_master = read idx e key in
+  check_int "one renamed key on the master" 1 (renamed_keys e);
+  let copy = I.copy idx in
+  let e' = List.find (fun (e' : I.entry) -> Array.length e'.I.attrs = 3) (I.entries copy) in
+  check_int "one renamed key on the copy" 1 (renamed_keys e');
+  check "at the copy's root" true
+    (match Hashtbl.find_opt e'.I.projections (cache_key key) with
+    | Some p -> p.I.at = e'.I.root
+    | None -> false);
+  let module T = Fcv_util.Telemetry in
+  T.reset ();
+  T.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      T.disable ();
+      T.reset ())
+    (fun () ->
+      let on_copy = read copy e' key in
+      check_int "no projection built on the copy" 0
+        (T.counter_value (T.counter "index.projection_builds"));
+      check_int "the carried rename hit" 1 (T.counter_value (T.counter "index.projection_hits"));
+      check_int "the carried rename is exact" (fresh_projection (I.mgr copy) e' key) on_copy;
+      check_int "same size as the master's" (M.node_count (I.mgr idx) on_master)
+        (M.node_count (I.mgr copy) on_copy))
+
+(* Random orders, keys and row moves over make_db's table and two
+   narrower entries below it: after every move and every compaction,
+   each key read through the index, renamed keys included (onto the
+   narrower entries' blocks, some wider than their source), equals a
+   fresh restrict, ∃, replace and clamp of the current root. *)
+let prop_cached_projections_are_fresh =
+  QCheck.Test.make ~count:40 ~name:"cached projections, renamed ones too, equal fresh ones"
+    (QCheck.int_range 0 100_000)
+    (fun seed ->
+      let db, t, rng = make_db seed ~rows:60 in
+      let idx = I.create db in
+      let order = [| 0; 1; 2 |] in
+      Fcv_util.Rng.shuffle rng order;
+      let e = I.add idx ~table_name:"t" ~strategy:(Core.Ordering.Fixed order) () in
+      let targets =
+        List.concat_map
+          (fun attrs ->
+            Array.to_list
+              (I.add idx ~table_name:"t" ~attrs ~strategy:Core.Ordering.Prob_converge ())
+                .I.blocks)
+          [ [ "a"; "c" ]; [ "b" ] ]
+      in
+      let key () =
+        let fix = ref [] and drop = ref [] and rename = ref [] and used = ref [] in
+        List.iter
+          (fun p ->
+            let b = e.I.blocks.(I.slot_of e p) in
+            match Fcv_util.Rng.int rng 4 with
+            | 0 -> fix := (p, Fcv_util.Rng.int rng b.Fd.dom_size) :: !fix
+            | 1 -> drop := p :: !drop
+            | 2 -> (
+              let free =
+                List.filter (fun b' -> Fd.width b' >= Fd.width b && not (List.memq b' !used)) targets
+              in
+              match free with
+              | [] -> ()
+              | _ ->
+                let b' = List.nth free (Fcv_util.Rng.int rng (List.length free)) in
+                used := b' :: !used;
+                rename := (p, b') :: !rename)
+            | _ -> ())
+          [ 0; 1; 2 ];
+        (!fix, !drop, !rename)
+      in
+      let keys = List.init 6 (fun _ -> key ()) in
+      let fresh_all () =
+        List.for_all (fun k -> read idx e k = fresh_projection (I.mgr idx) e k) keys
+      in
+      let ok = ref (fresh_all ()) in
+      for step = 1 to 12 do
+        (if Fcv_util.Rng.bool rng || R.Table.cardinality t = 0 then
+           I.insert idx ~table_name:"t"
+             [| Fcv_util.Rng.int rng 9; Fcv_util.Rng.int rng 6; Fcv_util.Rng.int rng 11 |]
+         else
+           let row = Array.copy (R.Table.row t (Fcv_util.Rng.int rng (R.Table.cardinality t))) in
+           ignore (I.delete idx ~table_name:"t" row));
+        ok := !ok && fresh_all ();
+        if step mod 4 = 0 then begin
+          ignore (I.compact idx);
+          ok := !ok && fresh_all ()
+        end
+      done;
+      !ok)
 
 (* A cached size is a field read: uncached, each of these calls would
    walk more than 2^16 nodes. *)
@@ -520,6 +741,11 @@ let suite =
     Alcotest.test_case "projections through compaction" `Quick
       test_projections_through_compaction;
     Alcotest.test_case "a budget trip caches no projection" `Quick test_projection_budget_trip;
+    Alcotest.test_case "a budget trip in a rename caches nothing" `Quick test_rename_budget_trip;
+    Alcotest.test_case "a rename onto a scratch block is not cached" `Quick
+      test_rename_onto_scratch_uncached;
+    Alcotest.test_case "a copy carries a renamed projection" `Quick test_copy_carries_rename;
+    Gen.qcheck_case prop_cached_projections_are_fresh;
     Alcotest.test_case "a cached size is a lookup" `Quick test_cached_size_is_a_lookup;
     Alcotest.test_case "a copy answers like its master" `Quick test_copy_parity;
     Alcotest.test_case "a copy shares nothing mutable" `Quick test_copy_independence;

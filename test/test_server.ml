@@ -75,6 +75,39 @@ let test_request_errors () =
   check_str "missing row" "bad_request" (code {|{"op":"insert","table":"t"}|});
   check_str "row not an array" "bad_request" (code {|{"op":"insert","table":"t","row":3}|})
 
+(* Text that is not JSON is a parse error, as a strict parser such as
+   Python's json.loads finds it: a number outside JSON's grammar, or a
+   raw control byte in a string; the same requests spelled in JSON
+   parse. *)
+let test_request_not_json () =
+  let code line =
+    match P.parse_request line with
+    | Error (c, _) -> P.error_code_name c
+    | Ok _ -> "ok"
+  in
+  List.iter
+    (fun (what, line) -> check_str what "parse_error" (code line))
+    [
+      ("a plus sign", {|{"op":"unregister","constraint":+1}|});
+      ("a leading zero", {|{"op":"unregister","constraint":01}|});
+      ("an id ending in a point", {|{"id":5.,"op":"ping"}|});
+      ("an id starting with a point", {|{"id":.5,"op":"ping"}|});
+      ("a point before the exponent", {|{"id":1.e3,"op":"ping"}|});
+      ("a raw tab in a row cell", "{\"op\":\"insert\",\"table\":\"takes\",\"row\":[\"5\t\",\"7\"]}");
+    ];
+  check "constraint 1" true (P.parse_request {|{"op":"unregister","constraint":1}|} = Ok (None, P.Unregister 1));
+  List.iter
+    (fun (line, id) ->
+      check line true (P.parse_request line = Ok (Some id, P.Ping)))
+    [
+      ({|{"id":5.0,"op":"ping"}|}, T.Float 5.);
+      ({|{"id":0.5,"op":"ping"}|}, T.Float 0.5);
+      ({|{"id":1.0e3,"op":"ping"}|}, T.Float 1000.);
+    ];
+  check "an escaped tab in a row cell" true
+    (P.parse_request {|{"op":"insert","table":"takes","row":["5\t","7"]}|}
+    = Ok (None, P.Insert ("takes", [ "5\t"; "7" ])))
+
 let test_response_lines () =
   let r = P.parse_response (P.ok_line ~id:(T.Int 7) [ ("pong", T.Bool true) ]) in
   check "ok" true r.P.ok;
@@ -870,6 +903,7 @@ let suite =
   [
     Alcotest.test_case "request roundtrip" `Quick test_request_roundtrip;
     Alcotest.test_case "request errors" `Quick test_request_errors;
+    Alcotest.test_case "text that is not JSON is a parse error" `Quick test_request_not_json;
     Alcotest.test_case "response lines" `Quick test_response_lines;
     Alcotest.test_case "validate reply golden bytes" `Quick test_validate_reply_golden;
     Alcotest.test_case "update stream" `Quick test_update_stream;

@@ -135,6 +135,36 @@ let test_json_parser_errors () =
       | j -> Alcotest.failf "parsed %S to %s" s (T.Json.to_string j))
     [ ""; "{"; "[1,"; "{\"a\":}"; "truex"; "\"unterminated" ]
 
+(* Numbers parse only in JSON's grammar, an [Int] when one has no
+   fraction or exponent and fits; a raw control byte in a string is an
+   error, its escape is not.  Python's json.loads draws the same line. *)
+let test_json_strict () =
+  let parses s j =
+    match T.Json.of_string s with
+    | j' -> if j' <> j then Alcotest.failf "%S parsed to %s" s (T.Json.to_string j')
+    | exception T.Json.Parse_error msg -> Alcotest.failf "%S: %s" s msg
+  in
+  List.iter
+    (fun (s, j) -> parses s j)
+    [
+      ("0", T.Int 0); ("-0", T.Int 0); ("12", T.Int 12); ("-12", T.Int (-12));
+      ("4611686018427387903", T.Int max_int); ("-4611686018427387904", T.Int min_int);
+      ("4611686018427387904", T.Float 4611686018427387904.); ("5.0", T.Float 5.);
+      ("0.5", T.Float 0.5); ("-12.5e-3", T.Float (-0.0125)); ("1E+2", T.Float 100.);
+      ("1e3", T.Float 1000.); ("[1,-0.0]", T.List [ T.Int 1; T.Float (-0.) ]);
+      ({|"a\tb"|}, T.String "a\tb"); ("\"\x7f\xc3\xa9\"", T.String "\x7f\xc3\xa9");
+      ({|{"a":"x\"y","b":""}|}, T.Obj [ ("a", T.String "x\"y"); ("b", T.String "") ]);
+    ];
+  List.iter
+    (fun s ->
+      match T.Json.of_string s with
+      | exception T.Json.Parse_error _ -> ()
+      | j -> Alcotest.failf "parsed %S to %s" s (T.Json.to_string j))
+    [
+      "+1"; "01"; "-01"; "00"; "-"; "5."; ".5"; "1.e3"; "1e"; "1e+"; "--1"; "0x1F"; "1_000";
+      "[1,]"; "1 2"; "nan"; "Infinity"; "\"a\tb\""; "\"\001\""; "\"x\ny\""; "\"\000\"";
+    ]
+
 let test_disabled_is_noop () =
   (* with_telemetry enabled us; turn it off and hammer the API *)
   T.disable ();
@@ -340,36 +370,57 @@ let test_projected_vars () =
   check "rewrite event carries projected_vars" true
     (List.map (T.Json.member "projected_vars") (events_of "rewrite") = [ Some (T.Int 4) ])
 
-(* The second check of audit's orders → customers on an unchanged
-   index reads both atoms' projections from the index's cache: the
-   first check builds them, the second only hits, and neither
-   restricts nor projects an entry. *)
+(* The second check of audit's orders → customers, and of its
+   three-way join of orders, customers and shipments, on an unchanged
+   index reads every atom's projection from the index's cache, already
+   renamed onto its home blocks: the first check builds each atom's
+   projection and its renamed form, the second only hits, and neither
+   restricts, projects nor renames an entry. *)
 let test_projection_cache_counters () =
   let gen =
     Fcv_datagen.Retail.generate (Fcv_util.Rng.create 3)
       { Fcv_datagen.Retail.default with customers = 30; products = 10; orders = 60 }
   in
-  let f =
-    Core.Fol_parser.of_string
-      (List.assoc "orders reference existing customers" Fcv_datagen.Retail.audit_constraints)
-  in
+  let audit name = Core.Fol_parser.of_string (List.assoc name Fcv_datagen.Retail.audit_constraints) in
+  let f = audit "orders reference existing customers" in
+  let join = audit "shipments go to the customer's state" in
   let index = Core.Index.create gen.Fcv_datagen.Retail.db in
-  Core.Checker.ensure_indices index [ f ];
+  Core.Checker.ensure_indices index [ f; join ];
   let mgr = Core.Index.mgr index in
   let op name = List.assoc name (Fcv_bdd.Manager.stats mgr).Fcv_bdd.Manager.op_calls in
   let builds () = T.counter_value (T.counter "index.projection_builds") in
   let hits () = T.counter_value (T.counter "index.projection_hits") in
   let first = Core.Checker.check index f in
   check "first check on BDD" true (first.Core.Checker.method_used = Core.Checker.Bdd);
-  check_int "first check builds both atoms' projections" 2 (builds ());
+  (* orders' projection; customers' projection, and its rename onto
+     orders' cust_id block, a key of its own *)
+  check_int "first check builds both atoms' projections and one rename" 3 (builds ());
   check_int "first check hits nothing" 0 (hits ());
-  let exists0 = op "exists" and restrict0 = op "restrict" in
-  let second = Core.Checker.check index f in
+  let no_entry_ops what f =
+    let ops = [ "exists"; "restrict"; "replace"; "ite" ] in
+    let before = List.map op ops in
+    let r = f () in
+    List.iter2
+      (fun name n -> check_int (Printf.sprintf "%s: no op_%s" what name) n (op name))
+      ops before;
+    r
+  in
+  let second = no_entry_ops "second check" (fun () -> Core.Checker.check index f) in
   check "same verdict" true (second.Core.Checker.outcome = first.Core.Checker.outcome);
-  check_int "second check builds nothing" 2 (builds ());
-  check_int "second check hits both" 2 (hits ());
-  check_int "second check: no op_exists" exists0 (op "exists");
-  check_int "second check: no op_restrict" restrict0 (op "restrict")
+  check_int "second check builds nothing" 3 (builds ());
+  check_int "second check hits both atoms" 2 (hits ());
+  let first_join = Core.Checker.check index join in
+  check "join on BDD" true (first_join.Core.Checker.method_used = Core.Checker.Bdd);
+  (* its three atoms' projections, and the renames of customers' c and
+     shipments' o onto orders' blocks *)
+  check_int "first join builds three projections and two renames" 8 (builds ());
+  check_int "first join hits nothing" 2 (hits ());
+  let built = builds () and hit = hits () in
+  let second_join = no_entry_ops "second join" (fun () -> Core.Checker.check index join) in
+  check "same join verdict" true
+    (second_join.Core.Checker.outcome = first_join.Core.Checker.outcome);
+  check_int "second join builds nothing" built (builds ());
+  check_int "second join hits its three atoms" (hit + 3) (hits ())
 
 (* The planner's cache telemetry: every plan outcome ticks exactly one
    of planner.{hit,miss,probe,replans}, in step with Planner.stats. *)
@@ -606,6 +657,8 @@ let suite =
     Alcotest.test_case "span nesting paths" `Quick (with_telemetry test_span_nesting);
     Alcotest.test_case "JSON-lines round-trip" `Quick (with_telemetry test_jsonl_round_trip);
     Alcotest.test_case "JSON parse errors" `Quick (with_telemetry test_json_parser_errors);
+    Alcotest.test_case "JSON: numbers and strings only as JSON spells them" `Quick
+      test_json_strict;
     Alcotest.test_case "disabled path records nothing" `Quick
       (with_telemetry test_disabled_is_noop);
     Alcotest.test_case "budget fallback: one trip, correct verdict" `Quick
