@@ -102,6 +102,39 @@ let test_self_join_two_atoms () =
       "forall x, y, z . edge(x, y) and edge(x, z) -> y = z";
     ]
 
+(* A self-join's second atom finds its variable's entry blocks claimed,
+   so that variable borrows a scratch block; when the atom's projection
+   is empty it borrows none, and the verdicts stay the formulas'.  The
+   empty table's domain has no values, so a scratch block for it could
+   not even be allocated. *)
+let test_empty_atom_borrows_nothing () =
+  let db = R.Database.create () in
+  R.Database.add_domain db (R.Dict.of_int_range "d" 6);
+  R.Database.add_domain db (R.Dict.create "none");
+  let e = R.Database.create_table db ~name:"edge" ~attrs:[ ("src", "d"); ("dst", "d") ] in
+  List.iter (fun (a, b) -> R.Table.insert_coded e [| a; b |]) [ (0, 1); (1, 2); (2, 0); (3, 3) ];
+  ignore (R.Database.create_table db ~name:"void" ~attrs:[ ("v", "none") ]);
+  let index = Core.Index.create db in
+  List.iter
+    (fun name -> ignore (Core.Index.add index ~table_name:name ~strategy:Core.Ordering.Prob_converge ()))
+    [ "edge"; "void" ];
+  List.iter
+    (fun src ->
+      let f = parse src in
+      let typing = Core.Typing.infer db f in
+      let ctx = Core.Compile.make_ctx index typing in
+      let root = Core.Compile.compile ctx f in
+      Core.Compile.release ctx;
+      check ("empty atom: " ^ src) (Core.Naive_eval.holds db f) (O.is_true root))
+    [
+      (* no edge leaves 5 *)
+      "exists x, y, z . edge(x, y) and edge(5, z)";
+      "forall x, y, z . edge(x, y) and edge(5, z) -> x = z";
+      "forall x, y . edge(x, y) -> (exists z . edge(y, z) and edge(5, z))";
+      "exists x, y . void(x) and void(y)";
+      "forall x, y . void(x) and void(y) -> (exists z . void(z))";
+    ]
+
 let test_scratch_block_allocation () =
   (* Eq before any atom forces scratch blocks for both variables *)
   let db, index = setup 13 in
@@ -207,6 +240,7 @@ let suite =
     Alcotest.test_case "wildcard projection" `Quick test_wildcard_projects;
     Alcotest.test_case "duplicate variable in atom" `Quick test_duplicate_variable_in_atom;
     Alcotest.test_case "self joins" `Quick test_self_join_two_atoms;
+    Alcotest.test_case "empty atom borrows no scratch" `Quick test_empty_atom_borrows_nothing;
     Alcotest.test_case "scratch blocks" `Quick test_scratch_block_allocation;
     Alcotest.test_case "join strategies agree" `Quick test_join_strategies_agree;
     Alcotest.test_case "join against SQL" `Quick test_join_against_sql;
